@@ -15,10 +15,12 @@ from pathlib import Path
 
 from . import depgraph, grouping, scoring, sim
 from .generator import GenConfig, GroundTruth, generate_accelerator
-from .locate import (KeccakNotPresentError, PipelineConfig, SearchBounds,
-                     run_pipeline)
+from .keccak import LANE_WIDTHS
+from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
+                     SearchBounds, run_pipeline)
 from .netlist import NetlistError, anonymize, parse_netlist, validate, write_netlist
-from .trojan import HthSpec, insert_hth, overhead_report, reconstruct_secret
+from .trojan import (HthSpec, InsertionError, insert_hth, overhead_report,
+                     reconstruct_secret)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -32,12 +34,24 @@ def _outdir(args):
     return out
 
 
-def _load_netlist(path):
+def _usage_error(message):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
+def _read(path, what, parse=str):
+    """parse(text of the file); one that cannot be read or parsed is a
+    usage error."""
     try:
-        netlist = parse_netlist(Path(path).read_text())
-    except FileNotFoundError:
-        print(f"error: netlist file {path} not found", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        _usage_error(f"cannot read {what} file {path}: {e}")
+
+
+def _load_netlist(path):
+    text = _read(path, "netlist")
+    try:
+        netlist = parse_netlist(text)
     except NetlistError as e:
         print(f"error: {e}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
@@ -81,6 +95,9 @@ def cmd_gen(args):
 
 def cmd_analyze(args):
     netlist = _load_netlist(args.netlist)
+    truth = None
+    if args.sidecar:
+        truth = _read(args.sidecar, "sidecar", GroundTruth.from_json)
     override = None
     if any(v is not None for v in (args.fif, args.fic, args.fof, args.foc)):
         if args.fif is None or args.fof is None:
@@ -114,8 +131,7 @@ def cmd_analyze(args):
         "stage_ms": {k: round(v, 3) for k, v in stage_ms.items()},
         "total_ms": round(total_ms, 3),
     }
-    if args.sidecar:
-        truth = GroundTruth.from_json(Path(args.sidecar).read_text())
+    if truth is not None:
         st, ins = set(truth.all_state_ffs()), set(truth.all_input_ffs())
         got_st, got_in = set(result.state_candidates), set(result.input_candidates)
         report["truth"] = {
@@ -152,12 +168,13 @@ def cmd_inject(args):
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     if args.result:
-        rep = json.loads(Path(args.result).read_text())
-        inputs = rep["input_candidates"]
-        from .locate import RepqcResult
-        result = RepqcResult(frozenset(rep["state_candidates"]), inputs,
-                             rep.get("winning_group"), rep.get("variant", "grouped"),
-                             args.lane_width, rep.get("expected_state_count", 0))
+        def from_report(text):
+            rep = json.loads(text)
+            return RepqcResult(
+                frozenset(rep["state_candidates"]), rep["input_candidates"],
+                rep.get("winning_group"), rep.get("variant", "grouped"),
+                args.lane_width, rep.get("expected_state_count", 0))
+        result = _read(args.result, "result", from_report)
     else:
         try:
             result, _ = run_pipeline(netlist, PipelineConfig(
@@ -170,7 +187,6 @@ def cmd_inject(args):
         print("not found: no input register located", file=sys.stderr)
         return EXIT_NOT_FOUND
 
-    from .trojan import InsertionError
     try:
         trojaned, edit = insert_hth(netlist, result, spec,
                                     reset_net=args.reset_net)
@@ -182,8 +198,7 @@ def cmd_inject(args):
         "report_type": "inject",
         "netlist": str(args.netlist),
         "trojan": {"t": spec.t, "l": spec.l, "trigger_hex": f"{spec.trigger:x}",
-                   "capture_delay": spec.capture_delay,
-                   "leak_width": spec.leak_width},
+                   "capture_delay": spec.capture_delay},
         "audit": {
             "added_cells": len(edit.added_cells),
             "added_nets": len(edit.added_nets),
@@ -209,7 +224,7 @@ def cmd_inject(args):
 def cmd_simulate(args):
     netlist = _load_netlist(args.netlist)
     try:
-        stimulus = sim.parse_stimulus(Path(args.stimulus).read_text())
+        stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
         cycles = args.cycles if args.cycles is not None else len(stimulus)
         trace = sim.simulate(netlist, stimulus, cycles)
     except sim.SimulationError as e:
@@ -252,8 +267,12 @@ def build_parser():
         description="Locate Keccak cores in blind netlists and insert a "
                     "power side-channel trojan at the recovered input register.")
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config, overrides flags")
+    common.add_argument("--out-dir", default=".")
 
-    g = sub.add_parser("gen", help="generate a victim accelerator and sidecar")
+    g = sub.add_parser("gen", parents=[common],
+                       help="generate a victim accelerator and sidecar")
     g.add_argument("--w", type=int, default=64)
     g.add_argument("--instances", type=int, default=1)
     g.add_argument("--shares", type=int, default=1)
@@ -261,28 +280,26 @@ def build_parser():
     g.add_argument("--seed", type=int, default=None)
     g.add_argument("--loader", choices=("absorb", "split"), default="absorb")
     g.add_argument("--anonymize-seed", type=int, default=None)
-    g.add_argument("--config", help="JSON config, overrides flags")
-    g.add_argument("--out-dir", default=".")
     g.set_defaults(fn=cmd_gen)
 
-    a = sub.add_parser("analyze", help="run the localization pipeline")
+    a = sub.add_parser("analyze", parents=[common],
+                       help="run the localization pipeline")
     a.add_argument("--netlist", required=True)
     a.add_argument("--sidecar")
-    a.add_argument("--lane-width", type=int, default=64)
+    a.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
     a.add_argument("--instances", type=int, default=1)
     a.add_argument("--shares", type=int, default=1)
     a.add_argument("--fif", type=int)
     a.add_argument("--fic", type=int)
     a.add_argument("--fof", type=int)
     a.add_argument("--foc", type=int)
-    a.add_argument("--config", help="JSON config, overrides flags")
-    a.add_argument("--out-dir", default=".")
     a.set_defaults(fn=cmd_analyze)
 
-    i = sub.add_parser("inject", help="insert the trojan at the located register")
+    i = sub.add_parser("inject", parents=[common],
+                       help="insert the trojan at the located register")
     i.add_argument("--netlist", required=True)
     i.add_argument("--result", help="analyze report.json; omitted = analyze inline")
-    i.add_argument("--lane-width", type=int, default=64)
+    i.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
     i.add_argument("--instances", type=int, default=1)
     i.add_argument("--shares", type=int, default=1)
     i.add_argument("--t", type=int, default=64)
@@ -292,43 +309,47 @@ def build_parser():
     i.add_argument("--k-offset", type=int, default=0)
     i.add_argument("--budget-pct", type=float, default=None)
     i.add_argument("--reset-net", default=None)
-    i.add_argument("--config", help="JSON config, overrides flags")
-    i.add_argument("--out-dir", default=".")
     i.set_defaults(fn=cmd_inject)
 
-    s = sub.add_parser("simulate", help="cycle-accurate simulation and verdicts")
+    s = sub.add_parser("simulate", parents=[common],
+                       help="cycle-accurate simulation and verdicts")
     s.add_argument("--netlist", required=True)
     s.add_argument("--stimulus", required=True)
     s.add_argument("--cycles", type=int, default=None)
     s.add_argument("--baseline", help="stealth-compare primary outputs against")
     s.add_argument("--secret-width", type=int, default=None)
     s.add_argument("--expect-secret-hex", default=None)
-    s.add_argument("--config", help="JSON config, overrides flags")
-    s.add_argument("--out-dir", default=".")
     s.set_defaults(fn=cmd_simulate)
     return ap
 
 
-def _apply_config(args):
+def _apply_config(parser, argv, args):
     """Batch workflows drive runs from JSON config files whose entries
-    override the corresponding flags."""
-    if not getattr(args, "config", None):
-        return
-    overrides = json.loads(Path(args.config).read_text())
-    for key, value in overrides.items():
+    override the corresponding flags. Each entry becomes one ``--key=value``
+    flag after argv, so argparse checks it like a typed flag and the last
+    flag wins."""
+    overrides = _read(args.config, "config", lambda text: dict(json.loads(text)))
+    for key in overrides:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("fn", "command", "config"):
-            print(f"error: unknown config key {key!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
-        setattr(args, dest, value)
+            _usage_error(f"unknown config key {key!r}")
+    args = parser.parse_args(
+        argv + [f"--{key.replace('_', '-')}={v}" for key, v in overrides.items()])
+    for key, value in overrides.items():
+        # a value of the wrong JSON type does not parse back to itself
+        if getattr(args, key.replace("-", "_")) != value:
+            _usage_error(f"config value {value!r} for {key!r} has the wrong type")
+    return args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    _apply_config(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        args = _apply_config(parser, argv, args)
     if args.command == "gen" and args.seed is None:
-        print("error: gen needs --seed (or a seed in --config)", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        _usage_error("gen needs --seed (or a seed in --config)")
     return args.fn(args)
 
 

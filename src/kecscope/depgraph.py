@@ -10,7 +10,8 @@ Tracing rules, fixed here once for every downstream analysis:
     so a PI-driven reset does not pollute any cone;
   * mux data and select inputs count alike (structural, not functional);
   * duplicate paths to the same flip-flop count once;
-  * cells tagged ``analog_island`` are opaque and never entered.
+  * cells tagged ``analog_island`` are opaque and never entered: island
+    outputs cut every path, the one island rule of ``NetlistIndex``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .netlist import ANALOG_ISLAND_TAG, Netlist
+from .netlist import ANALOG_ISLAND_TAG, Netlist, index_netlist
 
 
 class CombinationalCycleError(Exception):
@@ -46,17 +47,17 @@ class DependencyGraph:
 def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     """Backward cone walk from every flip-flop's d pin.
 
-    Raises CombinationalCycleError if a combinational loop outside an
-    analog island is encountered.
+    Raises CombinationalCycleError on a combinational loop that no
+    ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
     """
+    index = index_netlist(netlist)
+    if index.cyclic:
+        bad = sorted(c.name for c in index.cyclic)
+        raise CombinationalCycleError(
+            f"combinational cycle outside analog island: {bad[:8]}")
     pis = set(netlist.input_ports())
     pos = set(netlist.output_ports())
-    net_driver = {}
-    for c in netlist.cells:
-        for net in c.output_nets():
-            net_driver[net] = c
-
-    _reject_comb_cycles(netlist, net_driver)
+    net_driver = index.driver
 
     ffs = [c.name for c in netlist.cells if c.is_seq()]
     deps: dict[str, set[str]] = {f: set() for f in ffs}
@@ -112,34 +113,6 @@ def _trace_output_reach(netlist, net_driver, pos, ffs):
             stack.append(inet)
     ff_q = {c.name: c.pins["q"] for c in netlist.cells if c.is_seq()}
     return {f: ff_q[f] in marked for f in ffs}
-
-
-def _reject_comb_cycles(netlist, net_driver):
-    comb = [c for c in netlist.cells
-            if not c.is_seq() and ANALOG_ISLAND_TAG not in c.tags]
-    indeg = {}
-    fanout: dict[str, list] = {}
-    for c in comb:
-        n = 0
-        for _, net in c.input_pins():
-            d = net_driver.get(net)
-            if d is not None and not d.is_seq() and ANALOG_ISLAND_TAG not in d.tags:
-                n += 1
-                fanout.setdefault(d.name, []).append(c)
-        indeg[c.name] = n
-    queue = [c for c in comb if indeg[c.name] == 0]
-    done = 0
-    while queue:
-        c = queue.pop()
-        done += 1
-        for s in fanout.get(c.name, []):
-            indeg[s.name] -= 1
-            if indeg[s.name] == 0:
-                queue.append(s)
-    if done != len(comb):
-        bad = sorted(c.name for c in comb if indeg[c.name] > 0)
-        raise CombinationalCycleError(
-            f"combinational cycle outside analog island: {bad[:8]}")
 
 
 def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:

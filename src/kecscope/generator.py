@@ -286,15 +286,12 @@ def _equals_const(b, bits, value, prefix):
     return b.and_tree(terms, prefix)
 
 
-def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
-    """One combinational round over the ``sin`` bit nets of one share.
+def _linear_layer(b, p, sin, w):
+    """Theta, rho and pi over the ``sin`` bit nets of one share.
 
-    sin maps (x, y, z) -> net. iota is applied only when this is share 0:
-    either a fixed constant lane (iota_rc) or the full schedule selected by
-    the counter value nets. Returns the (x, y, z) -> net map of next-state
-    values.
+    sin maps (x, y, z) -> net. Returns bnet(x, y, z), the net holding bit
+    (x, y, z) of the pi output, which is what chi reads.
     """
-    p = f"{pre}s{share}_"
     rho = keccak.rho_offsets()
     col = {}
     for x in range(5):
@@ -315,6 +312,19 @@ def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
         px, py = (x + 3 * y) % 5, x
         return t1[(px, py, (z - rho[(px, py)]) % w)]
 
+    return bnet
+
+
+def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
+    """One combinational round over the ``sin`` bit nets of one share.
+
+    sin maps (x, y, z) -> net. iota is applied only when this is share 0:
+    either a fixed constant lane (iota_rc) or the full schedule selected by
+    the counter value nets. Returns the (x, y, z) -> net map of next-state
+    values.
+    """
+    p = f"{pre}s{share}_"
+    bnet = _linear_layer(b, p, sin, w)
     out = {}
     for x in range(5):
         for y in range(5):
@@ -340,32 +350,8 @@ def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
 def _masked_round(b, pre, sin0, sin1, w, counter):
     """Share-correct two-share round: linear steps per share, chi via a
     four-AND cross-share gadget, iota into share 0 only."""
-    rho = keccak.rho_offsets()
-    bmaps = []
-    for share, sin in ((0, sin0), (1, sin1)):
-        p = f"{pre}s{share}_"
-        col = {}
-        for x in range(5):
-            for z in range(w):
-                col[(x, z)] = b.xor_tree([sin[(x, y, z)] for y in range(5)], p)
-        dnet = {}
-        for x in range(5):
-            for z in range(w):
-                dnet[(x, z)] = b.xor2(col[((x - 1) % 5, z)],
-                                      col[((x + 1) % 5, (z - 1) % w)], p)
-        t1 = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    t1[(x, y, z)] = b.xor2(sin[(x, y, z)], dnet[(x, z)], p)
-
-        def bnet(x, y, z, t1=t1):
-            px, py = (x + 3 * y) % 5, x
-            return t1[(px, py, (z - rho[(px, py)]) % w)]
-
-        bmaps.append(bnet)
-
-    b0, b1 = bmaps
+    b0 = _linear_layer(b, f"{pre}s0_", sin0, w)
+    b1 = _linear_layer(b, f"{pre}s1_", sin1, w)
     out0, out1 = {}, {}
     p = f"{pre}chi_"
     for x in range(5):

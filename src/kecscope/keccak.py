@@ -16,22 +16,16 @@ from dataclasses import dataclass
 LANE_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def log2w(w: int) -> int:
+def _lane_log(w: int) -> int:
+    """l for lane width w = 2**l."""
     if w not in LANE_WIDTHS:
         raise ValueError(f"unsupported lane width {w}")
-    return LANE_WIDTHS.index(w) if w != 1 else 0
+    return LANE_WIDTHS.index(w)
 
 
 def num_rounds(w: int) -> int:
     """12 + 2*l rounds for lane width w = 2**l."""
-    l = 0
-    ww = w
-    while ww > 1:
-        ww >>= 1
-        l += 1
-    if (1 << l) != w or w not in LANE_WIDTHS:
-        raise ValueError(f"unsupported lane width {w}")
-    return 12 + 2 * l
+    return 12 + 2 * _lane_log(w)
 
 
 def rho_offsets() -> dict[tuple[int, int], int]:
@@ -61,9 +55,7 @@ def _rc_bit(t: int) -> int:
 
 def round_constants(w: int) -> list[int]:
     """Iota lane constants for rounds 0..12+2l-1, as w-bit integers."""
-    l = 0
-    while (1 << l) < w:
-        l += 1
+    l = _lane_log(w)
     rcs = []
     for ir in range(num_rounds(w)):
         rc = 0

@@ -49,7 +49,7 @@ class RepqcResult:
     state_candidates: frozenset[str]
     input_candidates: list[str]
     winning_group: str | None
-    variant: str                      # "grouped" | "individual" | "none"
+    variant: str                      # "grouped" | "individual"
     lane_width: int
     expected_state_count: int
     bounds: SearchBounds | None = None
@@ -206,7 +206,6 @@ class PipelineConfig:
     instances: int = 1
     shares: int = 1
     bounds_override: SearchBounds | None = None
-    recipe: str = "fanout"
 
 
 def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
@@ -223,7 +222,9 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
         return out
 
     graph = staged("dependencies", lambda: extract_dependencies(netlist))
-    scores = staged("scores", lambda: compute_zscores(graph, config.recipe))
+    if not graph.ffs:
+        raise KeccakNotPresentError("Keccak not present: no flip-flops")
+    scores = staged("scores", lambda: compute_zscores(graph))
     groups = staged("groups", lambda: group_by_levels(compute_levels(graph)))
 
     def search():

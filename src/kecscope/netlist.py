@@ -24,27 +24,44 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
 
 ANALOG_ISLAND_TAG = "analog_island"
 
-# kind -> (input pins, output pins). DFF is the only sequential kind; its
-# rst pin is optional and sampled synchronously (active high, clears to 0).
-CELL_PORTS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
-    "INV": (("a",), ("y",)),
-    "BUF": (("a",), ("y",)),
-    "AND2": (("a", "b"), ("y",)),
-    "OR2": (("a", "b"), ("y",)),
-    "XOR2": (("a", "b"), ("y",)),
-    "XNOR2": (("a", "b"), ("y",)),
-    "NAND2": (("a", "b"), ("y",)),
-    "NOR2": (("a", "b"), ("y",)),
-    "MUX2": (("a", "b", "s"), ("y",)),          # y = s ? b : a
-    "MUX4": (("a", "b", "c", "d", "s0", "s1"), ("y",)),  # sel = s1s0
-    "DFF": (("d", "clk"), ("q",)),              # rst optional
-    "TIE0": ((), ("y",)),
-    "TIE1": ((), ("y",)),
+
+class CellKind(NamedTuple):
+    inputs: tuple[str, ...]
+    outputs: tuple[str, ...]
+    # combinational value of the single output from (lane mask, *inputs),
+    # every value a bit-parallel int over the lanes; None for DFF
+    fn: Callable[..., int] | None
+
+
+# The cell semantics: pins and evaluation per kind. DFF is the only
+# sequential kind; its rst pin is optional and sampled synchronously
+# (active high, clears to 0).
+CELL_KINDS: dict[str, CellKind] = {
+    "INV": CellKind(("a",), ("y",), lambda m, a: ~a & m),
+    "BUF": CellKind(("a",), ("y",), lambda m, a: a),
+    "AND2": CellKind(("a", "b"), ("y",), lambda m, a, b: a & b),
+    "OR2": CellKind(("a", "b"), ("y",), lambda m, a, b: a | b),
+    "XOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: a ^ b),
+    "XNOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a ^ b) & m),
+    "NAND2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a & b) & m),
+    "NOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a | b) & m),
+    # y = s ? b : a
+    "MUX2": CellKind(("a", "b", "s"), ("y",),
+                     lambda m, a, b, s: (a & ~s | b & s) & m),
+    # sel = s1s0
+    "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), ("y",),
+                     lambda m, a, b, c, d, s0, s1:
+                     ((a & ~s1 & ~s0) | (b & ~s1 & s0)
+                      | (c & s1 & ~s0) | (d & s1 & s0)) & m),
+    "DFF": CellKind(("d", "clk"), ("q",), None),
+    "TIE0": CellKind((), ("y",), lambda m: 0),
+    "TIE1": CellKind((), ("y",), lambda m: m),
 }
 
 SEQUENTIAL_KINDS = frozenset({"DFF"})
@@ -94,11 +111,11 @@ class Cell:
         return self.kind in SEQUENTIAL_KINDS
 
     def output_nets(self):
-        return [self.pins[p] for p in CELL_PORTS[self.kind][1]]
+        return [self.pins[p] for p in CELL_KINDS[self.kind].outputs]
 
     def input_pins(self):
         """(pin, net) pairs for every bound input pin, optional ones included."""
-        ins, outs = CELL_PORTS[self.kind]
+        outs = CELL_KINDS[self.kind].outputs
         return [(p, n) for p, n in self.pins.items() if p not in outs]
 
 
@@ -136,11 +153,10 @@ class Violation:
     detail: str
 
 
-def _check_cell(kind, name, pins, line=None):
-    if kind not in CELL_PORTS:
+def _check_cell(kind, name, pins):
+    if kind not in CELL_KINDS:
         raise UnknownCellKindError(f"unknown cell kind {kind!r} for cell {name!r}")
-    ins, outs = CELL_PORTS[kind]
-    required = set(ins) | set(outs)
+    required = set(CELL_KINDS[kind].inputs) | set(CELL_KINDS[kind].outputs)
     optional = DFF_OPTIONAL_PINS if kind == "DFF" else frozenset()
     bound = set(pins)
     missing = required - bound
@@ -153,22 +169,74 @@ def _check_cell(kind, name, pins, line=None):
         )
 
 
-def _check_drivers(netlist):
-    drivers: dict[str, list[str]] = {}
-    for p in netlist.ports:
-        if p.direction == "in":
-            drivers.setdefault(p.name, []).append(f"input port {p.name}")
+@dataclass
+class NetlistIndex:
+    """The structural view of one netlist that validation, dependency
+    extraction and simulation share, built by :func:`index_netlist`.
+
+    The one island rule: cells tagged ``analog_island`` are never ordered,
+    so their outputs, like flip-flop outputs and primary inputs, cut every
+    combinational path. A loop through at least one island cell is
+    therefore no cycle; a loop with none leaves its cells, and every cell
+    downstream of it, in ``cyclic``.
+
+    The index is a snapshot: build a fresh one after editing the netlist.
+    """
+
+    driver: dict[str, Cell]          # net -> driving cell; input ports absent
+    clashes: dict[str, list[str]]    # net -> all its drivers, if more than one
+    order: list[Cell]                # non-island combinational cells, each
+                                     # after the drivers of its inputs
+    cyclic: list[Cell]               # non-island combinational cells left over
+
+
+def index_netlist(netlist: Netlist) -> NetlistIndex:
+    """Driver map and Kahn elimination over the combinational cells.
+
+    Cells of unknown kind and unbound output pins are skipped, so a
+    malformed netlist still indexes and ``validate`` can report it.
+    """
+    pis = set(netlist.input_ports())
+    driver: dict[str, Cell] = {}
+    clashes: dict[str, list[str]] = {}
+    comb = []
     for c in netlist.cells:
-        for net in c.output_nets():
-            drivers.setdefault(net, []).append(f"cell {c.name}")
-    read = {net for c in netlist.cells for _, net in c.input_pins()}
-    for net in netlist.all_nets():
-        got = drivers.get(net, [])
-        # a dangling never-read net parses; validate() still reports it
-        if not got and net in read:
-            raise UndrivenNetError(f"net {net!r} has no driver")
-        if len(got) > 1:
-            raise MultiplyDrivenNetError(f"net {net!r} driven by {', '.join(got)}")
+        spec = CELL_KINDS.get(c.kind)
+        if spec is None:
+            continue
+        for pin in spec.outputs:
+            net = c.pins.get(pin)
+            if net is None:
+                continue
+            if net in driver or net in pis:
+                if net not in clashes:
+                    clashes[net] = ([f"input port {net}"] if net in pis
+                                    else [f"cell {driver[net].name}"])
+                clashes[net].append(f"cell {c.name}")
+            driver[net] = c
+        if c.kind not in SEQUENTIAL_KINDS and ANALOG_ISLAND_TAG not in c.tags:
+            comb.append(c)
+
+    slot = {id(c): i for i, c in enumerate(comb)}
+    indeg = [0] * len(comb)
+    fanout: list[list[int]] = [[] for _ in comb]
+    for i, c in enumerate(comb):
+        outs = CELL_KINDS[c.kind].outputs
+        for pin, net in c.pins.items():
+            if pin in outs:
+                continue
+            j = slot.get(id(driver.get(net)))   # id(None) is no slot
+            if j is not None:
+                indeg[i] += 1
+                fanout[j].append(i)
+    order = [i for i, n in enumerate(indeg) if n == 0]
+    for i in order:   # grows while it is walked
+        for k in fanout[i]:
+            indeg[k] -= 1
+            if indeg[k] == 0:
+                order.append(k)
+    return NetlistIndex(driver, clashes, [comb[i] for i in order],
+                        [c for c, n in zip(comb, indeg) if n])
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -245,7 +313,7 @@ def parse_netlist(text: str) -> Netlist:
                 if net not in declared:
                     raise NetlistSyntaxError(f"net {net!r} not declared", lineno)
                 pins[pin] = net
-            _check_cell(kind, name, pins, lineno)
+            _check_cell(kind, name, pins)
             netlist.cells.append(Cell(kind, name, pins, frozenset(tags)))
         elif kw == "endmodule":
             closed = True
@@ -256,7 +324,15 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistSyntaxError("no module found")
     if not closed:
         raise NetlistSyntaxError("missing endmodule")
-    _check_drivers(netlist)
+    index = index_netlist(netlist)
+    for net, got in index.clashes.items():
+        raise MultiplyDrivenNetError(f"net {net!r} driven by {', '.join(got)}")
+    # a dangling never-read net parses; validate() still reports it
+    pis = set(netlist.input_ports())
+    for c in netlist.cells:
+        for _, net in c.input_pins():
+            if net not in index.driver and net not in pis:
+                raise UndrivenNetError(f"net {net!r} has no driver")
     return netlist
 
 
@@ -270,8 +346,9 @@ def write_netlist(netlist: Netlist) -> str:
     for k in sorted(netlist.attributes):
         out.append(f"attr {k} {netlist.attributes[k]}")
     for c in netlist.cells:
-        ins, outs = CELL_PORTS[c.kind]
-        order = list(ins) + (["rst"] if "rst" in c.pins else []) + list(outs)
+        spec = CELL_KINDS[c.kind]
+        order = (list(spec.inputs) + (["rst"] if "rst" in c.pins else [])
+                 + list(spec.outputs))
         pins = " ".join(f"{p}={c.pins[p]}" for p in order)
         tags = "".join(f" tag={t}" for t in sorted(c.tags))
         out.append(f"cell {c.kind} {c.name}{' ' + pins if pins else ''}{tags}")
@@ -282,22 +359,18 @@ def write_netlist(netlist: Netlist) -> str:
 def validate(netlist: Netlist) -> list[Violation]:
     """Structural check; returns violations as data (empty list = valid).
 
-    Combinational cycles are located by SCC-style elimination over non-DFF
-    cells; a cycle is only a violation if some cell on it lacks the
-    ``analog_island`` tag.
+    A combinational cycle is a violation under the one island rule of
+    :class:`NetlistIndex`: island outputs cut every path, so only a loop
+    without an ``analog_island`` cell on it is reported.
     """
     violations = []
     seen_cells: set[str] = set()
     declared = set(netlist.all_nets())
-    drivers: dict[str, list[str]] = {}
-    for p in netlist.ports:
-        if p.direction == "in":
-            drivers.setdefault(p.name, []).append(f"port {p.name}")
     for c in netlist.cells:
         if c.name in seen_cells:
             violations.append(Violation("duplicate-cell", c.name))
         seen_cells.add(c.name)
-        if c.kind not in CELL_PORTS:
+        if c.kind not in CELL_KINDS:
             violations.append(Violation("unknown-kind", f"{c.name}: {c.kind}"))
             continue
         try:
@@ -305,56 +378,22 @@ def validate(netlist: Netlist) -> list[Violation]:
         except ArityMismatchError as e:
             violations.append(Violation("arity", str(e)))
             continue
-        for _, net in c.pins.items():
+        for net in c.pins.values():
             if net not in declared:
                 violations.append(Violation("undeclared-net", f"{c.name}: {net}"))
-        for net in c.output_nets():
-            drivers.setdefault(net, []).append(f"cell {c.name}")
+
+    index = index_netlist(netlist)
+    pis = set(netlist.input_ports())
     for net in netlist.all_nets():
-        got = drivers.get(net, [])
-        if not got:
+        if net in index.clashes:
+            violations.append(Violation("multi-driven-net",
+                                        f"{net}: {index.clashes[net]}"))
+        elif net not in index.driver and net not in pis:
             violations.append(Violation("undriven-net", net))
-        elif len(got) > 1:
-            violations.append(Violation("multi-driven-net", f"{net}: {got}"))
-
-    violations.extend(_find_comb_cycles(netlist))
+    if index.cyclic:
+        violations.append(Violation(
+            "combinational-cycle", ",".join(sorted(c.name for c in index.cyclic))))
     return violations
-
-
-def _find_comb_cycles(netlist):
-    """Kahn elimination over combinational cells; leftovers lie on cycles."""
-    net_driver = {}
-    for c in netlist.cells:
-        if c.kind in CELL_PORTS:
-            for net in c.output_nets():
-                net_driver[net] = c
-    comb = [c for c in netlist.cells if c.kind in CELL_PORTS and not c.is_seq()]
-    indeg = {}
-    fanout: dict[str, list[Cell]] = {}
-    for c in comb:
-        n = 0
-        for _, net in c.input_pins():
-            d = net_driver.get(net)
-            if d is not None and not d.is_seq():
-                n += 1
-                fanout.setdefault(d.name, []).append(c)
-        indeg[c.name] = n
-    queue = [c for c in comb if indeg[c.name] == 0]
-    done = 0
-    while queue:
-        c = queue.pop()
-        done += 1
-        for s in fanout.get(c.name, []):
-            indeg[s.name] -= 1
-            if indeg[s.name] == 0:
-                queue.append(s)
-    if done == len(comb):
-        return []
-    cyclic = [c for c in comb if indeg[c.name] > 0]
-    bad = [c.name for c in cyclic if ANALOG_ISLAND_TAG not in c.tags]
-    if not bad:
-        return []
-    return [Violation("combinational-cycle", ",".join(sorted(bad)))]
 
 
 def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:

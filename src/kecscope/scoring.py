@@ -23,15 +23,12 @@ from .depgraph import DependencyGraph
 @dataclass
 class ScoreTable:
     z: dict[str, float]
-    recipe: str = "fanout"
 
     def __getitem__(self, ff):
         return self.z[ff]
 
 
-def compute_zscores(graph: DependencyGraph, recipe: str = "fanout") -> ScoreTable:
-    if recipe != "fanout":
-        raise ValueError(f"unknown recipe {recipe!r}")
+def compute_zscores(graph: DependencyGraph) -> ScoreTable:
     if not graph.ffs:
         raise ValueError("empty dependency graph")
     feature = {f: graph.fanout(f) for f in graph.ffs}
@@ -40,8 +37,8 @@ def compute_zscores(graph: DependencyGraph, recipe: str = "fanout") -> ScoreTabl
     mu = statistics.fmean(c.values())
     sigma = statistics.pstdev(c.values())
     if sigma == 0.0:
-        return ScoreTable({f: 0.0 for f in graph.ffs}, recipe)
-    return ScoreTable({f: max(0.0, (mu - c[f]) / sigma) for f in graph.ffs}, recipe)
+        return ScoreTable({f: 0.0 for f in graph.ffs})
+    return ScoreTable({f: max(0.0, (mu - c[f]) / sigma) for f in graph.ffs})
 
 
 def dump_scores(table: ScoreTable) -> str:

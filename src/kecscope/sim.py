@@ -5,7 +5,8 @@ simulate many independent stimuli at once (``batch`` lanes per net). All
 flip-flops start at 0 unless overridden through ``init`` or cleared by
 their synchronous active-high rst pin.
 
-Cells tagged ``analog_island`` are never levelized or evaluated. Instead
+Cells tagged ``analog_island`` are never levelized or evaluated (the one
+island rule of ``NetlistIndex``: island outputs cut every path). Instead
 the island's externally driven control nets are sampled every cycle: the
 net feeding its NAND2 is the enable, the nets feeding the MUX4 selects
 are the two leak bits, and the island contributes a (leak symbol, power)
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .netlist import ANALOG_ISLAND_TAG, Netlist, validate
+from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, index_netlist,
+                      validate)
 
 # leak symbol (leak[1] leak[0]) -> dynamic power / mean oscillation frequency
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
@@ -86,50 +88,23 @@ def write_stimulus(vectors) -> str:
 
 
 class _Compiled:
-    """Topologically ordered evaluation plan for one netlist."""
+    """Topologically ordered evaluation plan for one netlist: one
+    (eval function, input nets, output net) step per combinational cell."""
 
     def __init__(self, netlist: Netlist):
-        self.netlist = netlist
         self.pis = netlist.input_ports()
         self.pos = netlist.output_ports()
         self.ffs = [c for c in netlist.cells if c.is_seq()]
-        island_cells = [c for c in netlist.cells
-                        if ANALOG_ISLAND_TAG in c.tags]
-        self.islands = _find_islands(netlist, island_cells)
-        skip = {c.name for c in island_cells}
-        comb = [c for c in netlist.cells if not c.is_seq() and c.name not in skip]
-        self.order = _topo_order(netlist, comb)
-
-    def fresh_values(self):
-        return {net: 0 for net in self.netlist.all_nets()}
-
-
-def _topo_order(netlist, comb):
-    driver = {}
-    for c in comb:
-        for net in c.output_nets():
-            driver[net] = c
-    indeg = {}
-    fanout = {}
-    for c in comb:
-        n = 0
-        for _, net in c.input_pins():
-            d = driver.get(net)
-            if d is not None:
-                n += 1
-                fanout.setdefault(d.name, []).append(c)
-        indeg[c.name] = n
-    order = [c for c in comb if indeg[c.name] == 0]
-    i = 0
-    while i < len(order):
-        for s in fanout.get(order[i].name, []):
-            indeg[s.name] -= 1
-            if indeg[s.name] == 0:
-                order.append(s)
-        i += 1
-    if len(order) != len(comb):
-        raise SimulationError("combinational cycle outside analog island")
-    return order
+        self.islands = _find_islands(netlist, [
+            c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags])
+        index = index_netlist(netlist)
+        if index.cyclic:
+            raise SimulationError("combinational cycle outside analog island")
+        self.steps = []
+        for c in index.order:
+            spec = CELL_KINDS[c.kind]
+            self.steps.append((spec.fn, [c.pins[p] for p in spec.inputs],
+                               c.pins[spec.outputs[0]]))
 
 
 def _find_islands(netlist, island_cells):
@@ -186,40 +161,6 @@ def _apply_stimulus(values, vec, pis, cycle, mask, prev):
         values[port] = prev[port]
 
 
-def _eval(c, v, mask):
-    k = c.kind
-    p = c.pins
-    if k == "INV":
-        v[p["y"]] = ~v[p["a"]] & mask
-    elif k == "BUF":
-        v[p["y"]] = v[p["a"]]
-    elif k == "AND2":
-        v[p["y"]] = v[p["a"]] & v[p["b"]]
-    elif k == "OR2":
-        v[p["y"]] = v[p["a"]] | v[p["b"]]
-    elif k == "XOR2":
-        v[p["y"]] = v[p["a"]] ^ v[p["b"]]
-    elif k == "XNOR2":
-        v[p["y"]] = ~(v[p["a"]] ^ v[p["b"]]) & mask
-    elif k == "NAND2":
-        v[p["y"]] = ~(v[p["a"]] & v[p["b"]]) & mask
-    elif k == "NOR2":
-        v[p["y"]] = ~(v[p["a"]] | v[p["b"]]) & mask
-    elif k == "MUX2":
-        s = v[p["s"]]
-        v[p["y"]] = (v[p["a"]] & ~s | v[p["b"]] & s) & mask
-    elif k == "MUX4":
-        s0, s1 = v[p["s0"]], v[p["s1"]]
-        v[p["y"]] = ((v[p["a"]] & ~s1 & ~s0) | (v[p["b"]] & ~s1 & s0)
-                     | (v[p["c"]] & s1 & ~s0) | (v[p["d"]] & s1 & s0)) & mask
-    elif k == "TIE0":
-        v[p["y"]] = 0
-    elif k == "TIE1":
-        v[p["y"]] = mask
-    else:
-        raise SimulationError(f"cannot evaluate cell kind {k}")
-
-
 def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
              batch: int = 1, check: bool = True) -> SimTrace:
     """Run ``cycles`` clock cycles.
@@ -228,6 +169,9 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     input port, later cycles carry unmentioned ports forward. With
     batch > 1 each value is a bit-parallel mask over the batch lanes.
     init presets flip-flop outputs (ff id -> value) before the first cycle.
+    Island cells are not evaluated and their outputs read 0; a
+    combinational loop that no island cell cuts raises SimulationError
+    (the island rule of ``NetlistIndex``).
     """
     if len(stimulus) < cycles:
         raise StimulusError(
@@ -238,7 +182,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
             raise SimulationError(f"invalid netlist: {problems[:3]}")
     plan = _Compiled(netlist)
     mask = (1 << batch) - 1
-    values = plan.fresh_values()
+    values = dict.fromkeys(netlist.all_nets(), 0)
     q_state = {c.name: 0 for c in plan.ffs}
     if init:
         for ff, val in init.items():
@@ -253,8 +197,8 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
         for c in plan.ffs:
             values[c.pins["q"]] = q_state[c.name]
         _apply_stimulus(values, stimulus[cycle], set(plan.pis), cycle, mask, prev)
-        for c in plan.order:
-            _eval(c, values, mask)
+        for fn, ins, out in plan.steps:
+            values[out] = fn(mask, *map(values.__getitem__, ins))
         trace.inputs.append({p: values[p] for p in plan.pis})
         trace.outputs.append({p: values[p] for p in plan.pos})
         trace.watches.append({n: values[n] for n in watch})

@@ -39,7 +39,6 @@ class HthSpec:
     l: int = 64
     trigger: int = 0
     capture_delay: int = 2
-    leak_width: int = 2
     k_offset: int = 0   # which register bit the leaked window starts at
 
     def validate(self):
@@ -49,8 +48,6 @@ class HthSpec:
             raise ValueError(f"shift register width {self.l} not in {ALLOWED_L}")
         if self.l % 2:
             raise ValueError("shift register width must be even")
-        if self.leak_width != 2:
-            raise ValueError("leak bus is fixed at 2 bits")
         if self.capture_delay < 0:
             raise ValueError("capture_delay must be >= 0")
         if self.trigger < 0 or self.trigger >> self.t:

@@ -202,3 +202,37 @@ def test_reports_reproducible(workdir, tmp_path):
     assert (a / "design.nl").read_text() == (b / "design.nl").read_text()
     assert (a / "design.truth.json").read_text() == \
         (b / "design.truth.json").read_text()
+
+
+NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--netlist", "{d}/noff.nl"], 3),
+    (["analyze", "--netlist", "{d}/noff.nl", "--lane-width", "7"], 2),
+    (["inject", "--netlist", "{d}/noff.nl", "--lane-width", "7",
+      "--trigger-hex", "0"], 2),
+    (["gen", "--seed", "1", "--config", "{d}/decoys_str.json"], 2),
+    (["gen", "--seed", "1", "--config", "{d}/missing.json"], 2),
+    (["analyze", "--netlist", "{d}/noff.nl", "--sidecar", "{d}/missing.json"], 2),
+    (["inject", "--netlist", "{d}/noff.nl", "--result", "{d}/missing.json",
+      "--trigger-hex", "0"], 2),
+    (["simulate", "--netlist", "{d}/noff.nl", "--stimulus", "{d}/missing.stim"], 2),
+    (["analyze", "--netlist", "{d}/binary.nl"], 2),
+    (["gen", "--seed", "1", "--config", "{d}/list.json"], 2),
+    (["inject", "--netlist", "{d}/noff.nl", "--result", "{d}/list.json",
+      "--trigger-hex", "0"], 2),
+], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
+        "config-wrong-type", "missing-config", "missing-sidecar",
+        "missing-result", "missing-stimulus", "binary-netlist",
+        "config-not-object", "result-not-report"])
+def test_exit_codes_are_total(tmp_path, capsys, argv, code):
+    (tmp_path / "noff.nl").write_text(NO_FFS)
+    (tmp_path / "decoys_str.json").write_text(json.dumps({"decoys": "5"}))
+    (tmp_path / "list.json").write_text("[1, 2]")
+    (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")
+    argv = [a.format(d=tmp_path) for a in argv] + ["--out-dir", str(tmp_path)]
+    # run() catches SystemExit only, so any other exception fails the test
+    assert run(*argv) == code
+    if code == 3:
+        assert "not found:" in capsys.readouterr().err

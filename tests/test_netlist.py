@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.netlist import (ArityMismatchError, MultiplyDrivenNetError, Netlist,
-                              NetlistSyntaxError, Port, UndrivenNetError,
-                              UnknownCellKindError, anonymize, parse_netlist,
-                              validate, write_netlist)
+from kecscope.depgraph import CombinationalCycleError, extract_dependencies
+from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
+                              MultiplyDrivenNetError, Netlist, NetlistSyntaxError,
+                              Port, UndrivenNetError, UnknownCellKindError,
+                              anonymize, index_netlist, parse_netlist, validate,
+                              write_netlist)
+from kecscope.sim import SimulationError, simulate
 
 INV_DFF = """\
 module tiny
@@ -119,6 +122,69 @@ def test_validate_reports_dangling_output():
     assert [v.kind for v in validate(n)] == ["undriven-net"]
 
 
+def test_validate_missing_output_pin_is_arity():
+    n = parse_netlist(INV_DFF)
+    n.cells.append(Cell("BUF", "b1", {"a": "a"}))
+    assert [v.kind for v in validate(n)] == ["arity"]
+
+
+# one island rule for validate, extract_dependencies and simulate: island
+# outputs cut every path, so a loop is a cycle only without an island cell
+ISLAND_RULE_CASES = {
+    "buf_reads_oscillator": (True, """\
+module m
+input clk
+input en
+net fb
+net t
+net q
+cell NAND2 ron a=fb b=en y=fb tag=analog_island
+cell BUF tap a=fb y=t
+cell DFF f1 d=t clk=clk q=q
+endmodule
+"""),
+    "loop_with_one_tagged_cell": (True, """\
+module m
+input clk
+net a
+net b
+net q
+cell INV i1 a=b y=a tag=analog_island
+cell INV i2 a=a y=b
+cell DFF f1 d=b clk=clk q=q
+endmodule
+"""),
+    "untagged_loop": (False, """\
+module m
+input clk
+net a
+net b
+net q
+cell INV i1 a=b y=a
+cell INV i2 a=a y=b
+cell DFF f1 d=b clk=clk q=q
+endmodule
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ISLAND_RULE_CASES))
+def test_island_rule_agrees(case):
+    accepted, text = ISLAND_RULE_CASES[case]
+    n = parse_netlist(text)
+    stim = [{p: 0 for p in n.input_ports()}]
+    if accepted:
+        assert validate(n) == []
+        extract_dependencies(n)
+        simulate(n, stim, 1, check=False)
+    else:
+        assert [v.kind for v in validate(n)] == ["combinational-cycle"]
+        with pytest.raises(CombinationalCycleError):
+            extract_dependencies(n)
+        with pytest.raises(SimulationError):
+            simulate(n, stim, 1, check=False)
+
+
 def _random_netlist(rng):
     b_nets = [f"n{i}" for i in range(rng.randint(1, 8))]
     n = Netlist(name="rnd")
@@ -126,7 +192,6 @@ def _random_netlist(rng):
     n.ports.append(Port("pi", "in"))
     n.nets.extend(b_nets)
     driven = []
-    from kecscope.netlist import Cell
     for i, net in enumerate(b_nets):
         src = rng.choice(driven + ["pi"])
         if rng.random() < 0.4:
@@ -146,6 +211,24 @@ def _random_netlist(rng):
 def test_round_trip_random_netlists(seed):
     n = _random_netlist(random.Random(seed))
     assert parse_netlist(write_netlist(n)) == n
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_index_orders_every_comb_cell_after_its_drivers(seed):
+    n = _random_netlist(random.Random(seed))
+    index = index_netlist(n)
+    assert index.cyclic == []
+    position = {c.name: i for i, c in enumerate(index.order)}
+    comb = [c for c in n.cells
+            if not c.is_seq() and ANALOG_ISLAND_TAG not in c.tags]
+    assert len(index.order) == len(position) == len(comb)
+    assert set(position) == {c.name for c in comb}
+    for c in index.order:
+        for _, net in c.input_pins():
+            d = index.driver.get(net)
+            if d is not None and d.name in position:
+                assert position[d.name] < position[c.name]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 17])

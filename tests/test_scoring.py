@@ -36,11 +36,6 @@ def test_empty_graph_rejected():
         compute_zscores(graph_with_fanouts([]))
 
 
-def test_unknown_recipe_rejected():
-    with pytest.raises(ValueError):
-        compute_zscores(graph_with_fanouts([1, 2]), recipe="fanin")
-
-
 @given(st.lists(st.integers(min_value=0, max_value=12), min_size=2, max_size=40))
 @settings(max_examples=80, deadline=None)
 def test_monotone_in_rarity_and_nonnegative(fanouts):

@@ -1,6 +1,6 @@
 import pytest
 
-from kecscope.netlist import parse_netlist
+from kecscope.netlist import CELL_KINDS, Cell, Netlist, Port, parse_netlist
 from kecscope.sim import (LEAK_POWER_UW, PortMismatchError, StimulusError,
                           dump_trace, equivalence_check, parse_stimulus,
                           simulate, write_stimulus)
@@ -45,6 +45,42 @@ def _stim(n, cycles, **overrides):
     base = {p: 0 for p in n.input_ports()}
     base.update(overrides)
     return [dict(base) for _ in range(cycles)]
+
+
+# per-lane boolean definition of every combinational kind, inputs in pin order
+TRUTH = {
+    "INV": lambda a: 1 - a,
+    "BUF": lambda a: a,
+    "AND2": lambda a, b: a & b,
+    "OR2": lambda a, b: a | b,
+    "XOR2": lambda a, b: a ^ b,
+    "XNOR2": lambda a, b: 1 - (a ^ b),
+    "NAND2": lambda a, b: 1 - (a & b),
+    "NOR2": lambda a, b: 1 - (a | b),
+    "MUX2": lambda a, b, s: b if s else a,
+    "MUX4": lambda a, b, c, d, s0, s1: (a, b, c, d)[2 * s1 + s0],
+    "TIE0": lambda: 0,
+    "TIE1": lambda: 1,
+}
+
+
+def test_truth_table_covers_every_combinational_kind():
+    assert set(TRUTH) == {k for k in CELL_KINDS if k != "DFF"}
+
+
+@pytest.mark.parametrize("kind", sorted(TRUTH))
+def test_cell_truth_table(kind):
+    # lane i carries the input combination whose bit j is input j
+    pins = CELL_KINDS[kind].inputs
+    lanes = 1 << len(pins)
+    n = Netlist(name="tt", ports=[Port(p, "in") for p in pins] + [Port("y", "out")],
+                cells=[Cell(kind, "u", {**{p: p for p in pins}, "y": "y"})])
+    column = {p: sum(1 << i for i in range(lanes) if (i >> j) & 1)
+              for j, p in enumerate(pins)}
+    tr = simulate(n, [column], 1, batch=lanes)
+    want = sum(TRUTH[kind](*((i >> j) & 1 for j in range(len(pins)))) << i
+               for i in range(lanes))
+    assert tr.outputs[0]["y"] == want
 
 
 def test_toggle_flip_flop():
