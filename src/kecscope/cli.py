@@ -226,7 +226,8 @@ def cmd_simulate(args):
     try:
         stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
         cycles = args.cycles if args.cycles is not None else len(stimulus)
-        trace = sim.simulate(netlist, stimulus, cycles)
+        # _load_netlist has just validated this netlist
+        trace = sim.simulate(netlist, stimulus, cycles, check=False)
     except sim.SimulationError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
 
@@ -34,34 +34,34 @@ ANALOG_ISLAND_TAG = "analog_island"
 class CellKind(NamedTuple):
     inputs: tuple[str, ...]
     outputs: tuple[str, ...]
-    # combinational value of the single output from (lane mask, *inputs),
-    # every value a bit-parallel int over the lanes; None for DFF
-    fn: Callable[..., int] | None
+    # combinational value of the single output: a Python expression over
+    # the input pin names and the lane mask m, every value a bit-parallel
+    # int over the lanes; None for DFF
+    expr: str | None
 
 
-# The cell semantics: pins and evaluation per kind. DFF is the only
+# The cell semantics: pins and evaluation per kind, read by the simulator's
+# code generation and by any reference evaluator. DFF is the only
 # sequential kind; its rst pin is optional and sampled synchronously
 # (active high, clears to 0).
 CELL_KINDS: dict[str, CellKind] = {
-    "INV": CellKind(("a",), ("y",), lambda m, a: ~a & m),
-    "BUF": CellKind(("a",), ("y",), lambda m, a: a),
-    "AND2": CellKind(("a", "b"), ("y",), lambda m, a, b: a & b),
-    "OR2": CellKind(("a", "b"), ("y",), lambda m, a, b: a | b),
-    "XOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: a ^ b),
-    "XNOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a ^ b) & m),
-    "NAND2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a & b) & m),
-    "NOR2": CellKind(("a", "b"), ("y",), lambda m, a, b: ~(a | b) & m),
+    "INV": CellKind(("a",), ("y",), "~a & m"),
+    "BUF": CellKind(("a",), ("y",), "a"),
+    "AND2": CellKind(("a", "b"), ("y",), "a & b"),
+    "OR2": CellKind(("a", "b"), ("y",), "a | b"),
+    "XOR2": CellKind(("a", "b"), ("y",), "a ^ b"),
+    "XNOR2": CellKind(("a", "b"), ("y",), "~(a ^ b) & m"),
+    "NAND2": CellKind(("a", "b"), ("y",), "~(a & b) & m"),
+    "NOR2": CellKind(("a", "b"), ("y",), "~(a | b) & m"),
     # y = s ? b : a
-    "MUX2": CellKind(("a", "b", "s"), ("y",),
-                     lambda m, a, b, s: (a & ~s | b & s) & m),
+    "MUX2": CellKind(("a", "b", "s"), ("y",), "(a & ~s | b & s) & m"),
     # sel = s1s0
     "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), ("y",),
-                     lambda m, a, b, c, d, s0, s1:
-                     ((a & ~s1 & ~s0) | (b & ~s1 & s0)
-                      | (c & s1 & ~s0) | (d & s1 & s0)) & m),
+                     "((a & ~s1 & ~s0) | (b & ~s1 & s0)"
+                     " | (c & s1 & ~s0) | (d & s1 & s0)) & m"),
     "DFF": CellKind(("d", "clk"), ("q",), None),
-    "TIE0": CellKind((), ("y",), lambda m: 0),
-    "TIE1": CellKind((), ("y",), lambda m: m),
+    "TIE0": CellKind((), ("y",), "0"),
+    "TIE1": CellKind((), ("y",), "m"),
 }
 
 SEQUENTIAL_KINDS = frozenset({"DFF"})

@@ -1,9 +1,15 @@
-import pytest
+import random
 
-from kecscope.netlist import CELL_KINDS, Cell, Netlist, Port, parse_netlist
-from kecscope.sim import (LEAK_POWER_UW, PortMismatchError, StimulusError,
-                          dump_trace, equivalence_check, parse_stimulus,
-                          simulate, write_stimulus)
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
+                              Port, index_netlist, parse_netlist)
+from kecscope.sim import (CHUNK_STATEMENTS, LEAK_POWER_UW, PortMismatchError,
+                          SimTrace, SimulationError, StimulusError,
+                          _find_islands, dump_trace, equivalence_check,
+                          parse_stimulus, simulate, write_stimulus)
 
 TOGGLE = """\
 module t
@@ -206,3 +212,146 @@ def test_trace_dump():
     assert lines[0] == "cycle,q,leak,power_uW"
     assert lines[1] == "0,0,,0.0"
     assert lines[2] == "1,1,,0.0"
+
+
+def test_unknown_cell_kind_rejected_without_validation():
+    n = Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
+                cells=[Cell("FOO", "u1", {"a": "a", "y": "y"})])
+    with pytest.raises(SimulationError, match="'u1'"):
+        simulate(n, [{"a": 1}], 1, check=False)
+
+
+@pytest.mark.parametrize("pins", [{"y": "y"}, {"a": "ghost", "y": "y"}])
+def test_unbound_or_undeclared_input_rejected_without_validation(pins):
+    n = Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
+                cells=[Cell("BUF", "u1", pins)])
+    with pytest.raises(SimulationError, match="'u1'"):
+        simulate(n, [{"a": 1}], 1, check=False)
+
+
+def test_unknown_watch_net_rejected_before_first_cycle():
+    n = parse_netlist(TOGGLE)
+    # the stimulus would fail in cycle 0, so the watch check comes first
+    with pytest.raises(SimulationError, match="watch names unknown net 'nope'"):
+        simulate(n, [{}], 1, watch=["nope"])
+
+
+def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
+    """Test-only definition of ``simulate``: each cell of the index order
+    evaluated on its own by ``eval`` of its CELL_KINDS expression over a
+    net-name dict."""
+    mask = (1 << batch) - 1
+    order = index_netlist(netlist).order
+    ffs = netlist.flip_flops()
+    state = {c.name: 0 for c in ffs}
+    for name, val in (init or {}).items():
+        state[name] = val & mask
+    islands = _find_islands(netlist, [c for c in netlist.cells
+                                      if ANALOG_ISLAND_TAG in c.tags])
+    probe = (islands[0] if islands and islands[0].enable_net
+             and islands[0].leak_nets else None)
+    values = dict.fromkeys(netlist.all_nets(), 0)
+    carried = {}
+    trace = SimTrace(cycles, batch, [], [], [], [], [], [])
+    for cycle in range(cycles):
+        for c in ffs:
+            values[c.pins["q"]] = state[c.name]
+        carried.update((p, bits & mask) for p, bits in stimulus[cycle].items())
+        values.update(carried)
+        for c in order:
+            spec = CELL_KINDS[c.kind]
+            env = {p: values[c.pins[p]] for p in spec.inputs}
+            env["m"] = mask
+            values[c.pins[spec.outputs[0]]] = eval(spec.expr, {}, env)
+        trace.inputs.append({p: values[p] for p in netlist.input_ports()})
+        trace.outputs.append({p: values[p] for p in netlist.output_ports()})
+        trace.watches.append({n: values[n] for n in watch})
+        en = sym = None
+        if probe is not None:
+            en = values[probe.enable_net]
+            sym = (values[probe.leak_nets[0]] << 1) | values[probe.leak_nets[1]]
+        trace.island_raw.append(None if probe is None else (en, sym))
+        leaking = batch == 1 and bool(en)
+        trace.leak.append(sym if leaking else None)
+        trace.power_uw.append(LEAK_POWER_UW[sym] if leaking else 0.0)
+        for c in ffs:
+            d = values[c.pins["d"]]
+            if "rst" in c.pins:
+                d &= ~values[c.pins["rst"]] & mask
+            state[c.name] = d
+    return trace
+
+
+COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr is not None)
+
+
+def _random_design(rng):
+    """Acyclic netlist with every combinational kind, island-tagged cells
+    among them, flip-flops with and without rst (whose d may read any net,
+    so state feeds back), and most of the time an oscillator island, listed
+    first, whose enable and leak nets are random nets."""
+    inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
+    qs = [f"q{j}" for j in range(rng.randint(0, 6))]
+    n = Netlist(name="rnd", ports=[Port(p, "in") for p in ["clk"] + inputs],
+                nets=list(qs))
+    pool = inputs + qs
+    kinds = COMB_KINDS + [rng.choice(COMB_KINDS) for _ in range(rng.randint(0, 30))]
+    rng.shuffle(kinds)
+    for j, kind in enumerate(kinds):
+        pins = {p: rng.choice(pool) for p in CELL_KINDS[kind].inputs}
+        pins["y"] = f"w{j}"
+        tags = frozenset([ANALOG_ISLAND_TAG] if rng.random() < 0.1 else [])
+        n.nets.append(f"w{j}")
+        n.cells.append(Cell(kind, f"g{j}", pins, tags))
+        pool.append(f"w{j}")
+    for j, q in enumerate(qs):
+        pins = {"d": rng.choice(pool), "clk": "clk", "q": q}
+        if rng.random() < 0.5:
+            pins["rst"] = rng.choice(pool)
+        n.cells.append(Cell("DFF", f"f{j}", pins))
+    if rng.random() < 0.7:
+        ro = parse_netlist(RO_ISLAND)
+        rename = {"en": rng.choice(pool), "l0": rng.choice(pool),
+                  "l1": rng.choice(pool)}
+        island = [Cell(c.kind, "ro_" + c.name,
+                       {p: rename.get(net, "ro_" + net) for p, net in c.pins.items()},
+                       c.tags) for c in ro.cells if c.tags]
+        n.nets += ["ro_" + net for net in ro.nets]
+        n.cells[:0] = island
+    for j in range(rng.randint(1, 3)):
+        n.ports.append(Port(f"o{j}", "out"))
+        n.cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
+    return n
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_compiled_simulator_matches_reference(seed):
+    rng = random.Random(seed)
+    n = _random_design(rng)
+    batch = rng.choice([1, 1, 2, 5, 64])
+    cycles = rng.randint(1, 6)
+    # values wider than the lanes check the masking
+    stim = [{p: rng.getrandbits(batch + 2) for p in n.input_ports()}]
+    stim += [{p: rng.getrandbits(batch + 2) for p in n.input_ports()
+              if rng.random() < 0.5} for _ in range(cycles - 1)]
+    init = {c.name: rng.getrandbits(batch)
+            for c in n.flip_flops() if rng.random() < 0.5}
+    watch = rng.sample(n.all_nets(), min(6, len(n.all_nets())))
+    args = (n, stim, cycles)
+    kwargs = dict(watch=watch, init=init, batch=batch)
+    assert simulate(*args, **kwargs) == _reference(*args, **kwargs)
+
+
+def test_compiled_simulator_matches_reference_across_chunks(oracle_w8):
+    netlist, _ = oracle_w8
+    assert len(index_netlist(netlist).order) > 3 * CHUNK_STATEMENTS
+    rng = random.Random(5)
+    batch, cycles = 3, 4
+    stim = [{p: rng.getrandbits(batch) for p in netlist.input_ports()}
+            for _ in range(cycles)]
+    init = {c.name: rng.getrandbits(batch) for c in netlist.flip_flops()}
+    # every net watched, so every generated statement is compared
+    kwargs = dict(watch=netlist.all_nets(), init=init, batch=batch)
+    assert (simulate(netlist, stim, cycles, **kwargs)
+            == _reference(netlist, stim, cycles, **kwargs))
