@@ -63,6 +63,13 @@ def _load_netlist(path):
     return netlist
 
 
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _bounds_to_json(b):
     def enc(v):
         return None if v == math.inf else v
@@ -104,9 +111,13 @@ def cmd_analyze(args):
             print("error: bound overrides need at least --fif and --fof",
                   file=sys.stderr)
             return EXIT_USAGE
-        override = SearchBounds(
-            args.fif, args.fic if args.fic is not None else math.inf,
-            args.fof, args.foc if args.foc is not None else math.inf)
+        try:
+            override = SearchBounds(
+                args.fif, args.fic if args.fic is not None else math.inf,
+                args.fof, args.foc if args.foc is not None else math.inf)
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return EXIT_USAGE
     config = PipelineConfig(lane_width=args.lane_width, instances=args.instances,
                             shares=args.shares, bounds_override=override)
     t0 = time.perf_counter()
@@ -144,13 +155,11 @@ def cmd_analyze(args):
         print(f"state candidates/actual: {report['truth']['state_summary']}")
     out = _outdir(args)
     (out / "report.json").write_text(json.dumps(report, indent=1))
-    graph = depgraph.extract_dependencies(netlist)
-    (out / "scores.csv").write_text(
-        scoring.dump_scores(scoring.compute_zscores(graph)))
-    (out / "degrees.csv").write_text(depgraph.dump_degrees(graph))
-    (out / "groups.csv").write_text(
-        grouping.dump_groups(grouping.group_by_levels(
-            grouping.compute_levels(graph))))
+    # the CSVs come from the same analysis as the report
+    analysis = result.analysis
+    (out / "scores.csv").write_text(scoring.dump_scores(analysis.scores))
+    (out / "degrees.csv").write_text(depgraph.dump_degrees(analysis.graph))
+    (out / "groups.csv").write_text(grouping.dump_groups(analysis.groups))
     print(f"wrote {out / 'report.json'} (variant {result.variant}, "
           f"{len(result.input_candidates)} input candidates)")
     return EXIT_OK if result.found() else EXIT_NOT_FOUND
@@ -235,10 +244,14 @@ def cmd_simulate(args):
     if args.baseline:
         baseline = _load_netlist(args.baseline)
         try:
-            stealth = sim.equivalence_check(baseline, netlist, stimulus, cycles)
+            sim.check_ports(baseline, netlist)
         except sim.PortMismatchError as e:
             print(f"error: {e}", file=sys.stderr)
             return EXIT_USAGE
+        # the stealth check of equivalence_check, against the trace above;
+        # _load_netlist has validated the baseline too
+        stealth = sim.outputs_equal(
+            sim.simulate(baseline, stimulus, cycles, check=False), trace)
     secret = None
     recovered = None
     if args.secret_width:
@@ -288,8 +301,8 @@ def build_parser():
     a.add_argument("--netlist", required=True)
     a.add_argument("--sidecar")
     a.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
-    a.add_argument("--instances", type=int, default=1)
-    a.add_argument("--shares", type=int, default=1)
+    a.add_argument("--instances", type=_positive_int, default=1)
+    a.add_argument("--shares", type=_positive_int, default=1)
     a.add_argument("--fif", type=int)
     a.add_argument("--fic", type=int)
     a.add_argument("--fof", type=int)
@@ -301,8 +314,8 @@ def build_parser():
     i.add_argument("--netlist", required=True)
     i.add_argument("--result", help="analyze report.json; omitted = analyze inline")
     i.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
-    i.add_argument("--instances", type=int, default=1)
-    i.add_argument("--shares", type=int, default=1)
+    i.add_argument("--instances", type=_positive_int, default=1)
+    i.add_argument("--shares", type=_positive_int, default=1)
     i.add_argument("--t", type=int, default=64)
     i.add_argument("--l", type=int, default=64)
     i.add_argument("--trigger-hex", required=True)

@@ -12,6 +12,13 @@ Tracing rules, fixed here once for every downstream analysis:
   * duplicate paths to the same flip-flop count once;
   * cells tagged ``analog_island`` are opaque and never entered: island
     outputs cut every path, the one island rule of ``NetlistIndex``.
+
+Each call builds one fanin map from the index's ordered cells: every net
+driven by a non-island combinational cell maps to the tuple of that cell's
+input nets. A flip-flop's cone is then a walk of dict lookups from its d
+net, through the fanin map, stopping at flip-flop q nets (sources), at
+undriven primary inputs and at every other net (island outputs). The
+output-reach pass walks the same map back from the primary outputs.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .netlist import ANALOG_ISLAND_TAG, Netlist, index_netlist
+from .netlist import CELL_KINDS, Netlist, index_netlist
 
 
 class CombinationalCycleError(Exception):
@@ -45,7 +52,7 @@ class DependencyGraph:
 
 
 def extract_dependencies(netlist: Netlist) -> DependencyGraph:
-    """Backward cone walk from every flip-flop's d pin.
+    """Backward cone walk from every flip-flop's d pin over the fanin map.
 
     Raises CombinationalCycleError on a combinational loop that no
     ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
@@ -55,64 +62,61 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
         bad = sorted(c.name for c in index.cyclic)
         raise CombinationalCycleError(
             f"combinational cycle outside analog island: {bad[:8]}")
-    pis = set(netlist.input_ports())
-    pos = set(netlist.output_ports())
-    net_driver = index.driver
+    driver = index.driver
+    # net -> input nets of its combinational driver; a net absent here
+    # ends the walk: a flip-flop output, a primary input or an island net
+    fanin: dict[str, tuple[str, ...]] = {}
+    for c in index.order:
+        outs = CELL_KINDS[c.kind].outputs
+        for pin in outs:
+            net = c.pins.get(pin)
+            if net is not None and driver[net] is c:
+                fanin[net] = tuple(n for p, n in c.pins.items()
+                                   if p not in outs)
+    ff_cells = netlist.flip_flops()
+    ffs = [c.name for c in ff_cells]
+    q_ff = {c.pins["q"]: c.name for c in ff_cells
+            if driver.get(c.pins["q"]) is c}
+    free_pis = set(netlist.input_ports()) - driver.keys()
 
-    ffs = [c.name for c in netlist.cells if c.is_seq()]
     deps: dict[str, set[str]] = {f: set() for f in ffs}
-    rdeps: dict[str, set[str]] = {f: set() for f in ffs}
+    rdeps: dict[str, set[str]] = {}
     input_reach: dict[str, frozenset[str]] = {}
-
-    for c in netlist.cells:
-        if not c.is_seq():
-            continue
+    fanin_of, source_of = fanin.get, q_ff.get
+    for c in ff_cells:
         srcs: set[str] = set()
         reached_pis: set[str] = set()
-        seen_nets: set[str] = set()
+        seen: set[str] = set()
         stack = [c.pins["d"]]
         while stack:
             net = stack.pop()
-            if net in seen_nets:
+            if net in seen:
                 continue
-            seen_nets.add(net)
-            drv = net_driver.get(net)
-            if drv is None:
-                if net in pis:
-                    reached_pis.add(net)
+            seen.add(net)
+            ins = fanin_of(net)
+            if ins is not None:
+                stack += ins
                 continue
-            if drv.is_seq():
-                srcs.add(drv.name)
-                continue
-            if ANALOG_ISLAND_TAG in drv.tags:
-                continue
-            for _, inet in drv.input_pins():
-                stack.append(inet)
+            src = source_of(net)
+            if src is not None:
+                srcs.add(src)
+            elif net in free_pis:
+                reached_pis.add(net)
         rdeps[c.name] = srcs
         input_reach[c.name] = frozenset(reached_pis)
         for s in srcs:
             deps[s].add(c.name)
 
-    output_reach = _trace_output_reach(netlist, net_driver, pos, ffs)
-    return DependencyGraph(ffs, deps, rdeps, input_reach, output_reach)
-
-
-def _trace_output_reach(netlist, net_driver, pos, ffs):
-    """Single backward pass from all POs through combinational cells."""
+    # one backward pass from all primary outputs
     marked: set[str] = set()
-    stack = [p for p in pos]
+    stack = netlist.output_ports()
     while stack:
         net = stack.pop()
-        if net in marked:
-            continue
-        marked.add(net)
-        drv = net_driver.get(net)
-        if drv is None or drv.is_seq() or ANALOG_ISLAND_TAG in drv.tags:
-            continue
-        for _, inet in drv.input_pins():
-            stack.append(inet)
-    ff_q = {c.name: c.pins["q"] for c in netlist.cells if c.is_seq()}
-    return {f: ff_q[f] in marked for f in ffs}
+        if net not in marked:
+            marked.add(net)
+            stack.extend(fanin.get(net, ()))
+    output_reach = {c.name: c.pins["q"] in marked for c in ff_cells}
+    return DependencyGraph(ffs, deps, rdeps, input_reach, output_reach)
 
 
 def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:

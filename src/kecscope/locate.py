@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
@@ -44,6 +45,13 @@ class SearchBounds:
         return (self.fif <= fanin <= self.fic) and (self.fof <= fanout <= self.foc)
 
 
+class Analysis(NamedTuple):
+    """The structures one ``run_pipeline`` call derived its result from."""
+    graph: DependencyGraph
+    scores: ScoreTable
+    groups: GroupTable
+
+
 @dataclass
 class RepqcResult:
     state_candidates: frozenset[str]
@@ -53,6 +61,10 @@ class RepqcResult:
     lane_width: int
     expected_state_count: int
     bounds: SearchBounds | None = None
+    # set by run_pipeline; None for a result read back from a report or
+    # remapped through a rename
+    analysis: Analysis | None = field(default=None, compare=False,
+                                      repr=False)
 
     def found(self):
         return bool(self.input_candidates)
@@ -211,7 +223,8 @@ class PipelineConfig:
 def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
                  ) -> tuple[RepqcResult, dict[str, float]]:
     """Full attack analysis on one netlist; returns the localization result
-    and per-stage wall-clock milliseconds."""
+    and per-stage wall-clock milliseconds. The result's ``analysis`` holds
+    the dependency graph, scores and groups it was derived from."""
     config = config or PipelineConfig()
     timings: dict[str, float] = {}
 
@@ -246,6 +259,7 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
 
     result = staged("localize", localize)
     result.bounds = bounds
+    result.analysis = Analysis(graph, scores, groups)
     result.expected_state_count = expected_state_count(
         config.lane_width, config.instances, config.shares)
     return result, timings

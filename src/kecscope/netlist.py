@@ -153,20 +153,28 @@ class Violation:
     detail: str
 
 
+# kind -> (required pins, allowed pins), built once from CELL_KINDS
+_PIN_SETS = {
+    kind: (frozenset(spec.inputs + spec.outputs),
+           frozenset(spec.inputs + spec.outputs)
+           | (DFF_OPTIONAL_PINS if kind == "DFF" else frozenset()))
+    for kind, spec in CELL_KINDS.items()}
+
+
 def _check_cell(kind, name, pins):
-    if kind not in CELL_KINDS:
+    if kind not in _PIN_SETS:
         raise UnknownCellKindError(f"unknown cell kind {kind!r} for cell {name!r}")
-    required = set(CELL_KINDS[kind].inputs) | set(CELL_KINDS[kind].outputs)
-    optional = DFF_OPTIONAL_PINS if kind == "DFF" else frozenset()
-    bound = set(pins)
+    required, allowed = _PIN_SETS[kind]
+    bound = pins.keys()
+    if required <= bound and bound <= allowed:
+        return
     missing = required - bound
-    extra = bound - required - optional
-    if missing or extra:
-        raise ArityMismatchError(
-            f"cell {name!r} ({kind}): "
-            + (f"missing pins {sorted(missing)} " if missing else "")
-            + (f"unexpected pins {sorted(extra)}" if extra else "")
-        )
+    extra = bound - allowed
+    raise ArityMismatchError(
+        f"cell {name!r} ({kind}): "
+        + (f"missing pins {sorted(missing)} " if missing else "")
+        + (f"unexpected pins {sorted(extra)}" if extra else "")
+    )
 
 
 @dataclass
@@ -190,16 +198,12 @@ class NetlistIndex:
     cyclic: list[Cell]               # non-island combinational cells left over
 
 
-def index_netlist(netlist: Netlist) -> NetlistIndex:
-    """Driver map and Kahn elimination over the combinational cells.
-
-    Cells of unknown kind and unbound output pins are skipped, so a
-    malformed netlist still indexes and ``validate`` can report it.
-    """
+def _drivers(netlist: Netlist) -> tuple[dict[str, Cell], dict[str, list[str]]]:
+    """The driver pass of :func:`index_netlist`: the net -> driving-cell
+    map and the clashes, without the ordering."""
     pis = set(netlist.input_ports())
     driver: dict[str, Cell] = {}
     clashes: dict[str, list[str]] = {}
-    comb = []
     for c in netlist.cells:
         spec = CELL_KINDS.get(c.kind)
         if spec is None:
@@ -214,9 +218,19 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
                                     else [f"cell {driver[net].name}"])
                 clashes[net].append(f"cell {c.name}")
             driver[net] = c
-        if c.kind not in SEQUENTIAL_KINDS and ANALOG_ISLAND_TAG not in c.tags:
-            comb.append(c)
+    return driver, clashes
 
+
+def index_netlist(netlist: Netlist) -> NetlistIndex:
+    """Driver map and Kahn elimination over the combinational cells.
+
+    Cells of unknown kind and unbound output pins are skipped, so a
+    malformed netlist still indexes and ``validate`` can report it.
+    """
+    driver, clashes = _drivers(netlist)
+    comb = [c for c in netlist.cells
+            if c.kind in CELL_KINDS and c.kind not in SEQUENTIAL_KINDS
+            and ANALOG_ISLAND_TAG not in c.tags]
     slot = {id(c): i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
@@ -324,14 +338,15 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistSyntaxError("no module found")
     if not closed:
         raise NetlistSyntaxError("missing endmodule")
-    index = index_netlist(netlist)
-    for net, got in index.clashes.items():
+    driver, clashes = _drivers(netlist)
+    for net, got in clashes.items():
         raise MultiplyDrivenNetError(f"net {net!r} driven by {', '.join(got)}")
-    # a dangling never-read net parses; validate() still reports it
+    # a dangling never-read net parses; validate() still reports it. A
+    # cell's own output nets are in the driver map, so every pin is checked.
     pis = set(netlist.input_ports())
     for c in netlist.cells:
-        for _, net in c.input_pins():
-            if net not in index.driver and net not in pis:
+        for net in c.pins.values():
+            if net not in driver and net not in pis:
                 raise UndrivenNetError(f"net {net!r} has no driver")
     return netlist
 

@@ -238,10 +238,12 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     Island cells are not evaluated and their outputs read 0; a
     combinational loop that no island cell cuts raises SimulationError
     (the island rule of ``NetlistIndex``), as do a cell of unknown kind, a
-    cell pin that is unbound or on an undeclared net, and a watch net
-    that does not exist. Every call compiles its own plan once, before
-    the first cycle.
+    cell pin that is unbound or on an undeclared net, a watch net that
+    does not exist, and a negative cycle count. Every call compiles its
+    own plan once, before the first cycle.
     """
+    if cycles < 0:
+        raise SimulationError(f"cycle count must not be negative, got {cycles}")
     if len(stimulus) < cycles:
         raise StimulusError(
             f"stimulus covers {len(stimulus)} cycles, need {cycles}")
@@ -299,15 +301,25 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     return trace
 
 
-def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:
-    """True iff primary-output traces agree cycle for cycle. Both designs
-    must expose identical port sets."""
+def check_ports(n1: Netlist, n2: Netlist) -> None:
+    """Raise PortMismatchError unless both designs expose the same input
+    and output ports."""
     if (set(p.name for p in n1.ports) != set(p.name for p in n2.ports)
             or set(n1.input_ports()) != set(n2.input_ports())):
         raise PortMismatchError("designs expose different primary ports")
-    t1 = simulate(n1, stimulus, cycles)
-    t2 = simulate(n2, stimulus, cycles)
+
+
+def outputs_equal(t1: SimTrace, t2: SimTrace) -> bool:
+    """True iff two traces' primary outputs agree cycle for cycle."""
     return all(a == b for a, b in zip(t1.outputs, t2.outputs))
+
+
+def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:
+    """True iff primary-output traces agree cycle for cycle. Both designs
+    must expose identical port sets."""
+    check_ports(n1, n2)
+    return outputs_equal(simulate(n1, stimulus, cycles),
+                         simulate(n2, stimulus, cycles))
 
 
 def dump_trace(trace: SimTrace) -> str:

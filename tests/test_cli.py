@@ -4,8 +4,9 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from kecscope import depgraph, grouping, locate, scoring
 from kecscope.cli import main
-from kecscope.netlist import parse_netlist
+from kecscope.netlist import parse_netlist, write_netlist
 from kecscope.sim import write_stimulus
 
 SCHEMA = json.loads(
@@ -78,6 +79,34 @@ def test_analyze_report(workdir):
                                        "bounds_search", "localize"}
     for f in ("scores.csv", "degrees.csv", "groups.csv"):
         assert (workdir / "a" / f).exists()
+
+
+def test_analyze_builds_each_structure_once(workdir, tmp_path, monkeypatch):
+    calls = {"extract_dependencies": 0, "compute_levels": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # locate imports both by name, so wrap them there as well
+    for module, fn in ((depgraph, depgraph.extract_dependencies),
+                       (grouping, grouping.compute_levels)):
+        for where in (module, locate):
+            monkeypatch.setattr(where, fn.__name__, counted(fn))
+    design = workdir / "g" / "design.nl"
+    assert run("analyze", "--netlist", str(design), "--lane-width", "16",
+               "--out-dir", str(tmp_path)) == 0
+    assert calls == {"extract_dependencies": 1, "compute_levels": 1}
+    monkeypatch.undo()
+
+    graph = depgraph.extract_dependencies(parse_netlist(design.read_text()))
+    groups = grouping.group_by_levels(grouping.compute_levels(graph))
+    assert (tmp_path / "scores.csv").read_text() == \
+        scoring.dump_scores(scoring.compute_zscores(graph))
+    assert (tmp_path / "degrees.csv").read_text() == depgraph.dump_degrees(graph)
+    assert (tmp_path / "groups.csv").read_text() == grouping.dump_groups(groups)
 
 
 def test_analyze_not_present(workdir, tmp_path):
@@ -222,17 +251,33 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
     (["gen", "--seed", "1", "--config", "{d}/list.json"], 2),
     (["inject", "--netlist", "{d}/noff.nl", "--result", "{d}/list.json",
       "--trigger-hex", "0"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--instances", "0"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--shares", "0"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--fif", "40", "--fic", "2", "--fof", "3"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--cycles", "-1"], 2),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
-        "config-not-object", "result-not-report"])
-def test_exit_codes_are_total(tmp_path, capsys, argv, code):
+        "config-not-object", "result-not-report", "zero-instances",
+        "zero-shares", "floor-above-ceiling", "negative-cycles"])
+def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
+    netlist, _ = oracle_w8
+    (tmp_path / "w8.nl").write_text(write_netlist(netlist))
+    (tmp_path / "w8.stim").write_text(
+        write_stimulus([{p: 0 for p in netlist.input_ports()}]))
     (tmp_path / "decoys_str.json").write_text(json.dumps({"decoys": "5"}))
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")
     argv = [a.format(d=tmp_path) for a in argv] + ["--out-dir", str(tmp_path)]
     # run() catches SystemExit only, so any other exception fails the test
     assert run(*argv) == code
+    err = capsys.readouterr().err
     if code == 3:
-        assert "not found:" in capsys.readouterr().err
+        assert "not found:" in err
+    if code == 2:
+        assert "error:" in err

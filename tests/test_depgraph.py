@@ -1,9 +1,16 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecscope.depgraph import (CombinationalCycleError, degree_histogram,
                                dump_degrees, dump_edges, extract_dependencies)
-from kecscope.generator import generate_core
-from kecscope.netlist import anonymize, parse_netlist
+from kecscope.generator import GenConfig, generate_accelerator, generate_core
+from kecscope.locate import PipelineConfig, run_pipeline
+from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
+                              Port, anonymize, index_netlist, parse_netlist)
+from kecscope.trojan import HthSpec, insert_hth
 
 
 def test_three_ff_chain_hand_trace(chain3):
@@ -97,3 +104,114 @@ def test_dumps(chain3):
     lines = dump_degrees(g).splitlines()
     assert lines[0] == "ff,fanin,fanout"
     assert "ffc,2,0" in lines
+
+
+def _reference(netlist):
+    """Test-only definition of ``extract_dependencies``: a cone walk over
+    the driver map that rebuilds each visited cell's ``input_pins()``.
+    Returns (deps, rdeps, input_reach, output_reach)."""
+    driver = index_netlist(netlist).driver
+    pis = set(netlist.input_ports())
+    ffs = [c.name for c in netlist.cells if c.is_seq()]
+    deps = {f: set() for f in ffs}
+    rdeps = {f: set() for f in ffs}
+    input_reach = {}
+
+    def walk(start):
+        """(flip-flops, undriven primary inputs, nets) the walk reaches."""
+        srcs, reached, seen = set(), set(), set()
+        stack = list(start)
+        while stack:
+            net = stack.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            drv = driver.get(net)
+            if drv is None:
+                if net in pis:
+                    reached.add(net)
+            elif drv.is_seq():
+                srcs.add(drv.name)
+            elif ANALOG_ISLAND_TAG not in drv.tags:
+                stack.extend(n for _, n in drv.input_pins())
+        return srcs, reached, seen
+
+    for c in netlist.cells:
+        if c.is_seq():
+            srcs, reached, _ = walk([c.pins["d"]])
+            rdeps[c.name] = srcs
+            input_reach[c.name] = frozenset(reached)
+            for s in srcs:
+                deps[s].add(c.name)
+    _, _, marked = walk(netlist.output_ports())
+    output_reach = {c.name: c.pins["q"] in marked
+                    for c in netlist.cells if c.is_seq()}
+    return deps, rdeps, input_reach, output_reach
+
+
+def _assert_matches_reference(netlist):
+    g = extract_dependencies(netlist)
+    deps, rdeps, input_reach, output_reach = _reference(netlist)
+    assert g.ffs == [c.name for c in netlist.cells if c.is_seq()]
+    assert g.deps == deps
+    assert g.rdeps == rdeps
+    assert g.input_reach == input_reach
+    assert g.output_reach == output_reach
+
+
+COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr is not None)
+
+
+def _random_design(rng):
+    """Netlist with every combinational kind, acyclic outside the island.
+    Island-tagged cells may read any wire, so some loops run through an
+    island; flip-flops read any net on d and rst (some have rst, some drive
+    an output port directly), and the primary outputs read random nets."""
+    inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
+    qs = [f"q{j}" for j in range(rng.randint(0, 8))]
+    kinds = COMB_KINDS + [rng.choice(COMB_KINDS) for _ in range(rng.randint(0, 30))]
+    rng.shuffle(kinds)
+    wires = [f"w{j}" for j in range(len(kinds))]
+    n = Netlist(name="rnd", ports=[Port(p, "in") for p in ["clk"] + inputs],
+                nets=wires + qs)
+    pool = inputs + qs
+    for j, kind in enumerate(kinds):
+        island = rng.random() < 0.15
+        pins = {p: rng.choice(wires if island else pool)
+                for p in CELL_KINDS[kind].inputs}
+        pins["y"] = wires[j]
+        n.cells.append(Cell(kind, f"g{j}", pins,
+                            frozenset([ANALOG_ISLAND_TAG] if island else [])))
+        pool.append(wires[j])
+    for j in range(rng.randint(0, 3)):
+        n.ports.append(Port(f"o{j}", "out"))
+        if rng.random() < 0.3:
+            n.cells.append(Cell("DFF", f"fo{j}",
+                                {"d": rng.choice(pool), "clk": "clk", "q": f"o{j}"}))
+        else:
+            n.cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
+    for j, q in enumerate(qs):
+        pins = {"d": rng.choice(pool), "clk": "clk", "q": q}
+        if rng.random() < 0.5:
+            pins["rst"] = rng.choice(pool)
+        n.cells.append(Cell("DFF", f"f{j}", pins))
+    rng.shuffle(n.cells)
+    return n
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_cone_walk_matches_reference(seed):
+    _assert_matches_reference(_random_design(random.Random(seed)))
+
+
+def test_cone_walk_matches_reference_on_generated_designs(oracle_w8):
+    netlist, _ = oracle_w8
+    masked, _ = generate_accelerator(GenConfig(w=8, shares=2, seed=4))
+    # the trojan adds an island and taps the located register
+    victim, _ = generate_accelerator(GenConfig(w=16, seed=2))
+    result, _ = run_pipeline(victim, PipelineConfig(lane_width=16))
+    trojaned, _ = insert_hth(victim, result,
+                             HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1))
+    for design in (netlist, masked, trojaned, anonymize(masked, 3)[0]):
+        _assert_matches_reference(design)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -232,12 +233,19 @@ def run_pipeline_cached(netlist):
     return _cache[key]
 
 
-def test_pipeline_stages_and_timings(oracle_w8):
+def test_pipeline_stages_and_timings(oracle_w8, oracle_w8_graph):
     res, times = run_pipeline_cached(oracle_w8[0])
     assert set(times) == {"dependencies", "scores", "groups",
                           "bounds_search", "localize"}
     assert all(ms >= 0 for ms in times.values())
     assert res.variant == "grouped"
+    # the structures the result came from ride along, outside equality
+    assert res.analysis.graph.ffs == oracle_w8_graph.ffs
+    assert res.analysis.graph.rdeps == oracle_w8_graph.rdeps
+    assert res.analysis.groups.regular()
+    assert set(res.analysis.scores.z) == set(oracle_w8_graph.ffs)
+    assert "analysis" not in repr(res)
+    assert replace(res, analysis=None) == res
 
 
 def test_pipeline_not_present(chain3):
@@ -258,4 +266,6 @@ def test_pipeline_invariant_under_anonymization(oracle_w8):
     res, _ = run_pipeline_cached(netlist)
     blind, rename = anonymize(netlist, 21)
     res_b, _ = run_pipeline(blind, PipelineConfig(lane_width=8))
-    assert results_equivalent(remap_result(res, rename), res_b)
+    remapped = remap_result(res, rename)
+    assert results_equivalent(remapped, res_b)
+    assert remapped.analysis is None
