@@ -19,8 +19,8 @@ from .keccak import LANE_WIDTHS
 from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      SearchBounds, run_pipeline)
 from .netlist import NetlistError, anonymize, parse_netlist, validate, write_netlist
-from .trojan import (HthSpec, InsertionError, insert_hth, overhead_report,
-                     reconstruct_secret)
+from .trojan import (ALLOWED_L, HthSpec, InsertionError, insert_hth,
+                     overhead_report, reconstruct_secret)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -68,6 +68,16 @@ def _positive_int(text):
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+def _hex(text):
+    """A hex number, checked and kept as the text itself, so that a
+    ``--config`` string parses back to its own value."""
+    try:
+        int(text, 16)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a hex number: {text!r}")
+    return text
 
 
 def _bounds_to_json(b):
@@ -318,7 +328,7 @@ def build_parser():
     i.add_argument("--shares", type=_positive_int, default=1)
     i.add_argument("--t", type=int, default=64)
     i.add_argument("--l", type=int, default=64)
-    i.add_argument("--trigger-hex", required=True)
+    i.add_argument("--trigger-hex", type=_hex, required=True)
     i.add_argument("--capture-delay", type=int, default=2)
     i.add_argument("--k-offset", type=int, default=0)
     i.add_argument("--budget-pct", type=float, default=None)
@@ -331,8 +341,8 @@ def build_parser():
     s.add_argument("--stimulus", required=True)
     s.add_argument("--cycles", type=int, default=None)
     s.add_argument("--baseline", help="stealth-compare primary outputs against")
-    s.add_argument("--secret-width", type=int, default=None)
-    s.add_argument("--expect-secret-hex", default=None)
+    s.add_argument("--secret-width", type=int, choices=ALLOWED_L, default=None)
+    s.add_argument("--expect-secret-hex", type=_hex, default=None)
     s.set_defaults(fn=cmd_simulate)
     return ap
 

@@ -169,9 +169,6 @@ class Builder:
     def inv(self, a, prefix=""):
         return self._gate("INV", prefix, a=a)
 
-    def buf(self, a, prefix=""):
-        return self._gate("BUF", prefix, a=a)
-
     def and2(self, a, b, prefix=""):
         return self._gate("AND2", prefix, a=a, b=b)
 
@@ -315,15 +312,25 @@ def _linear_layer(b, p, sin, w):
     return bnet
 
 
-def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
-    """One combinational round over the ``sin`` bit nets of one share.
+def _iota(b, out, w, p, counter):
+    """XOR the round constant selected by the counter value nets into lane
+    (0, 0) of the next-state map ``out``."""
+    rcs = keccak.round_constants(w)
+    for z in range(w):
+        bits = [(rc >> z) & 1 for rc in rcs]
+        if any(bits):
+            rc_net = b.const_mux(bits, counter, p)
+            out[(0, 0, z)] = b.xor2(out[(0, 0, z)], rc_net, p)
 
-    sin maps (x, y, z) -> net. iota is applied only when this is share 0:
-    either a fixed constant lane (iota_rc) or the full schedule selected by
-    the counter value nets. Returns the (x, y, z) -> net map of next-state
-    values.
+
+def _round_logic(b, pre, sin, w, iota_rc=None, counter=None):
+    """One combinational round over the ``sin`` bit nets of share 0.
+
+    sin maps (x, y, z) -> net. iota is either a fixed constant lane
+    (iota_rc) or the full schedule selected by the counter value nets.
+    Returns the (x, y, z) -> net map of next-state values.
     """
-    p = f"{pre}s{share}_"
+    p = f"{pre}s0_"
     bnet = _linear_layer(b, p, sin, w)
     out = {}
     for x in range(5):
@@ -333,17 +340,12 @@ def _round_logic(b, pre, sin, w, share, iota_rc=None, counter=None):
                 a = b.and2(n, bnet((x + 2) % 5, y, z), p)
                 out[(x, y, z)] = b.xor2(bnet(x, y, z), a, p)
 
-    if share == 0:
-        rcs = keccak.round_constants(w)
+    if iota_rc is None:
+        _iota(b, out, w, p, counter)
+    else:
         for z in range(w):
-            if iota_rc is not None:
-                if (iota_rc >> z) & 1:
-                    out[(0, 0, z)] = b.xor2(out[(0, 0, z)], b.tie(1, p), p)
-            else:
-                bits = [(rc >> z) & 1 for rc in rcs]
-                if any(bits):
-                    rc_net = b.const_mux(bits, counter, p)
-                    out[(0, 0, z)] = b.xor2(out[(0, 0, z)], rc_net, p)
+            if (iota_rc >> z) & 1:
+                out[(0, 0, z)] = b.xor2(out[(0, 0, z)], b.tie(1, p), p)
     return out
 
 
@@ -365,12 +367,7 @@ def _masked_round(b, pre, sin0, sin1, w, counter):
                 g1 = b.xor2(b.and2(n1, q0, p), b.and2(n1, q1, p), p)
                 out0[(x, y, z)] = b.xor2(b0(x, y, z), g0, p)
                 out1[(x, y, z)] = b.xor2(b1(x, y, z), g1, p)
-    rcs = keccak.round_constants(w)
-    for z in range(w):
-        bits = [(rc >> z) & 1 for rc in rcs]
-        if any(bits):
-            rc_net = b.const_mux(bits, counter, f"{pre}s0_")
-            out0[(0, 0, z)] = b.xor2(out0[(0, 0, z)], rc_net, f"{pre}s0_")
+    _iota(b, out0, w, f"{pre}s0_", counter)
     return out0, out1
 
 
@@ -442,7 +439,7 @@ def _build_instance(b, idx, cfg, rst):
         return sin
 
     if cfg.shares == 1:
-        nxt = [_round_logic(b, pre, absorbed(0), w, 0, counter=counter_q)]
+        nxt = [_round_logic(b, pre, absorbed(0), w, counter=counter_q)]
     else:
         nxt = list(_masked_round(b, pre, absorbed(0), absorbed(1), w, counter_q))
 
@@ -614,7 +611,7 @@ def generate_core(w: int) -> tuple[Netlist, GroundTruth]:
         for y in range(5):
             for z in range(w):
                 state_q[(x, y, z)] = b.net(f"{pre}st0_x{x}y{y}z{z}_q")
-    nxt = _round_logic(b, pre, state_q, w, 0,
+    nxt = _round_logic(b, pre, state_q, w,
                        iota_rc=keccak.round_constants(w)[0])
     ordered = []
     for x in range(5):

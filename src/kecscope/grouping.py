@@ -14,7 +14,7 @@ through feedback loops, where longest path is not.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .depgraph import DependencyGraph
 
@@ -34,8 +34,6 @@ class Group:
     gid: str
     key: tuple[int, int] | None      # None for the residual group
     members: list[str]               # sorted by id
-    hits: int = 0
-    member_hit: dict[str, bool] = field(default_factory=dict)
 
 
 @dataclass
@@ -44,12 +42,6 @@ class GroupTable:
 
     def regular(self):
         return [g for g in self.groups if g.key is not None]
-
-    def by_id(self, gid):
-        for g in self.groups:
-            if g.gid == gid:
-                return g
-        raise KeyError(gid)
 
 
 def _bfs_levels(seeds, edges):

@@ -86,15 +86,6 @@ class KeccakState:
     def zero(cls, w):
         return cls(w, [0] * 25)
 
-    @classmethod
-    def from_bits(cls, w, bits):
-        """bits maps (x, y, z) -> 0/1; missing entries are 0."""
-        lanes = [0] * 25
-        for (x, y, z), v in bits.items():
-            if v:
-                lanes[x + 5 * y] |= 1 << z
-        return cls(w, lanes)
-
     def bit(self, x, y, z):
         return (self.lanes[x + 5 * y] >> z) & 1
 

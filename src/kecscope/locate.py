@@ -4,8 +4,12 @@ State bits of an iterative Keccak core are unusually well connected: one
 round makes every next-state bit a function of 33 state bits, and any
 operable accelerator must additionally read each state bit out, so a state
 flip-flop has sequential fanin >= 33 and fanout >= 34. Filtering on those
-windows yields the state candidate set; the input register is then the
-lowest-scoring register group that the candidates depend on.
+windows yields the state candidate set. The fanout ceiling is an order
+statistic: the smallest one whose window holds the expected state size,
+read off the sorted fanouts of the flip-flops that clear both floors. The
+input register is then the lowest-scoring register group that the
+candidates depend on, ranked from one count of candidate hits per
+flip-flop.
 
 Pipeline order: dependencies -> scores -> levels/groups -> bounds search ->
 grouped localization, falling back to per-flip-flop localization when
@@ -16,12 +20,13 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
-from .keccak import LANE_WIDTHS, round_dependency_sets
+from .keccak import round_dependency_sets
 from .netlist import Netlist
 from .scoring import ScoreTable, compute_zscores
 
@@ -93,104 +98,77 @@ def derive_bounds(w: int) -> tuple[int, int]:
 
 def naive_bounds(w: int) -> SearchBounds:
     """Unbounded-ceiling windows from the structural floors."""
-    if w not in LANE_WIDTHS:
-        raise ValueError(f"unsupported lane width {w}")
     fif, fof = derive_bounds(w)
     return SearchBounds(fif, math.inf, fof, math.inf)
 
 
 def clever_search(graph: DependencyGraph, w: int, instances: int = 1,
                   shares: int = 1) -> tuple[SearchBounds, set[str]]:
-    """Tighten the fanout ceiling until the candidate count reaches the
-    expected state size 25*w*instances*shares.
+    """The tightest fanout ceiling whose window holds the expected state
+    size 25*w*instances*shares, and the candidates in that window.
 
-    Starts one above the naive fanin floor with the fanout window pinned
-    to [floor, floor] and widens the ceiling one step at a time. Raises
-    KeccakNotPresentError when even the widest window falls short.
+    The fanin floor sits one above the naive floor and the fanout floor at
+    the naive floor. The ceiling is the expected-th smallest fanout among
+    the flip-flops that clear both floors, so one sort of those fanouts
+    finds it: no smaller ceiling admits enough flip-flops. Raises
+    KeccakNotPresentError when fewer flip-flops than expected clear the
+    floors, naming the widest ceiling any flip-flop could need.
     """
     expected = expected_state_count(w, instances, shares)
     if expected < 25:
         raise ValueError("expected candidate count below one minimal state")
     nb = naive_bounds(w)
     fif = nb.fif + 1
-    foc = nb.fof
-    max_fanout = max((graph.fanout(f) for f in graph.ffs), default=0)
-    while True:
-        bounds = SearchBounds(fif, math.inf, nb.fof, foc)
-        candidates = filter_state_candidates(graph, bounds)
-        if len(candidates) >= expected:
-            return bounds, candidates
-        if foc >= max_fanout:
-            raise KeccakNotPresentError(
-                f"Keccak not present: {len(candidates)}/{expected} candidates "
-                f"at exhausted fanout ceiling {foc}")
-        foc += 1
+    fanout = {f: graph.fanout(f) for f in graph.ffs}
+    floored = {f: fo for f, fo in fanout.items()
+               if fo >= nb.fof and graph.fanin(f) >= fif}
+    if len(floored) < expected:
+        raise KeccakNotPresentError(
+            f"Keccak not present: {len(floored)}/{expected} candidates at "
+            f"exhausted fanout ceiling {max([nb.fof, *fanout.values()])}")
+    foc = sorted(floored.values())[expected - 1]
+    return (SearchBounds(fif, math.inf, nb.fof, foc),
+            {f for f, fo in floored.items() if fo <= foc})
 
 
 def expected_state_count(w, instances=1, shares=1):
     return 25 * w * instances * shares
 
 
-def _mark_hits(groups: GroupTable, graph: DependencyGraph, ckff: set[str]):
-    """Hit marking: a group member is hit when some state candidate
-    sequentially depends on it. Members that are themselves state
-    candidates are not eligible: the feedback of the state onto itself
-    says nothing about where its input comes from. Group hit counts are
-    per (candidate, member) pair and may exceed the group size.
-    """
-    member_group = {}
-    for g in groups.groups:
-        g.hits = 0
-        g.member_hit = {m: False for m in g.members}
-        for m in g.members:
-            member_group[m] = g
-    for f in ckff:
-        for m in graph.rdeps[f]:
-            if m in ckff:
-                continue
-            g = member_group.get(m)
-            if g is None:
-                continue
-            g.member_hit[m] = True
-            g.hits += 1
-
-
-def _group_score(group, scores):
-    hit = [m for m in group.members if group.member_hit[m]]
-    return sum(scores.z[m] for m in hit) / len(hit)
+def _hit_counts(graph: DependencyGraph, ckff: set[str]) -> Counter:
+    """For each flip-flop some state candidate sequentially depends on,
+    the number of candidates that do. Candidates themselves are left out:
+    the feedback of the state onto itself says nothing about where its
+    input comes from."""
+    if not ckff:
+        raise ValueError("empty state candidate set")
+    return Counter(m for f in ckff for m in graph.rdeps[f] if m not in ckff)
 
 
 def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
                           graph: DependencyGraph, ckff: set[str],
                           w: int) -> RepqcResult:
-    """Grouped localization: scan register groups for hits from the state
-    candidates, drop groups with fewer than w hits, prune never-hit
-    members, rank the survivors by ascending mean member score and return
-    the w lowest-scoring members of the best group.
+    """Grouped localization: keep the register groups whose members take
+    at least w candidate hits in total, prune never-hit members, rank the
+    survivors by ascending mean score of their hit members (ties by level
+    key) and return the w lowest-scoring members of the best group.
 
     Returns an empty result when no group survives or when the best group
     cannot supply w members (the imprecise-grouping failure mode).
     """
-    if not ckff:
-        raise ValueError("empty state candidate set")
-    _mark_hits(groups, graph, ckff)
+    hits = _hit_counts(graph, ckff)
     survivors = []
     for g in groups.regular():
-        if g.hits < w:
-            continue
-        members = [m for m in g.members if g.member_hit[m]]
-        survivors.append((g, members))
-    empty = RepqcResult(frozenset(ckff), [], None, "grouped", w,
-                        expected_state_count(w))
-    if not survivors:
-        return empty
-    survivors.sort(key=lambda gm: (_group_score(gm[0], scores), gm[0].key))
-    best, members = survivors[0]
-    if len(members) < w:
-        return empty
-    members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, best.gid, "grouped", w,
-                       expected_state_count(w))
+        members = [m for m in g.members if m in hits]
+        if sum(hits[m] for m in members) >= w:
+            score = sum(scores.z[m] for m in members) / len(members)
+            survivors.append(((score, g.key), g, members))
+    if survivors:
+        _, best, members = min(survivors, key=lambda s: s[0])
+        if len(members) >= w:
+            members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
+            return _result(ckff, members, best.gid, "grouped", w)
+    return _result(ckff, [], None, "grouped", w)
 
 
 def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
@@ -198,17 +176,15 @@ def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
     """Groupless fallback: every flip-flop is its own group of one, the
     group-size filter disappears, and the answer is simply the w
     lowest-scoring hit flip-flops (ties broken by id)."""
-    if not ckff:
-        raise ValueError("empty state candidate set")
-    hit = set()
-    for f in ckff:
-        hit.update(m for m in graph.rdeps[f] if m not in ckff)
-    empty = RepqcResult(frozenset(ckff), [], None, "individual", w,
-                        expected_state_count(w))
-    if len(hit) < w:
-        return empty
-    members = sorted(hit, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, None, "individual", w,
+    hits = _hit_counts(graph, ckff)
+    if len(hits) < w:
+        return _result(ckff, [], None, "individual", w)
+    members = sorted(hits, key=lambda m: (scores.z[m], m))[:w]
+    return _result(ckff, members, None, "individual", w)
+
+
+def _result(ckff, members, gid, variant, w):
+    return RepqcResult(frozenset(ckff), members, gid, variant, w,
                        expected_state_count(w))
 
 

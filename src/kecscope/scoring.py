@@ -24,9 +24,6 @@ from .depgraph import DependencyGraph
 class ScoreTable:
     z: dict[str, float]
 
-    def __getitem__(self, ff):
-        return self.z[ff]
-
 
 def compute_zscores(graph: DependencyGraph) -> ScoreTable:
     if not graph.ffs:

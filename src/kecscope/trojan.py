@@ -46,8 +46,6 @@ class HthSpec:
             raise ValueError(f"trigger width {self.t} not in {ALLOWED_T}")
         if self.l not in ALLOWED_L:
             raise ValueError(f"shift register width {self.l} not in {ALLOWED_L}")
-        if self.l % 2:
-            raise ValueError("shift register width must be even")
         if self.capture_delay < 0:
             raise ValueError("capture_delay must be >= 0")
         if self.trigger < 0 or self.trigger >> self.t:

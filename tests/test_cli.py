@@ -259,11 +259,18 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
       "--fif", "40", "--fic", "2", "--fof", "3"], 2),
     (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
       "--cycles", "-1"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--expect-secret-hex", "zz"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--secret-width", "3"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--instances", "2"], 3),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
         "config-not-object", "result-not-report", "zero-instances",
-        "zero-shares", "floor-above-ceiling", "negative-cycles"])
+        "zero-shares", "floor-above-ceiling", "negative-cycles",
+        "bad-secret-hex", "secret-width-not-allowed", "exhausted-search"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8

@@ -3,15 +3,18 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecscope.depgraph import DependencyGraph, extract_dependencies
 from kecscope.grouping import Group, GroupTable, compute_levels, group_by_levels
 from kecscope.keccak import round_dependency_sets
-from kecscope.locate import (KeccakNotPresentError, PipelineConfig, SearchBounds,
-                             clever_search, derive_bounds,
-                             filter_state_candidates, locate_inputs_grouped,
-                             locate_inputs_individual, naive_bounds,
-                             remap_result, results_equivalent, run_pipeline)
+from kecscope.locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
+                             SearchBounds, clever_search, derive_bounds,
+                             expected_state_count, filter_state_candidates,
+                             locate_inputs_grouped, locate_inputs_individual,
+                             naive_bounds, remap_result, results_equivalent,
+                             run_pipeline)
 from kecscope.netlist import anonymize
 from kecscope.scoring import ScoreTable, compute_zscores
 
@@ -269,3 +272,165 @@ def test_pipeline_invariant_under_anonymization(oracle_w8):
     remapped = remap_result(res, rename)
     assert results_equivalent(remapped, res_b)
     assert remapped.analysis is None
+
+
+# Reference definitions the search and the localizers are checked against:
+# the fanout ceiling widened one step at a time with a full rescan per
+# step, and hit marking per (candidate, member) pair.
+
+def _widening_search(graph, w, instances=1, shares=1):
+    expected = expected_state_count(w, instances, shares)
+    nb = naive_bounds(w)
+    fif = nb.fif + 1
+    foc = nb.fof
+    max_fanout = max((graph.fanout(f) for f in graph.ffs), default=0)
+    while True:
+        bounds = SearchBounds(fif, math.inf, nb.fof, foc)
+        candidates = filter_state_candidates(graph, bounds)
+        if len(candidates) >= expected:
+            return bounds, candidates
+        if foc >= max_fanout:
+            raise KeccakNotPresentError(
+                f"Keccak not present: {len(candidates)}/{expected} candidates "
+                f"at exhausted fanout ceiling {foc}")
+        foc += 1
+
+
+def _mark_hits(groups, graph, ckff):
+    """gid -> (pair hit count, member -> hit)"""
+    marks = {g.gid: [0, {m: False for m in g.members}] for g in groups.groups}
+    member_group = {m: g.gid for g in groups.groups for m in g.members}
+    for f in ckff:
+        for m in graph.rdeps[f]:
+            if m in ckff or m not in member_group:
+                continue
+            mark = marks[member_group[m]]
+            mark[1][m] = True
+            mark[0] += 1
+    return marks
+
+
+def _reference_grouped(scores, groups, graph, ckff, w):
+    if not ckff:
+        raise ValueError("empty state candidate set")
+    marks = _mark_hits(groups, graph, ckff)
+    survivors = []
+    for g in groups.regular():
+        hits, member_hit = marks[g.gid]
+        if hits >= w:
+            survivors.append((g, [m for m in g.members if member_hit[m]]))
+    empty = RepqcResult(frozenset(ckff), [], None, "grouped", w,
+                        expected_state_count(w))
+    if not survivors:
+        return empty
+
+    def score(gm):
+        return sum(scores.z[m] for m in gm[1]) / len(gm[1])
+
+    survivors.sort(key=lambda gm: (score(gm), gm[0].key))
+    best, members = survivors[0]
+    if len(members) < w:
+        return empty
+    members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
+    return RepqcResult(frozenset(ckff), members, best.gid, "grouped", w,
+                       expected_state_count(w))
+
+
+def _reference_individual(scores, graph, ckff, w):
+    if not ckff:
+        raise ValueError("empty state candidate set")
+    hit = set()
+    for f in ckff:
+        hit.update(m for m in graph.rdeps[f] if m not in ckff)
+    if len(hit) < w:
+        return RepqcResult(frozenset(ckff), [], None, "individual", w,
+                           expected_state_count(w))
+    members = sorted(hit, key=lambda m: (scores.z[m], m))[:w]
+    return RepqcResult(frozenset(ckff), members, None, "individual", w,
+                       expected_state_count(w))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (KeccakNotPresentError, ValueError) as e:
+        return type(e), str(e)
+
+
+def _dense_graph(rng, n):
+    """Random graph whose degrees straddle the w = 1 floors (26, 26): each
+    flip-flop draws its own edge density, so some clear both floors."""
+    ffs = [f"f{i:02d}" for i in range(n)]
+    edges = []
+    for f in ffs:
+        p = rng.choice((0.1, 0.5, 0.8, 0.95))
+        edges += [(f, g) for g in ffs if rng.random() < p]
+    return _stub_graph(edges, ffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 70),
+       instances=st.integers(1, 2))
+def test_clever_search_matches_widening(seed, n, instances):
+    graph = _dense_graph(random.Random(seed), n)
+    assert (_outcome(clever_search, graph, 1, instances)
+            == _outcome(_widening_search, graph, 1, instances))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       w=st.integers(1, 6))
+def test_localizers_match_hit_marking(seed, n, w):
+    rng = random.Random(seed)
+    graph = random_graph(rng, n)
+    ffs = graph.ffs
+    ckff = set(rng.sample(ffs, rng.randint(0, n // 2)))
+    # few distinct scores, so ties in both rankings are common
+    scores = _stub_scores({f: rng.choice((0.0, 0.25, 0.5, 1.5)) for f in ffs})
+    buckets = {}
+    for f in ffs:
+        buckets.setdefault(rng.randint(0, 5), []).append(f)
+    groups = [Group(f"g{k}", (k % 3, k // 3) if k else None, sorted(m))
+              for k, m in sorted(buckets.items(), reverse=True)]
+    table = GroupTable(groups)
+    assert (_outcome(locate_inputs_grouped, scores, table, graph, ckff, w)
+            == _outcome(_reference_grouped, scores, table, graph, ckff, w))
+    assert (_outcome(locate_inputs_individual, scores, graph, ckff, w)
+            == _outcome(_reference_individual, scores, graph, ckff, w))
+
+
+class _CountingGraph(DependencyGraph):
+    fanout_calls = 0
+
+    def fanout(self, ff):
+        self.fanout_calls += 1
+        return super().fanout(ff)
+
+
+def _counting(graph):
+    return _CountingGraph(graph.ffs, graph.deps, graph.rdeps,
+                          graph.input_reach, graph.output_reach)
+
+
+def _high_ceiling_graph(n_state):
+    """n_state flip-flops that all depend on each other (fanin n_state),
+    state i also feeding 100 + i private sinks, so the fanout ceiling for
+    25 candidates sits about 130 above the w = 1 fanout floor of 26."""
+    state = [f"s{i:02d}" for i in range(n_state)]
+    edges = [(a, b) for a in state for b in state]
+    ffs = list(state)
+    for i, s in enumerate(state):
+        sinks = [f"{s}_k{j:03d}" for j in range(100 + i)]
+        ffs += sinks
+        edges += [(s, k) for k in sinks]
+    return _stub_graph(edges, ffs)
+
+
+@pytest.mark.parametrize("n_state, found", [(30, True), (20, False)])
+def test_clever_search_reads_each_fanout_a_bounded_number_of_times(
+        n_state, found):
+    graph = _counting(_high_ceiling_graph(n_state))
+    want = _outcome(_widening_search, _high_ceiling_graph(n_state), 1)
+    assert _outcome(clever_search, graph, 1) == want
+    assert (want[0] is KeccakNotPresentError) != found
+    assert graph.fanout_calls <= 3 * len(graph.ffs)
