@@ -1,7 +1,10 @@
 """Command-line front end: generate, analyze, inject, simulate.
 
-Exit codes: 0 success, 2 usage error, 3 target not found / trojan does not
-fit the budget, 4 netlist validation failure.
+Exit codes, chosen in ``main`` from one table (``FAILURES``): 0 success;
+2 usage error (bad flag or config value, a file that cannot be read or
+written, a stimulus the design cannot run); 3 not found (no Keccak state or
+input register, a trojan that does not fit the register or the budget); 4
+a netlist that does not parse or validate. Other exceptions are defects.
 """
 
 from __future__ import annotations
@@ -49,12 +52,7 @@ def _read(path, what, parse=str):
 
 
 def _load_netlist(path):
-    text = _read(path, "netlist")
-    try:
-        netlist = parse_netlist(text)
-    except NetlistError as e:
-        print(f"error: {e}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+    netlist = parse_netlist(_read(path, "netlist"))
     problems = validate(netlist)
     if problems:
         for v in problems[:10]:
@@ -89,11 +87,7 @@ def _bounds_to_json(b):
 def cmd_gen(args):
     cfg = GenConfig(w=args.w, instances=args.instances, shares=args.shares,
                     decoy_ffs=args.decoys, seed=args.seed, loader=args.loader)
-    try:
-        netlist, truth = generate_accelerator(cfg)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    netlist, truth = generate_accelerator(cfg)
     if args.anonymize_seed is not None:
         netlist, rename = anonymize(netlist, args.anonymize_seed)
         truth = truth.remap(rename)
@@ -118,24 +112,14 @@ def cmd_analyze(args):
     override = None
     if any(v is not None for v in (args.fif, args.fic, args.fof, args.foc)):
         if args.fif is None or args.fof is None:
-            print("error: bound overrides need at least --fif and --fof",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            override = SearchBounds(
-                args.fif, args.fic if args.fic is not None else math.inf,
-                args.fof, args.foc if args.foc is not None else math.inf)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+            _usage_error("bound overrides need at least --fif and --fof")
+        override = SearchBounds(
+            args.fif, args.fic if args.fic is not None else math.inf,
+            args.fof, args.foc if args.foc is not None else math.inf)
     config = PipelineConfig(lane_width=args.lane_width, instances=args.instances,
                             shares=args.shares, bounds_override=override)
     t0 = time.perf_counter()
-    try:
-        result, stage_ms = run_pipeline(netlist, config)
-    except KeccakNotPresentError as e:
-        print(f"not found: {e}", file=sys.stderr)
-        return EXIT_NOT_FOUND
+    result, stage_ms = run_pipeline(netlist, config)
     total_ms = (time.perf_counter() - t0) * 1e3
 
     report = {
@@ -172,20 +156,15 @@ def cmd_analyze(args):
     (out / "groups.csv").write_text(grouping.dump_groups(analysis.groups))
     print(f"wrote {out / 'report.json'} (variant {result.variant}, "
           f"{len(result.input_candidates)} input candidates)")
-    return EXIT_OK if result.found() else EXIT_NOT_FOUND
+    if not result.found():
+        raise KeccakNotPresentError("no input register located")
+    return EXIT_OK
 
 
 def cmd_inject(args):
     netlist = _load_netlist(args.netlist)
-    try:
-        spec = HthSpec(t=args.t, l=args.l,
-                       trigger=int(args.trigger_hex, 16),
-                       capture_delay=args.capture_delay,
-                       k_offset=args.k_offset)
-        spec.validate()
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    spec = HthSpec(t=args.t, l=args.l, trigger=int(args.trigger_hex, 16),
+                   capture_delay=args.capture_delay, k_offset=args.k_offset)
     if args.result:
         def from_report(text):
             rep = json.loads(text)
@@ -195,23 +174,12 @@ def cmd_inject(args):
                 args.lane_width, rep.get("expected_state_count", 0))
         result = _read(args.result, "result", from_report)
     else:
-        try:
-            result, _ = run_pipeline(netlist, PipelineConfig(
-                lane_width=args.lane_width, instances=args.instances,
-                shares=args.shares))
-        except KeccakNotPresentError as e:
-            print(f"not found: {e}", file=sys.stderr)
-            return EXIT_NOT_FOUND
+        result, _ = run_pipeline(netlist, PipelineConfig(
+            lane_width=args.lane_width, instances=args.instances,
+            shares=args.shares))
     if not result.found():
-        print("not found: no input register located", file=sys.stderr)
-        return EXIT_NOT_FOUND
-
-    try:
-        trojaned, edit = insert_hth(netlist, result, spec,
-                                    reset_net=args.reset_net)
-    except InsertionError as e:
-        print(f"not found: {e}", file=sys.stderr)
-        return EXIT_NOT_FOUND
+        raise KeccakNotPresentError("no input register located")
+    trojaned, edit = insert_hth(netlist, result, spec, reset_net=args.reset_net)
     overhead = overhead_report(netlist, trojaned, budget_pct=args.budget_pct)
     report = {
         "report_type": "inject",
@@ -242,22 +210,14 @@ def cmd_inject(args):
 
 def cmd_simulate(args):
     netlist = _load_netlist(args.netlist)
-    try:
-        stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
-        cycles = args.cycles if args.cycles is not None else len(stimulus)
-        # _load_netlist has just validated this netlist
-        trace = sim.simulate(netlist, stimulus, cycles, check=False)
-    except sim.SimulationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
+    cycles = args.cycles if args.cycles is not None else len(stimulus)
+    # _load_netlist has just validated this netlist
+    trace = sim.simulate(netlist, stimulus, cycles, check=False)
     stealth = None
     if args.baseline:
         baseline = _load_netlist(args.baseline)
-        try:
-            sim.check_ports(baseline, netlist)
-        except sim.PortMismatchError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_USAGE
+        sim.check_ports(baseline, netlist)
         # the stealth check of equivalence_check, against the trace above;
         # _load_netlist has validated the baseline too
         stealth = sim.outputs_equal(
@@ -366,6 +326,18 @@ def _apply_config(parser, argv, args):
     return args
 
 
+# Every failure a command may end in: exception type -> (exit code,
+# message prefix). Nothing else is caught, so a defect keeps its traceback.
+FAILURES = {
+    NetlistError: (EXIT_INVALID, "error"),
+    KeccakNotPresentError: (EXIT_NOT_FOUND, "not found"),
+    InsertionError: (EXIT_NOT_FOUND, "not found"),
+    ValueError: (EXIT_USAGE, "error"),
+    sim.SimulationError: (EXIT_USAGE, "error"),
+    OSError: (EXIT_USAGE, "error"),
+}
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
@@ -374,7 +346,12 @@ def main(argv=None):
         args = _apply_config(parser, argv, args)
     if args.command == "gen" and args.seed is None:
         _usage_error("gen needs --seed (or a seed in --config)")
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except tuple(FAILURES) as e:
+        code, prefix = next(v for t, v in FAILURES.items() if isinstance(e, t))
+        print(f"{prefix}: {e}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 from . import keccak
 from .depgraph import extract_dependencies
@@ -28,7 +28,7 @@ from .netlist import Cell, Netlist, Port
 DECOY_KIND_WEIGHTS = (("pipeline", 40), ("counter", 30), ("lfsr", 20), ("fsm", 10))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GenConfig:
     w: int = 64
     instances: int = 1
@@ -36,6 +36,9 @@ class GenConfig:
     decoy_ffs: int = 0
     seed: int = 0
     loader: str = "absorb"   # "absorb" | "split" (two loader paths)
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.w not in keccak.LANE_WIDTHS:
@@ -74,17 +77,7 @@ class GroundTruth:
         return [f for inst in self.instances for f in inst.input_ffs]
 
     def to_json(self):
-        return json.dumps({
-            "lane_width": self.lane_width,
-            "shares": self.shares,
-            "instances": [
-                {"state_ffs": i.state_ffs, "input_ffs": i.input_ffs}
-                for i in self.instances
-            ],
-            "decoy_ffs": self.decoy_ffs,
-            "control_ffs": self.control_ffs,
-            "window_collisions": self.window_collisions,
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
     @classmethod
     def from_json(cls, text):
@@ -100,16 +93,13 @@ class GroundTruth:
         )
 
     def remap(self, rename):
-        return GroundTruth(
-            lane_width=self.lane_width,
-            shares=self.shares,
-            instances=[InstanceTruth([rename[f] for f in i.state_ffs],
-                                     [rename[f] for f in i.input_ffs])
-                       for i in self.instances],
-            decoy_ffs=[rename[f] for f in self.decoy_ffs],
-            control_ffs=[rename[f] for f in self.control_ffs],
-            window_collisions=[rename[f] for f in self.window_collisions],
-        )
+        def ids(ffs):
+            return [rename[f] for f in ffs]
+        instances = [InstanceTruth(ids(i.state_ffs), ids(i.input_ffs))
+                     for i in self.instances]
+        return replace(self, instances=instances, decoy_ffs=ids(self.decoy_ffs),
+                       control_ffs=ids(self.control_ffs),
+                       window_collisions=ids(self.window_collisions))
 
 
 class Builder:
@@ -571,7 +561,6 @@ def generate_accelerator(cfg: GenConfig) -> tuple[Netlist, GroundTruth]:
     sidecar records any decoy flip-flop that lands inside the naive state
     window so a lucky collision can never silently fake a result.
     """
-    cfg.validate()
     b = Builder(f"keccak_accel_w{cfg.w}")
     b.port_in("clk")
     rst = b.port_in("rst")

@@ -219,7 +219,11 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
     def search():
         if config.bounds_override is not None:
             bounds = config.bounds_override
-            return bounds, filter_state_candidates(graph, bounds)
+            ckff = filter_state_candidates(graph, bounds)
+            if not ckff:
+                raise KeccakNotPresentError(
+                    f"Keccak not present: no flip-flop inside {bounds}")
+            return bounds, ckff
         return clever_search(graph, config.lane_width,
                              config.instances, config.shares)
 

@@ -17,12 +17,13 @@ a ``Netlist`` can be edited.
 
 Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
-the island's externally driven control nets are sampled every cycle: the
-net feeding its NAND2 is the enable, the nets feeding the MUX4 selects
-are the two leak bits, and the island contributes a (leak symbol, power)
-pair to the trace through a fixed lookup while enabled. The oscillator
-itself is analog behavior out of digital scope; its per-symbol mean
-frequencies are carried as metadata only.
+the island's control nets, those no island cell drives, are sampled every
+cycle: the one read by the first island NAND2 is the enable, the select
+nets of the first island MUX4 are the two leak bits, and the island
+contributes a (leak symbol, power) pair to the trace through a fixed
+lookup while enabled. The oscillator itself is analog behavior out of
+digital scope; its per-symbol mean frequencies are carried as metadata
+only.
 """
 
 from __future__ import annotations
@@ -54,13 +55,6 @@ class StimulusError(SimulationError):
 
 class PortMismatchError(SimulationError):
     pass
-
-
-@dataclass
-class Island:
-    cells: list[str]
-    enable_net: str | None
-    leak_nets: tuple[str, str] | None   # (leak[1], leak[0])
 
 
 @dataclass
@@ -135,12 +129,9 @@ class _Compiled:
         self.d = [self._pin(c, "d") for c in ffs]
         self.rst = [(i, self._pin(c, "rst"))
                     for i, c in enumerate(ffs) if "rst" in c.pins]
-        islands = _find_islands(netlist, [
-            c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags])
-        self.island = None     # (enable, leak[1], leak[0]) slots
-        if islands and islands[0].enable_net and islands[0].leak_nets:
-            self.island = tuple(self._net(n, "analog island") for n in
-                                (islands[0].enable_net, *islands[0].leak_nets))
+        controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
+        self.island = None if controls is None else tuple(
+            self._net(n, "analog island") for n in controls)
         order = index.order
         self.chunks = [
             _compile_chunk([self._statement(c) for c in
@@ -185,46 +176,21 @@ def _compile_chunk(statements):
     return namespace["f"]
 
 
-def _find_islands(netlist, island_cells):
-    if not island_cells:
-        return []
-    # group island cells into connected components over shared nets
-    net_users = {}
-    for c in island_cells:
-        for net in c.pins.values():
-            net_users.setdefault(net, []).append(c.name)
-    by_name = {c.name: c for c in island_cells}
-    seen = set()
-    islands = []
-    for c in island_cells:
-        if c.name in seen:
-            continue
-        comp = []
-        stack = [c.name]
-        seen.add(c.name)
-        while stack:
-            name = stack.pop()
-            comp.append(name)
-            for net in by_name[name].pins.values():
-                for other in net_users.get(net, []):
-                    if other not in seen:
-                        seen.add(other)
-                        stack.append(other)
-        islands.append(_classify_island(netlist, [by_name[n] for n in comp]))
-    return islands
-
-
-def _classify_island(netlist, cells):
-    inside_nets = {net for c in cells for net in c.output_nets()}
-    enable = None
-    leak = None
-    for c in cells:
-        ext = {pin: net for pin, net in c.input_pins() if net not in inside_nets}
-        if c.kind == "NAND2" and ext:
+def _island_controls(netlist):
+    """(enable, leak[1], leak[0]) nets of the analog island, or None: the
+    outside net read by the first island NAND2 that reads one, and the
+    outside select nets of the first island MUX4 whose selects are both
+    outside, in cell order. Outside means driven by no island cell."""
+    island = [c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags]
+    inside = {net for c in island for net in c.output_nets()}
+    enable = leak = None
+    for c in island:
+        ext = {pin: net for pin, net in c.input_pins() if net not in inside}
+        if c.kind == "NAND2" and ext and enable is None:
             enable = next(iter(ext.values()))
-        if c.kind == "MUX4" and "s0" in ext and "s1" in ext:
+        if c.kind == "MUX4" and "s0" in ext and "s1" in ext and leak is None:
             leak = (ext["s1"], ext["s0"])
-    return Island([c.name for c in cells], enable, leak)
+    return None if enable is None or leak is None else (enable, *leak)
 
 
 def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,

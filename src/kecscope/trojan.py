@@ -19,7 +19,7 @@ exactly capture_delay + 1 cycles after the trigger word.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .generator import Builder, _equals_const, _incrementer
 from .locate import RepqcResult
@@ -33,13 +33,16 @@ class InsertionError(Exception):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class HthSpec:
     t: int = 64
     l: int = 64
     trigger: int = 0
     capture_delay: int = 2
     k_offset: int = 0   # which register bit the leaked window starts at
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.t not in ALLOWED_T:
@@ -68,18 +71,11 @@ class EcoEdit:
     removed_nets: list[str] = field(default_factory=list)
 
     def to_json(self):
-        return json.dumps({
-            "added_cells": self.added_cells,
-            "added_nets": self.added_nets,
-            "tapped_nets": self.tapped_nets,
-            "removed_cells": self.removed_cells,
-            "removed_nets": self.removed_nets,
-        }, indent=1)
+        return json.dumps(asdict(self), indent=1)
 
 
 def build_hth(spec: HthSpec) -> Netlist:
     """Standalone trojan fragment with tap_m/tap_k/clk/rst_global inputs."""
-    spec.validate()
     b = Builder(f"hth_t{spec.t}_l{spec.l}")
     clk = b.port_in("clk")
     rst = b.port_in("rst_global")
@@ -180,7 +176,6 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
     nets are added. Without a reset_net the trojan relies on the power-on
     all-zero state instead of the global reset.
     """
-    spec.validate()
     needed = max(spec.t, spec.k_offset + spec.l)
     if len(result.input_candidates) < needed:
         raise InsertionError(
@@ -239,7 +234,7 @@ def overhead_report(baseline: Netlist, trojaned: Netlist,
     fb, ft = len(baseline.flip_flops()), len(trojaned.flip_flops())
     delta = ct - cb
     pct = 100.0 * delta / cb if cb else 0.0
-    report = {
+    return {
         "cells_baseline": cb,
         "cells_trojaned": ct,
         "ffs_baseline": fb,
@@ -249,4 +244,3 @@ def overhead_report(baseline: Netlist, trojaned: Netlist,
         "budget_pct": budget_pct,
         "fits": None if budget_pct is None else pct <= budget_pct,
     }
-    return report

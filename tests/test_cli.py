@@ -265,12 +265,21 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
       "--secret-width", "3"], 2),
     (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
       "--instances", "2"], 3),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--fif", "1000", "--fof", "1000"], 3),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--fif", "0", "--fof", "0"], 3),
+    (["gen", "--seed", "1", "--w", "1", "--out-dir", "{d}/a_file"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--out-dir", "{d}/a_file"], 2),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
         "config-not-object", "result-not-report", "zero-instances",
         "zero-shares", "floor-above-ceiling", "negative-cycles",
-        "bad-secret-hex", "secret-width-not-allowed", "exhausted-search"])
+        "bad-secret-hex", "secret-width-not-allowed", "exhausted-search",
+        "empty-override-window", "no-input-register", "gen-out-dir-is-a-file",
+        "analyze-out-dir-is-a-file"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
@@ -280,7 +289,10 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "decoys_str.json").write_text(json.dumps({"decoys": "5"}))
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")
-    argv = [a.format(d=tmp_path) for a in argv] + ["--out-dir", str(tmp_path)]
+    (tmp_path / "a_file").write_text("")
+    argv = [a.format(d=tmp_path) for a in argv]
+    if "--out-dir" not in argv:
+        argv += ["--out-dir", str(tmp_path)]
     # run() catches SystemExit only, so any other exception fails the test
     assert run(*argv) == code
     err = capsys.readouterr().err

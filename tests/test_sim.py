@@ -8,7 +8,7 @@ from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
                               Port, index_netlist, parse_netlist)
 from kecscope.sim import (CHUNK_STATEMENTS, LEAK_POWER_UW, PortMismatchError,
                           SimTrace, SimulationError, StimulusError,
-                          _find_islands, dump_trace, equivalence_check,
+                          _island_controls, dump_trace, equivalence_check,
                           parse_stimulus, simulate, write_stimulus)
 
 TOGGLE = """\
@@ -156,6 +156,39 @@ def test_island_leak_and_power():
     assert tr.leak_symbols() == [1, 2, 3]
 
 
+SECOND_ISLAND = """\
+input en2
+input m0
+input m1
+net gb
+net g1
+net j0
+net c0
+net c1
+net c2
+net c3
+cell NAND2 xon a=gb b=en2 y=g1 tag=analog_island
+cell INV xoi a=g1 y=j0 tag=analog_island
+cell BUF xb0 a=j0 y=c0 tag=analog_island
+cell BUF xb1 a=j0 y=c1 tag=analog_island
+cell BUF xb2 a=j0 y=c2 tag=analog_island
+cell BUF xb3 a=j0 y=c3 tag=analog_island
+cell MUX4 xom a=c0 b=c1 c=c2 d=c3 s0=m0 s1=m1 y=gb tag=analog_island
+endmodule
+"""
+
+
+def test_first_of_two_islands_is_sampled():
+    n = parse_netlist(RO_ISLAND.replace("endmodule\n", SECOND_ISLAND))
+    assert _island_controls(n) == ("en", "l1", "l0")
+    stim = [{"clk": 0, "en": 1, "l0": 1, "l1": 0, "en2": 1, "m0": 0, "m1": 1},
+            {"en": 0},
+            {"en": 1, "l0": 0, "l1": 1, "en2": 0, "m0": 1}]
+    tr = simulate(n, stim, 3)
+    assert tr.leak == [1, None, 2]
+    assert tr == _reference(n, stim, 3)
+
+
 def test_power_lookup_table():
     assert LEAK_POWER_UW == {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
 
@@ -246,10 +279,7 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
     state = {c.name: 0 for c in ffs}
     for name, val in (init or {}).items():
         state[name] = val & mask
-    islands = _find_islands(netlist, [c for c in netlist.cells
-                                      if ANALOG_ISLAND_TAG in c.tags])
-    probe = (islands[0] if islands and islands[0].enable_net
-             and islands[0].leak_nets else None)
+    probe = _island_controls(netlist)
     values = dict.fromkeys(netlist.all_nets(), 0)
     carried = {}
     trace = SimTrace(cycles, batch, [], [], [], [], [], [])
@@ -268,8 +298,8 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
         trace.watches.append({n: values[n] for n in watch})
         en = sym = None
         if probe is not None:
-            en = values[probe.enable_net]
-            sym = (values[probe.leak_nets[0]] << 1) | values[probe.leak_nets[1]]
+            en = values[probe[0]]
+            sym = (values[probe[1]] << 1) | values[probe[2]]
         trace.island_raw.append(None if probe is None else (en, sym))
         leaking = batch == 1 and bool(en)
         trace.leak.append(sym if leaking else None)
