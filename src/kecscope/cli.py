@@ -17,7 +17,7 @@ import time
 from pathlib import Path
 
 from . import depgraph, grouping, scoring, sim
-from .generator import GenConfig, GroundTruth, generate_accelerator
+from .generator import GenConfig, GroundTruth, generate_accelerator, id_list
 from .keccak import LANE_WIDTHS
 from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      SearchBounds, run_pipeline)
@@ -65,6 +65,14 @@ def _positive_int(text):
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _budget(text):
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
     return value
 
 
@@ -169,7 +177,8 @@ def cmd_inject(args):
         def from_report(text):
             rep = json.loads(text)
             return RepqcResult(
-                frozenset(rep["state_candidates"]), rep["input_candidates"],
+                frozenset(id_list(rep["state_candidates"])),
+                id_list(rep["input_candidates"]),
                 rep.get("winning_group"), rep.get("variant", "grouped"),
                 args.lane_width, rep.get("expected_state_count", 0))
         result = _read(args.result, "result", from_report)
@@ -291,7 +300,7 @@ def build_parser():
     i.add_argument("--trigger-hex", type=_hex, required=True)
     i.add_argument("--capture-delay", type=int, default=2)
     i.add_argument("--k-offset", type=int, default=0)
-    i.add_argument("--budget-pct", type=float, default=None)
+    i.add_argument("--budget-pct", type=_budget, default=None)
     i.add_argument("--reset-net", default=None)
     i.set_defaults(fn=cmd_inject)
 

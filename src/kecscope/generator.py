@@ -7,6 +7,10 @@ a round counter that selects the iota constants, a two-state loader FSM
 and a lane readout register. Decoy logic (pipelines, counters, LFSRs,
 small FSMs) pads the design to the requested flip-flop budget.
 
+One round builder serves every share count: chi gives share i the output
+b_i(x) ^ XOR_j (n_i & b_j(x+2)), with n_0 = ~b_0(x+1) and n_i = b_i(x+1)
+otherwise, which is plain chi for one share. The readout XORs the shares.
+
 Protocol: while idle the input register follows data_in every cycle.
 Pulsing start for one cycle absorbs the held word into lane (0, 0) fused
 with round 0, then rounds 1..12+2l-1 run back to back; busy is high
@@ -53,6 +57,14 @@ class GenConfig:
             raise ValueError(f"unknown loader {self.loader!r}")
 
 
+def id_list(value):
+    """An id list read from a JSON record, checked: anything but a list of
+    strings raises ValueError."""
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ValueError(f"not a list of ids: {value!r:.60}")
+    return value
+
+
 @dataclass
 class InstanceTruth:
     state_ffs: list[str]      # share-major; within a share (x + 5y)*w + z
@@ -85,11 +97,12 @@ class GroundTruth:
         return cls(
             lane_width=d["lane_width"],
             shares=d.get("shares", 1),
-            instances=[InstanceTruth(i["state_ffs"], i["input_ffs"])
+            instances=[InstanceTruth(id_list(i["state_ffs"]),
+                                     id_list(i["input_ffs"]))
                        for i in d["instances"]],
-            decoy_ffs=d.get("decoy_ffs", []),
-            control_ffs=d.get("control_ffs", []),
-            window_collisions=d.get("window_collisions", []),
+            decoy_ffs=id_list(d.get("decoy_ffs", [])),
+            control_ffs=id_list(d.get("control_ffs", [])),
+            window_collisions=id_list(d.get("window_collisions", [])),
         )
 
     def remap(self, rename):
@@ -140,12 +153,16 @@ class Builder:
         self.n.nets.append(name)
         return name
 
-    def cell(self, kind, name, tags=(), **pins):
+    def _append(self, kind, name, pins, tags=frozenset()):
+        # untagged cells share tags: each frozenset(()) is a new object
         if name in self._used_cells:
             raise ValueError(f"cell {name!r} already exists")
         self._used_cells.add(name)
-        self.n.cells.append(Cell(kind, name, pins, frozenset(tags)))
+        self.n.cells.append(Cell(kind, name, pins, tags))
         return name
+
+    def cell(self, kind, name, tags=(), **pins):
+        return self._append(kind, name, pins, frozenset(tags))
 
     def _gate(self, kind, prefix, **pins):
         out = self.net()
@@ -153,7 +170,7 @@ class Builder:
             self._auto += 1
         name = f"{prefix}g{self._auto}"
         self._auto += 1
-        self.cell(kind, name, y=out, **pins)
+        self._append(kind, name, {"y": out, **pins})
         return out
 
     def inv(self, a, prefix=""):
@@ -215,7 +232,7 @@ class Builder:
         pins = {"d": d, "clk": clk, "q": q}
         if rst is not None:
             pins["rst"] = rst
-        self.n.cells.append(Cell("DFF", name, pins))
+        self._append("DFF", name, pins)
         return q
 
     def const_mux(self, values, sel, prefix=""):
@@ -302,63 +319,53 @@ def _linear_layer(b, p, sin, w):
     return bnet
 
 
-def _iota(b, out, w, p, counter):
-    """XOR the round constant selected by the counter value nets into lane
-    (0, 0) of the next-state map ``out``."""
-    rcs = keccak.round_constants(w)
+def _round(b, pre, sins, w, counter, rcs):
+    """One combinational round over any number of shares.
+
+    sins holds one (x, y, z) -> net map per share. Theta, rho and pi run
+    per share. Chi is out_i = b_i(x) ^ XOR_j (n_i & q_j), where
+    n_0 = ~b_0(x+1), n_i = b_i(x+1) for i > 0 and q_j = b_j(x+2): share i
+    reads its own share at dx = 0, 1 and every share at dx = 2, and for one
+    share this is plain chi. Iota XORs the constant of ``rcs`` selected by
+    the counter value nets into share 0; an empty counter with one constant
+    is a fixed iota. Returns one next-state map per share.
+    """
+    bs = [_linear_layer(b, f"{pre}s{s}_", sin, w) for s, sin in enumerate(sins)]
+    # stable chi gate names, which named designs and their tests rely on
+    p = f"{pre}s0_" if len(sins) == 1 else f"{pre}chi_"
+    outs = [{} for _ in sins]
+    for x in range(5):
+        for y in range(5):
+            for z in range(w):
+                ns = [b.inv(bs[0]((x + 1) % 5, y, z), p)]
+                ns += [bi((x + 1) % 5, y, z) for bi in bs[1:]]
+                qs = [bi((x + 2) % 5, y, z) for bi in bs]
+                gs = [b.xor_tree([b.and2(n, q, p) for q in qs], p) for n in ns]
+                for out, bi, g in zip(outs, bs, gs):
+                    out[(x, y, z)] = b.xor2(bi(x, y, z), g, p)
+    p = f"{pre}s0_"
     for z in range(w):
         bits = [(rc >> z) & 1 for rc in rcs]
         if any(bits):
             rc_net = b.const_mux(bits, counter, p)
-            out[(0, 0, z)] = b.xor2(out[(0, 0, z)], rc_net, p)
+            outs[0][(0, 0, z)] = b.xor2(outs[0][(0, 0, z)], rc_net, p)
+    return outs
 
 
-def _round_logic(b, pre, sin, w, iota_rc=None, counter=None):
-    """One combinational round over the ``sin`` bit nets of share 0.
-
-    sin maps (x, y, z) -> net. iota is either a fixed constant lane
-    (iota_rc) or the full schedule selected by the counter value nets.
-    Returns the (x, y, z) -> net map of next-state values.
-    """
-    p = f"{pre}s0_"
-    bnet = _linear_layer(b, p, sin, w)
-    out = {}
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                n = b.inv(bnet((x + 1) % 5, y, z), p)
-                a = b.and2(n, bnet((x + 2) % 5, y, z), p)
-                out[(x, y, z)] = b.xor2(bnet(x, y, z), a, p)
-
-    if iota_rc is None:
-        _iota(b, out, w, p, counter)
-    else:
-        for z in range(w):
-            if (iota_rc >> z) & 1:
-                out[(0, 0, z)] = b.xor2(out[(0, 0, z)], b.tie(1, p), p)
-    return out
+def _state_register(b, pre, w, pad):
+    """Flip-flop names and declared q nets of one share's 25*w-bit state
+    register, both keyed (x, y, z); the caller adds the flip-flops once
+    the round that feeds them exists."""
+    names = {(x, y, z): f"{pre}x{x}y{y}z{z:0{pad}d}"
+             for x in range(5) for y in range(5) for z in range(w)}
+    return names, {k: b.net(f"{ff}_q") for k, ff in names.items()}
 
 
-def _masked_round(b, pre, sin0, sin1, w, counter):
-    """Share-correct two-share round: linear steps per share, chi via a
-    four-AND cross-share gadget, iota into share 0 only."""
-    b0 = _linear_layer(b, f"{pre}s0_", sin0, w)
-    b1 = _linear_layer(b, f"{pre}s1_", sin1, w)
-    out0, out1 = {}, {}
-    p = f"{pre}chi_"
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                n0 = b.inv(b0((x + 1) % 5, y, z), p)
-                n1 = b1((x + 1) % 5, y, z)
-                q0 = b0((x + 2) % 5, y, z)
-                q1 = b1((x + 2) % 5, y, z)
-                g0 = b.xor2(b.and2(n0, q0, p), b.and2(n0, q1, p), p)
-                g1 = b.xor2(b.and2(n1, q0, p), b.and2(n1, q1, p), p)
-                out0[(x, y, z)] = b.xor2(b0(x, y, z), g0, p)
-                out1[(x, y, z)] = b.xor2(b1(x, y, z), g1, p)
-    _iota(b, out0, w, f"{pre}s0_", counter)
-    return out0, out1
+def _sidecar_order(names, w):
+    """The state flip-flops of the per-share name maps in sidecar order:
+    share-major, then (x + 5y)*w + z within a share."""
+    return [share[(x, y, z)] for share in names for y in range(5)
+            for x in range(5) for z in range(w)]
 
 
 def _build_instance(b, idx, cfg, rst):
@@ -411,42 +418,16 @@ def _build_instance(b, idx, cfg, rst):
         inq.append(q)
 
     # state registers, absorb fused into the round input of lane (0, 0)
-    state_q = []
-    for s in range(cfg.shares):
-        qs = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    qs[(x, y, z)] = b.net(f"{pre}st{s}_x{x}y{y}z{z:0{pw}d}_q")
-        state_q.append(qs)
-
-    def absorbed(share):
-        sin = dict(state_q[share])
-        if share == 0:
-            for z in range(w):
-                gated = b.and2(absorb_q, inq[z], pre)
-                sin[(0, 0, z)] = b.xor2(state_q[0][(0, 0, z)], gated, pre)
-        return sin
-
-    if cfg.shares == 1:
-        nxt = [_round_logic(b, pre, absorbed(0), w, counter=counter_q)]
-    else:
-        nxt = list(_masked_round(b, pre, absorbed(0), absorbed(1), w, counter_q))
-
-    ordered = []
-    for s in range(cfg.shares):
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    ff = f"{pre}st{s}_x{x}y{y}z{z:0{pw}d}"
-                    d = b.mux2(state_q[s][(x, y, z)], nxt[s][(x, y, z)],
-                               update, pre)
-                    b.dff(ff, d, q=state_q[s][(x, y, z)], rst=rst)
-        # sidecar order is share-major, then (x + 5y)*w + z within a share
-        for y in range(5):
-            for x in range(5):
-                for z in range(w):
-                    ordered.append(f"{pre}st{s}_x{x}y{y}z{z:0{pw}d}")
+    names, state_q = zip(*(_state_register(b, f"{pre}st{s}_", w, pw)
+                           for s in range(cfg.shares)))
+    sins = [dict(qs) for qs in state_q]
+    for z in range(w):
+        gated = b.and2(absorb_q, inq[z], pre)
+        sins[0][(0, 0, z)] = b.xor2(state_q[0][(0, 0, z)], gated, pre)
+    nxt = _round(b, pre, sins, w, counter_q, keccak.round_constants(w))
+    for share, qs, nx in zip(names, state_q, nxt):
+        for k, ff in share.items():
+            b.dff(ff, b.mux2(qs[k], nx[k], update, pre), q=qs[k], rst=rst)
 
     # readout: data_out shows the lane picked by a small select counter;
     # this is also what guarantees every state bit a sink beyond the round
@@ -457,15 +438,13 @@ def _build_instance(b, idx, cfg, rst):
               q=ls_q[i], rst=rst)
     control += [f"{pre}ls{i}" for i in range(5)]
     for z in range(w):
-        picks = []
-        for s in range(cfg.shares):
-            lanes = [state_q[s][(x, y, z)] for y in range(5) for x in range(5)]
-            picks.append(b.mux_n(lanes, ls_q, pre))
-        word = picks[0] if len(picks) == 1 else b.xor2(picks[0], picks[1], pre)
-        b.dff(f"{pre}out{z:0{pw}d}", word, q=data_out[z], rst=rst)
+        picks = [b.mux_n([qs[(x, y, z)] for y in range(5) for x in range(5)],
+                         ls_q, pre) for qs in state_q]
+        b.dff(f"{pre}out{z:0{pw}d}", b.xor_tree(picks, pre), q=data_out[z],
+              rst=rst)
     control += [f"{pre}out{z:0{pw}d}" for z in range(w)]
 
-    return InstanceTruth(ordered, input_ffs), control
+    return InstanceTruth(_sidecar_order(names, w), input_ffs), control
 
 
 def _build_decoys(b, cfg):
@@ -477,7 +456,7 @@ def _build_decoys(b, cfg):
     n_in = 8
     dec_in = [b.port_in(f"dec_in{i}") for i in range(n_in)]
     outs = []
-    ffs = []
+    first = len(b.n.cells)
     remaining = cfg.decoy_ffs
     sid = 0
     while remaining > 0:
@@ -494,7 +473,6 @@ def _build_decoys(b, cfg):
             for i in range(width):
                 q = dec_in[rng.randrange(n_in)]
                 for j in range(depth):
-                    ffs.append(f"{pre}p{i}_{j}")
                     q = b.dff(f"{pre}p{i}_{j}", q)
                 last.append(q)
             remaining -= width * depth
@@ -506,7 +484,6 @@ def _build_decoys(b, cfg):
             carry = en
             for i in range(width):
                 b.dff(f"{pre}c{i}", b.xor2(qs[i], carry, pre), q=qs[i])
-                ffs.append(f"{pre}c{i}")
                 carry = b.and2(carry, qs[i], pre)
             remaining -= width
             outs.append(carry)
@@ -516,10 +493,8 @@ def _build_decoys(b, cfg):
             tap = rng.randrange(max(1, width - 1))
             gate = b.and2(qs[tap], dec_in[rng.randrange(n_in)], pre)
             b.dff(f"{pre}l0", b.xor2(qs[width - 1], gate, pre), q=qs[0])
-            ffs.append(f"{pre}l0")
             for i in range(1, width):
                 b.dff(f"{pre}l{i}", qs[i - 1], q=qs[i])
-                ffs.append(f"{pre}l{i}")
             remaining -= width
             outs.append(qs[width - 1])
         else:  # fsm ring
@@ -530,7 +505,6 @@ def _build_decoys(b, cfg):
             for i in range(width):
                 nxt = b.or2(regen, qs[-1], pre) if i == 0 else qs[i - 1]
                 b.dff(f"{pre}f{i}", b.mux2(qs[i], nxt, adv, pre), q=qs[i])
-                ffs.append(f"{pre}f{i}")
             remaining -= width
             outs.append(qs[width - 1])
     n_out = min(32, len(outs))
@@ -540,7 +514,7 @@ def _build_decoys(b, cfg):
     for i, bucket in enumerate(buckets):
         po = b.port_out(f"dec_out{i}")
         b.cell("BUF", f"decpo{i}", a=b.xor_tree(bucket, "decpo_"), y=po)
-    return ffs
+    return [c.name for c in b.n.cells[first:] if c.kind == "DFF"]
 
 
 def _pick_kind(rng):
@@ -590,29 +564,14 @@ def generate_core(w: int) -> tuple[Netlist, GroundTruth]:
     """Round logic alone: state flip-flops directly fed by one fixed-iota
     round, no loader, hold path or readout. This is the netlist whose
     state bits exhibit the bare structural fanin of the permutation."""
-    if w not in keccak.LANE_WIDTHS:
-        raise ValueError(f"unsupported lane width {w}")
+    rcs = keccak.round_constants(w)[:1]
     b = Builder(f"keccak_core_w{w}")
     b.port_in("clk")
-    pre = "k0_"
-    state_q = {}
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                state_q[(x, y, z)] = b.net(f"{pre}st0_x{x}y{y}z{z}_q")
-    nxt = _round_logic(b, pre, state_q, w,
-                       iota_rc=keccak.round_constants(w)[0])
-    ordered = []
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                b.dff(f"{pre}st0_x{x}y{y}z{z}", nxt[(x, y, z)],
-                      q=state_q[(x, y, z)])
-    for y in range(5):
-        for x in range(5):
-            for z in range(w):
-                ordered.append(f"{pre}st0_x{x}y{y}z{z}")
-    gt = GroundTruth(w, 1, [InstanceTruth(ordered, [])])
+    names, state_q = _state_register(b, "k0_st0_", w, 1)
+    nxt, = _round(b, "k0_", [state_q], w, [], rcs)
+    for k, ff in names.items():
+        b.dff(ff, nxt[k], q=state_q[k])
+    gt = GroundTruth(w, 1, [InstanceTruth(_sidecar_order([names], w), [])])
     return b.n, gt
 
 

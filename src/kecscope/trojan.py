@@ -27,6 +27,7 @@ from .netlist import ANALOG_ISLAND_TAG, Netlist, copy_netlist
 
 ALLOWED_T = (16, 32, 64)
 ALLOWED_L = (16, 32, 64)
+PREFIX = "hth_"   # starts the name of every cell and net an insertion adds
 
 
 class InsertionError(Exception):
@@ -166,8 +167,7 @@ def _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix):
 
 
 def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
-               reset_net: str | None = None,
-               prefix: str = "hth_") -> tuple[Netlist, EcoEdit]:
+               reset_net: str | None = None) -> tuple[Netlist, EcoEdit]:
     """ECO-style insertion at the located input register.
 
     Comparator taps the T lowest-index located flip-flops; the shift
@@ -193,23 +193,22 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
     if len(clocks) != 1:
         raise InsertionError(f"tapped flip-flops span clocks {sorted(clocks)}")
     clk = clocks.pop()
-    existing_nets = set(victim.all_nets())
-    existing_cells = set(cells)
 
     out = copy_netlist(victim)
-    b = Builder("scratch", netlist=out, auto_prefix=prefix)
+    b = Builder("scratch", netlist=out, auto_prefix=PREFIX)
     if reset_net is None:
-        rst = b.net(f"{prefix}rst_q")
-        b.cell("TIE0", f"{prefix}rst_tie", y=rst)
+        rst = b.net(f"{PREFIX}rst_q")
+        b.cell("TIE0", f"{PREFIX}rst_tie", y=rst)
     else:
-        if reset_net not in existing_nets:
+        if reset_net not in victim.all_nets():
             raise InsertionError(f"reset net {reset_net!r} not in victim")
         rst = reset_net
     k_taps = taps[spec.k_offset:spec.k_offset + spec.l]
-    _emit_hth(b, spec, taps[:spec.t], k_taps, clk, rst, prefix)
+    _emit_hth(b, spec, taps[:spec.t], k_taps, clk, rst, PREFIX)
 
-    added_cells = sorted(c.name for c in out.cells if c.name not in existing_cells)
-    added_nets = sorted(n for n in out.all_nets() if n not in existing_nets)
+    # the builder only appends, so the additions are the tails
+    added_cells = sorted(c.name for c in out.cells[len(victim.cells):])
+    added_nets = sorted(out.nets[len(victim.nets):])
     tapped = sorted(set(taps[:spec.t]) | set(k_taps) | {clk}
                     | ({rst} if reset_net else set()))
     return out, EcoEdit(added_cells, added_nets, tapped)

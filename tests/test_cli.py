@@ -272,6 +272,16 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
     (["gen", "--seed", "1", "--w", "1", "--out-dir", "{d}/a_file"], 2),
     (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
       "--out-dir", "{d}/a_file"], 2),
+    (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/ids_int.json",
+      "--trigger-hex", "0"], 2),
+    (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/ids_str.json",
+      "--trigger-hex", "0"], 2),
+    (["analyze", "--netlist", "{d}/w8.nl", "--lane-width", "8",
+      "--sidecar", "{d}/sidecar_int.json"], 2),
+    (["inject", "--netlist", "{d}/w8.nl", "--trigger-hex", "0",
+      "--budget-pct", "-1"], 2),
+    (["inject", "--netlist", "{d}/w8.nl", "--trigger-hex", "0",
+      "--budget-pct", "nan"], 2),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -279,7 +289,9 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
         "zero-shares", "floor-above-ceiling", "negative-cycles",
         "bad-secret-hex", "secret-width-not-allowed", "exhausted-search",
         "empty-override-window", "no-input-register", "gen-out-dir-is-a-file",
-        "analyze-out-dir-is-a-file"])
+        "analyze-out-dir-is-a-file", "result-ids-not-a-list",
+        "result-ids-a-string", "sidecar-ids-not-a-list", "negative-budget",
+        "nan-budget"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
@@ -290,6 +302,12 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")
     (tmp_path / "a_file").write_text("")
+    (tmp_path / "ids_int.json").write_text(json.dumps(
+        {"state_candidates": [], "input_candidates": 5}))
+    (tmp_path / "ids_str.json").write_text(json.dumps(
+        {"state_candidates": "abc", "input_candidates": []}))
+    (tmp_path / "sidecar_int.json").write_text(json.dumps(
+        {"lane_width": 8, "instances": [{"state_ffs": 5, "input_ffs": []}]}))
     argv = [a.format(d=tmp_path) for a in argv]
     if "--out-dir" not in argv:
         argv += ["--out-dir", str(tmp_path)]

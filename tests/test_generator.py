@@ -4,8 +4,9 @@ import pytest
 
 from kecscope import keccak
 from kecscope.depgraph import extract_dependencies
-from kecscope.generator import (GenConfig, GroundTruth, generate_accelerator,
-                                generate_core, state_bit_index)
+from kecscope.generator import (Builder, GenConfig, GroundTruth,
+                                generate_accelerator, generate_core,
+                                state_bit_index)
 from kecscope.netlist import validate, write_netlist
 from kecscope.sim import simulate
 
@@ -63,6 +64,15 @@ def test_config_validation():
         GenConfig(decoy_ffs=-1).validate()
     with pytest.raises(ValueError):
         GenConfig(loader="dma").validate()
+
+
+def test_builder_rejects_a_duplicate_flip_flop():
+    b = Builder("dup")
+    d = b.port_in("d")
+    b.dff("x", d)
+    # a fresh q net, so only the cell name repeats
+    with pytest.raises(ValueError, match="already exists"):
+        b.dff("x", d, q=b.net())
 
 
 def test_minimal_width_round_trips():
