@@ -21,7 +21,8 @@ from .generator import GenConfig, GroundTruth, generate_accelerator, id_list
 from .keccak import LANE_WIDTHS
 from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      SearchBounds, run_pipeline)
-from .netlist import NetlistError, anonymize, parse_netlist, validate, write_netlist
+from .netlist import (NetlistError, anonymize, index_netlist, parse_netlist,
+                      validate, write_netlist)
 from .trojan import (ALLOWED_L, HthSpec, InsertionError, insert_hth,
                      overhead_report, reconstruct_secret)
 
@@ -52,13 +53,16 @@ def _read(path, what, parse=str):
 
 
 def _load_netlist(path):
+    """(netlist, its index): parsed, validated, and indexed once for
+    every later stage."""
     netlist = parse_netlist(_read(path, "netlist"))
-    problems = validate(netlist)
+    index = index_netlist(netlist)
+    problems = validate(netlist, index=index)
     if problems:
         for v in problems[:10]:
             print(f"violation: {v.kind}: {v.detail}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    return netlist
+    return netlist, index
 
 
 def _positive_int(text):
@@ -113,7 +117,7 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    netlist = _load_netlist(args.netlist)
+    netlist, index = _load_netlist(args.netlist)
     truth = None
     if args.sidecar:
         truth = _read(args.sidecar, "sidecar", GroundTruth.from_json)
@@ -127,7 +131,7 @@ def cmd_analyze(args):
     config = PipelineConfig(lane_width=args.lane_width, instances=args.instances,
                             shares=args.shares, bounds_override=override)
     t0 = time.perf_counter()
-    result, stage_ms = run_pipeline(netlist, config)
+    result, stage_ms = run_pipeline(netlist, config, index=index)
     total_ms = (time.perf_counter() - t0) * 1e3
 
     report = {
@@ -170,7 +174,7 @@ def cmd_analyze(args):
 
 
 def cmd_inject(args):
-    netlist = _load_netlist(args.netlist)
+    netlist, index = _load_netlist(args.netlist)
     spec = HthSpec(t=args.t, l=args.l, trigger=int(args.trigger_hex, 16),
                    capture_delay=args.capture_delay, k_offset=args.k_offset)
     if args.result:
@@ -185,7 +189,7 @@ def cmd_inject(args):
     else:
         result, _ = run_pipeline(netlist, PipelineConfig(
             lane_width=args.lane_width, instances=args.instances,
-            shares=args.shares))
+            shares=args.shares), index=index)
     if not result.found():
         raise KeccakNotPresentError("no input register located")
     trojaned, edit = insert_hth(netlist, result, spec, reset_net=args.reset_net)
@@ -218,19 +222,20 @@ def cmd_inject(args):
 
 
 def cmd_simulate(args):
-    netlist = _load_netlist(args.netlist)
+    netlist, index = _load_netlist(args.netlist)
     stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
     cycles = args.cycles if args.cycles is not None else len(stimulus)
     # _load_netlist has just validated this netlist
-    trace = sim.simulate(netlist, stimulus, cycles, check=False)
+    trace = sim.simulate(netlist, stimulus, cycles, check=False, index=index)
     stealth = None
     if args.baseline:
-        baseline = _load_netlist(args.baseline)
+        baseline, baseline_index = _load_netlist(args.baseline)
         sim.check_ports(baseline, netlist)
         # the stealth check of equivalence_check, against the trace above;
         # _load_netlist has validated the baseline too
         stealth = sim.outputs_equal(
-            sim.simulate(baseline, stimulus, cycles, check=False), trace)
+            sim.simulate(baseline, stimulus, cycles, check=False,
+                         index=baseline_index), trace)
     secret = None
     recovered = None
     if args.secret_width:

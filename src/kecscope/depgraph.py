@@ -13,12 +13,16 @@ Tracing rules, fixed here once for every downstream analysis:
   * cells tagged ``analog_island`` are opaque and never entered: island
     outputs cut every path, the one island rule of ``NetlistIndex``.
 
-Each call builds one fanin map from the index's ordered cells: every net
-driven by a non-island combinational cell maps to the tuple of that cell's
-input nets. A flip-flop's cone is then a walk of dict lookups from its d
-net, through the fanin map, stopping at flip-flop q nets (sources), at
-undriven primary inputs and at every other net (island outputs). The
-output-reach pass walks the same map back from the primary outputs.
+Each call builds one fanin map from the ordered cells of the netlist's
+``NetlistIndex``, which the caller hands in when it has built one already
+(the CLI builds it once per loaded netlist, for validation and extraction
+alike): every net driven by a non-island combinational cell maps to the
+tuple of that cell's input nets. A flip-flop's cone is then a walk of dict
+lookups from its d net, through the fanin map, stopping at flip-flop q
+nets (sources), at undriven primary inputs and at every other net (island
+outputs). A d net outside the fanin map is such a stop itself, so that
+trivial cone takes its one source without a walk. The output-reach pass
+walks the same map back from the primary outputs.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .netlist import CELL_KINDS, Netlist, index_netlist
+from .netlist import CELL_KINDS, Netlist, NetlistIndex, index_netlist
 
 
 class CombinationalCycleError(Exception):
@@ -51,13 +55,21 @@ class DependencyGraph:
         return sum(len(s) for s in self.deps.values())
 
 
-def extract_dependencies(netlist: Netlist) -> DependencyGraph:
+# the input reach of every flip-flop whose cone holds no primary input
+_NO_PIS: frozenset[str] = frozenset()
+
+
+def extract_dependencies(netlist: Netlist, *,
+                         index: NetlistIndex | None = None) -> DependencyGraph:
     """Backward cone walk from every flip-flop's d pin over the fanin map.
 
-    Raises CombinationalCycleError on a combinational loop that no
-    ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
+    ``index`` is the netlist's index when the caller has built it already;
+    without one, extraction builds its own. Raises CombinationalCycleError
+    on a combinational loop that no ``analog_island`` cell cuts (the
+    island rule of ``NetlistIndex``).
     """
-    index = index_netlist(netlist)
+    if index is None:
+        index = index_netlist(netlist)
     if index.cyclic:
         bad = sorted(c.name for c in index.cyclic)
         raise CombinationalCycleError(
@@ -84,26 +96,34 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     input_reach: dict[str, frozenset[str]] = {}
     fanin_of, source_of = fanin.get, q_ff.get
     for c in ff_cells:
-        srcs: set[str] = set()
-        reached_pis: set[str] = set()
-        seen: set[str] = set()
-        stack = [c.pins["d"]]
-        while stack:
-            net = stack.pop()
-            if net in seen:
-                continue
-            seen.add(net)
-            ins = fanin_of(net)
-            if ins is not None:
-                stack += ins
-                continue
-            src = source_of(net)
-            if src is not None:
-                srcs.add(src)
-            elif net in free_pis:
-                reached_pis.add(net)
+        d = c.pins["d"]
+        ins = fanin_of(d)
+        if ins is None:   # d is a flip-flop q, a primary input or an island net
+            src = source_of(d)
+            srcs = set() if src is None else {src}
+            reach = frozenset((d,)) if d in free_pis else _NO_PIS
+        else:
+            srcs = set()
+            reached_pis: set[str] = set()
+            seen = {d}
+            stack = list(ins)
+            while stack:
+                net = stack.pop()
+                if net in seen:
+                    continue
+                seen.add(net)
+                ins = fanin_of(net)
+                if ins is not None:
+                    stack += ins
+                    continue
+                src = source_of(net)
+                if src is not None:
+                    srcs.add(src)
+                elif net in free_pis:
+                    reached_pis.add(net)
+            reach = frozenset(reached_pis) if reached_pis else _NO_PIS
         rdeps[c.name] = srcs
-        input_reach[c.name] = frozenset(reached_pis)
+        input_reach[c.name] = reach
         for s in srcs:
             deps[s].add(c.name)
 

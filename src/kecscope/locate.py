@@ -26,8 +26,7 @@ from typing import NamedTuple
 
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
-from .keccak import round_dependency_sets
-from .netlist import Netlist
+from .netlist import Netlist, NetlistIndex
 from .scoring import ScoreTable, compute_zscores
 
 
@@ -81,19 +80,27 @@ def filter_state_candidates(graph: DependencyGraph, bounds: SearchBounds) -> set
             if bounds.admits(graph.fanin(f), graph.fanout(f))}
 
 
-def derive_bounds(w: int) -> tuple[int, int]:
-    """(fanin floor, fanout floor) for lane width w, from brute-force
-    expansion of one round over all 25*w bits.
+# lane width -> (fanin floor, fanout floor), see derive_bounds
+_FLOORS = {1: (25, 26), 2: (26, 27), 4: (26, 30), 8: (27, 30),
+           16: (32, 32), 32: (33, 34), 64: (33, 34)}
 
-    The fanin floor is the smallest per-bit source-set size of the round
-    itself. The fanout floor adds one to the smallest per-bit sink-set
-    size: keeping the hash usable forces every state bit to also feed a
-    readout path, so at least one sequential sink beyond the permutation
-    always exists. For w = 64 this gives (33, 34).
+
+def derive_bounds(w: int) -> tuple[int, int]:
+    """(fanin floor, fanout floor) for lane width w, from a constant table
+    over ``LANE_WIDTHS``; any other width raises ValueError.
+
+    The fanin floor is the smallest per-bit source-set size of one round.
+    The fanout floor adds one to the smallest per-bit sink-set size:
+    keeping the hash usable forces every state bit to also feed a readout
+    path, so at least one sequential sink beyond the permutation always
+    exists. Both depend on w alone. The table was read off the brute-force
+    expansion of one round over all 25*w bits (``round_dependency_sets``),
+    and the tests recompute every entry from it. For w = 64 this gives
+    (33, 34).
     """
-    sources, sinks = round_dependency_sets(w)
-    return (min(len(s) for s in sources.values()),
-            min(len(s) for s in sinks.values()) + 1)
+    if w not in _FLOORS:
+        raise ValueError(f"unsupported lane width {w}")
+    return _FLOORS[w]
 
 
 def naive_bounds(w: int) -> SearchBounds:
@@ -196,11 +203,13 @@ class PipelineConfig:
     bounds_override: SearchBounds | None = None
 
 
-def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
+def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None, *,
+                 index: NetlistIndex | None = None
                  ) -> tuple[RepqcResult, dict[str, float]]:
     """Full attack analysis on one netlist; returns the localization result
     and per-stage wall-clock milliseconds. The result's ``analysis`` holds
-    the dependency graph, scores and groups it was derived from."""
+    the dependency graph, scores and groups it was derived from.
+    ``index`` is handed on to ``extract_dependencies``."""
     config = config or PipelineConfig()
     timings: dict[str, float] = {}
 
@@ -210,7 +219,8 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
         timings[name] = (time.perf_counter() - t0) * 1e3
         return out
 
-    graph = staged("dependencies", lambda: extract_dependencies(netlist))
+    graph = staged("dependencies",
+                   lambda: extract_dependencies(netlist, index=index))
     if not graph.ffs:
         raise KeccakNotPresentError("Keccak not present: no flip-flops")
     scores = staged("scores", lambda: compute_zscores(graph))

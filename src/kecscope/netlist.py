@@ -30,6 +30,9 @@ ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
 
 ANALOG_ISLAND_TAG = "analog_island"
 
+# the tags of every untagged cell: one shared object, not one per cell
+NO_TAGS: frozenset[str] = frozenset()
+
 
 class CellKind(NamedTuple):
     inputs: tuple[str, ...]
@@ -105,7 +108,7 @@ class Cell:
     kind: str
     name: str
     pins: dict[str, str]            # pin -> net
-    tags: frozenset[str] = frozenset()
+    tags: frozenset[str] = NO_TAGS
 
     def is_seq(self):
         return self.kind in SEQUENTIAL_KINDS
@@ -320,15 +323,20 @@ def parse_netlist(text: str) -> Netlist:
                 if pin == "tag":
                     tags.add(net)
                     continue
-                if not ID_RE.match(net):
-                    raise NetlistSyntaxError(f"bad identifier {net!r}", lineno)
+                # a declared net has passed ID_RE already; an undeclared
+                # one is reported as bad, bound twice or undeclared, in
+                # that order
+                if net not in declared:
+                    if not ID_RE.match(net):
+                        raise NetlistSyntaxError(f"bad identifier {net!r}", lineno)
+                    if pin not in pins:
+                        raise NetlistSyntaxError(f"net {net!r} not declared", lineno)
                 if pin in pins:
                     raise NetlistSyntaxError(f"pin {pin!r} bound twice", lineno)
-                if net not in declared:
-                    raise NetlistSyntaxError(f"net {net!r} not declared", lineno)
                 pins[pin] = net
             _check_cell(kind, name, pins)
-            netlist.cells.append(Cell(kind, name, pins, frozenset(tags)))
+            netlist.cells.append(
+                Cell(kind, name, pins, frozenset(tags) if tags else NO_TAGS))
         elif kw == "endmodule":
             closed = True
         else:
@@ -371,12 +379,15 @@ def write_netlist(netlist: Netlist) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate(netlist: Netlist) -> list[Violation]:
+def validate(netlist: Netlist, *, index: NetlistIndex | None = None
+             ) -> list[Violation]:
     """Structural check; returns violations as data (empty list = valid).
 
     A combinational cycle is a violation under the one island rule of
     :class:`NetlistIndex`: island outputs cut every path, so only a loop
-    without an ``analog_island`` cell on it is reported.
+    without an ``analog_island`` cell on it is reported. ``index`` is the
+    netlist's index when the caller has built it already; without one,
+    validate builds its own.
     """
     violations = []
     seen_cells: set[str] = set()
@@ -397,7 +408,8 @@ def validate(netlist: Netlist) -> list[Violation]:
             if net not in declared:
                 violations.append(Violation("undeclared-net", f"{c.name}: {net}"))
 
-    index = index_netlist(netlist)
+    if index is None:
+        index = index_netlist(netlist)
     pis = set(netlist.input_ports())
     for net in netlist.all_nets():
         if net in index.clashes:

@@ -31,8 +31,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, index_netlist,
-                      validate)
+from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, NetlistIndex,
+                      index_netlist, validate)
 
 # leak symbol (leak[1] leak[0]) -> dynamic power / mean oscillation frequency
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
@@ -105,7 +105,7 @@ class _Compiled:
     Only slots and table expressions reach the generated source, never a
     net or cell name."""
 
-    def __init__(self, netlist: Netlist, watch):
+    def __init__(self, netlist: Netlist, watch, index: NetlistIndex):
         nets = netlist.all_nets()
         self.size = len(nets)
         self.slot = {net: i for i, net in enumerate(nets)}
@@ -113,7 +113,6 @@ class _Compiled:
             if c.kind not in CELL_KINDS:
                 raise SimulationError(
                     f"cell {c.name!r} has unknown kind {c.kind!r}")
-        index = index_netlist(netlist)
         if index.cyclic:
             raise SimulationError("combinational cycle outside analog island")
         self.pis = {p: self.slot[p] for p in netlist.input_ports()}
@@ -194,7 +193,8 @@ def _island_controls(netlist):
 
 
 def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
-             batch: int = 1, check: bool = True) -> SimTrace:
+             batch: int = 1, check: bool = True,
+             index: NetlistIndex | None = None) -> SimTrace:
     """Run ``cycles`` clock cycles.
 
     stimulus: per-cycle dicts of port -> value; cycle 0 must cover every
@@ -206,18 +206,22 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     (the island rule of ``NetlistIndex``), as do a cell of unknown kind, a
     cell pin that is unbound or on an undeclared net, a watch net that
     does not exist, and a negative cycle count. Every call compiles its
-    own plan once, before the first cycle.
+    own plan once, before the first cycle. ``index`` is the netlist's
+    index when the caller has built it already; without one, the call
+    builds its own, once for both the check and the compile.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
     if len(stimulus) < cycles:
         raise StimulusError(
             f"stimulus covers {len(stimulus)} cycles, need {cycles}")
+    if index is None:
+        index = index_netlist(netlist)
     if check:
-        problems = validate(netlist)
+        problems = validate(netlist, index=index)
         if problems:
             raise SimulationError(f"invalid netlist: {problems[:3]}")
-    plan = _Compiled(netlist, watch)
+    plan = _Compiled(netlist, watch, index)
     mask = (1 << batch) - 1
     q_state = [0] * len(plan.q)
     if init:

@@ -1,10 +1,11 @@
 import json
+import sys
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from kecscope import depgraph, grouping, locate, scoring
+from kecscope import depgraph, grouping, locate, netlist, scoring
 from kecscope.cli import main
 from kecscope.netlist import parse_netlist, write_netlist
 from kecscope.sim import write_stimulus
@@ -107,6 +108,34 @@ def test_analyze_builds_each_structure_once(workdir, tmp_path, monkeypatch):
         scoring.dump_scores(scoring.compute_zscores(graph))
     assert (tmp_path / "degrees.csv").read_text() == depgraph.dump_degrees(graph)
     assert (tmp_path / "groups.csv").read_text() == grouping.dump_groups(groups)
+
+
+def test_each_loaded_netlist_is_indexed_once(workdir, tmp_path, monkeypatch):
+    calls = []
+    build = netlist.index_netlist
+
+    def counted(n):
+        calls.append(n)
+        return build(n)
+
+    # every module that imports index_netlist by name
+    for module in list(sys.modules.values()):
+        if (module.__name__.startswith("kecscope")
+                and getattr(module, "index_netlist", None) is build):
+            monkeypatch.setattr(module, "index_netlist", counted)
+    assert run("analyze", "--netlist", str(workdir / "g" / "design.nl"),
+               "--lane-width", "16", "--out-dir", str(tmp_path / "a")) == 0
+    assert len(calls) == 1
+
+    calls.clear()
+    base = parse_netlist((workdir / "g" / "design.nl").read_text())
+    (tmp_path / "quiet.stim").write_text(
+        write_stimulus([{p: 0 for p in base.input_ports()}] * 3))
+    assert run("simulate", "--netlist", str(workdir / "g" / "design.nl"),
+               "--stimulus", str(tmp_path / "quiet.stim"),
+               "--baseline", str(workdir / "g" / "design.nl"),
+               "--out-dir", str(tmp_path / "s")) == 0
+    assert len(calls) == 2 and calls[0] is not calls[1]
 
 
 def test_analyze_not_present(workdir, tmp_path):

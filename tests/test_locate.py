@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from kecscope.depgraph import DependencyGraph, extract_dependencies
 from kecscope.grouping import Group, GroupTable, compute_levels, group_by_levels
-from kecscope.keccak import round_dependency_sets
+from kecscope.keccak import LANE_WIDTHS, round_dependency_sets
 from kecscope.locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                              SearchBounds, clever_search, derive_bounds,
                              expected_state_count, filter_state_candidates,
@@ -62,7 +62,9 @@ def test_derive_bounds_w64():
 
 
 def test_derive_bounds_consistent_with_expansion():
-    for w in (1, 2, 8, 64):
+    # the differential gate of derive_bounds' table: every entry is
+    # recomputed from the one-round expansion it was read off
+    for w in LANE_WIDTHS:
         sources, sinks = round_dependency_sets(w)
         fif, fof = derive_bounds(w)
         assert fif == min(len(s) for s in sources.values())

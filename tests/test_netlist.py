@@ -79,6 +79,36 @@ def test_syntax_error_has_line():
     assert e.value.line == 2
 
 
+# a cell line appended to INV_DFF (as line 9) -> the message it fails with;
+# a bad identifier is reported before a pin bound twice, and that before
+# an undeclared net
+CELL_LINE_ERRORS = {
+    "bad_cell_name": ("cell BUF b$1 a=a y=q2", "bad identifier 'b$1'"),
+    "bad_pin_net": ("cell BUF b1 a=a$ y=q2", "bad identifier 'a$'"),
+    "bad_and_undeclared_net": ("cell BUF b1 a=zz$ y=q2",
+                               "bad identifier 'zz$'"),
+    "undeclared_net": ("cell BUF b1 a=zz y=q2", "net 'zz' not declared"),
+    "pin_bound_twice_declared": ("cell BUF b1 a=a a=clk y=q2",
+                                 "pin 'a' bound twice"),
+    "pin_bound_twice_undeclared": ("cell BUF b1 a=a a=zz y=q2",
+                                   "pin 'a' bound twice"),
+    "cell_declared_twice": ("cell BUF i1 a=a y=q2", "cell 'i1' declared twice"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CELL_LINE_ERRORS))
+def test_cell_line_errors(case):
+    line, message = CELL_LINE_ERRORS[case]
+    text = INV_DFF.replace("output q\n", "output q\noutput q2\n").replace(
+        "endmodule", line + "\nendmodule")
+    assert text.splitlines()[8] == line
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(text)
+    assert type(e.value) is NetlistSyntaxError
+    assert e.value.line == 9
+    assert str(e.value) == f"line 9: {message}"
+
+
 def test_comments_and_blank_lines():
     text = "# header\nmodule m\n\ninput a # trailing\noutput b\n" \
            "cell BUF b1 a=a y=b\nendmodule\n"

@@ -102,6 +102,24 @@ def test_determinism():
     assert a.outputs == b.outputs
 
 
+def test_checked_simulate_indexes_once(monkeypatch):
+    from kecscope import netlist, sim
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return index_netlist(n)
+
+    # validate and the compile both take the index simulate built
+    for module in (netlist, sim):
+        monkeypatch.setattr(module, "index_netlist", counted)
+    n = parse_netlist(TOGGLE)
+    simulate(n, _stim(n, 2), 2, check=True)
+    assert len(calls) == 1
+    simulate(n, _stim(n, 2), 2, check=True, index=index_netlist(n))
+    assert len(calls) == 1
+
+
 def test_stimulus_too_short():
     n = parse_netlist(TOGGLE)
     with pytest.raises(StimulusError):
