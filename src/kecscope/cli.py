@@ -268,6 +268,12 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config, overrides flags")
     common.add_argument("--out-dir", default=".")
+    # the design options analyze and inject share
+    design = argparse.ArgumentParser(add_help=False)
+    design.add_argument("--netlist", required=True)
+    design.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
+    design.add_argument("--instances", type=_positive_int, default=1)
+    design.add_argument("--shares", type=_positive_int, default=1)
 
     g = sub.add_parser("gen", parents=[common],
                        help="generate a victim accelerator and sidecar")
@@ -280,26 +286,18 @@ def build_parser():
     g.add_argument("--anonymize-seed", type=int, default=None)
     g.set_defaults(fn=cmd_gen)
 
-    a = sub.add_parser("analyze", parents=[common],
+    a = sub.add_parser("analyze", parents=[common, design],
                        help="run the localization pipeline")
-    a.add_argument("--netlist", required=True)
     a.add_argument("--sidecar")
-    a.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
-    a.add_argument("--instances", type=_positive_int, default=1)
-    a.add_argument("--shares", type=_positive_int, default=1)
     a.add_argument("--fif", type=int)
     a.add_argument("--fic", type=int)
     a.add_argument("--fof", type=int)
     a.add_argument("--foc", type=int)
     a.set_defaults(fn=cmd_analyze)
 
-    i = sub.add_parser("inject", parents=[common],
+    i = sub.add_parser("inject", parents=[common, design],
                        help="insert the trojan at the located register")
-    i.add_argument("--netlist", required=True)
     i.add_argument("--result", help="analyze report.json; omitted = analyze inline")
-    i.add_argument("--lane-width", type=int, choices=LANE_WIDTHS, default=64)
-    i.add_argument("--instances", type=_positive_int, default=1)
-    i.add_argument("--shares", type=_positive_int, default=1)
     i.add_argument("--t", type=int, default=64)
     i.add_argument("--l", type=int, default=64)
     i.add_argument("--trigger-hex", type=_hex, required=True)

@@ -81,8 +81,8 @@ def extract_dependencies(netlist: Netlist, *,
     for c in index.order:
         outs = CELL_KINDS[c.kind].outputs
         for pin in outs:
-            net = c.pins.get(pin)
-            if net is not None and driver[net] is c:
+            net = c.pins[pin]
+            if driver[net] is c:
                 fanin[net] = tuple(n for p, n in c.pins.items()
                                    if p not in outs)
     ff_cells = netlist.flip_flops()

@@ -157,8 +157,8 @@ class Builder:
         # untagged cells share tags: each frozenset(()) is a new object
         if name in self._used_cells:
             raise ValueError(f"cell {name!r} already exists")
-        self._used_cells.add(name)
         self.n.cells.append(Cell(kind, name, pins, tags))
+        self._used_cells.add(name)
         return name
 
     def cell(self, kind, name, tags=(), **pins):

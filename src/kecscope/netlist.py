@@ -17,13 +17,16 @@ Text format (line oriented, ``#`` starts a comment)::
 Identifiers match ``[A-Za-z0-9_\\[\\]]+``. All nets are one bit wide; a
 multi-bit port is expanded as ``name[i]``. Every net must be driven exactly
 once, either by an input port or by one cell output pin.
+
+A :class:`Cell` checks its own kind and pins when it is made, so every
+later stage trusts both; :func:`validate` checks what spans cells.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
@@ -105,10 +108,18 @@ class Port:
 
 @dataclass
 class Cell:
+    """One cell instance. Making one raises UnknownCellKindError for a
+    kind outside ``CELL_KINDS`` and ArityMismatchError unless its pins are
+    exactly that kind's, plus DFF's optional rst. Nothing re-checks them,
+    so code must not edit ``kind`` or ``pins`` afterwards."""
+
     kind: str
     name: str
     pins: dict[str, str]            # pin -> net
     tags: frozenset[str] = NO_TAGS
+
+    def __post_init__(self):
+        _check_cell(self.kind, self.name, self.pins)
 
     def is_seq(self):
         return self.kind in SEQUENTIAL_KINDS
@@ -208,13 +219,8 @@ def _drivers(netlist: Netlist) -> tuple[dict[str, Cell], dict[str, list[str]]]:
     driver: dict[str, Cell] = {}
     clashes: dict[str, list[str]] = {}
     for c in netlist.cells:
-        spec = CELL_KINDS.get(c.kind)
-        if spec is None:
-            continue
-        for pin in spec.outputs:
-            net = c.pins.get(pin)
-            if net is None:
-                continue
+        for pin in CELL_KINDS[c.kind].outputs:
+            net = c.pins[pin]
             if net in driver or net in pis:
                 if net not in clashes:
                     clashes[net] = ([f"input port {net}"] if net in pis
@@ -225,15 +231,11 @@ def _drivers(netlist: Netlist) -> tuple[dict[str, Cell], dict[str, list[str]]]:
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
-    """Driver map and Kahn elimination over the combinational cells.
-
-    Cells of unknown kind and unbound output pins are skipped, so a
-    malformed netlist still indexes and ``validate`` can report it.
-    """
+    """Driver map and Kahn elimination over the combinational cells. Each
+    cell has checked its kind and pins, so every output pin is bound."""
     driver, clashes = _drivers(netlist)
     comb = [c for c in netlist.cells
-            if c.kind in CELL_KINDS and c.kind not in SEQUENTIAL_KINDS
-            and ANALOG_ISLAND_TAG not in c.tags]
+            if c.kind not in SEQUENTIAL_KINDS and ANALOG_ISLAND_TAG not in c.tags]
     slot = {id(c): i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
@@ -260,7 +262,8 @@ def parse_netlist(text: str) -> Netlist:
     """Parse netlist source text into the IR.
 
     Raises a distinct error for each failure class: syntax, unknown cell
-    kind, arity mismatch, undriven net, multiply-driven net.
+    kind and arity mismatch (from :class:`Cell`), undriven net,
+    multiply-driven net.
     """
     netlist = None
     closed = False
@@ -334,7 +337,6 @@ def parse_netlist(text: str) -> Netlist:
                 if pin in pins:
                     raise NetlistSyntaxError(f"pin {pin!r} bound twice", lineno)
                 pins[pin] = net
-            _check_cell(kind, name, pins)
             netlist.cells.append(
                 Cell(kind, name, pins, frozenset(tags) if tags else NO_TAGS))
         elif kw == "endmodule":
@@ -383,11 +385,14 @@ def validate(netlist: Netlist, *, index: NetlistIndex | None = None
              ) -> list[Violation]:
     """Structural check; returns violations as data (empty list = valid).
 
-    A combinational cycle is a violation under the one island rule of
-    :class:`NetlistIndex`: island outputs cut every path, so only a loop
-    without an ``analog_island`` cell on it is reported. ``index`` is the
-    netlist's index when the caller has built it already; without one,
-    validate builds its own.
+    Its kinds are the checks that span cells, since a :class:`Cell`
+    checks its own kind and pins: ``duplicate-cell``, ``undeclared-net``,
+    ``multi-driven-net``, ``undriven-net`` and ``combinational-cycle``. A
+    cycle counts under the one island rule of :class:`NetlistIndex`:
+    island outputs cut every path, so only a loop without an
+    ``analog_island`` cell on it is reported. ``index`` is the netlist's
+    index when the caller has built it already; without one, validate
+    builds its own.
     """
     violations = []
     seen_cells: set[str] = set()
@@ -396,14 +401,6 @@ def validate(netlist: Netlist, *, index: NetlistIndex | None = None
         if c.name in seen_cells:
             violations.append(Violation("duplicate-cell", c.name))
         seen_cells.add(c.name)
-        if c.kind not in CELL_KINDS:
-            violations.append(Violation("unknown-kind", f"{c.name}: {c.kind}"))
-            continue
-        try:
-            _check_cell(c.kind, c.name, c.pins)
-        except ArityMismatchError as e:
-            violations.append(Violation("arity", str(e)))
-            continue
         for net in c.pins.values():
             if net not in declared:
                 violations.append(Violation("undeclared-net", f"{c.name}: {net}"))
@@ -464,6 +461,7 @@ def copy_netlist(netlist: Netlist) -> Netlist:
         name=netlist.name,
         ports=list(netlist.ports),
         nets=list(netlist.nets),
-        cells=[replace(c, pins=dict(c.pins)) for c in netlist.cells],
+        cells=[Cell(c.kind, c.name, dict(c.pins), c.tags)
+               for c in netlist.cells],
         attributes=dict(netlist.attributes),
     )

@@ -109,10 +109,6 @@ class _Compiled:
         nets = netlist.all_nets()
         self.size = len(nets)
         self.slot = {net: i for i, net in enumerate(nets)}
-        for c in netlist.cells:
-            if c.kind not in CELL_KINDS:
-                raise SimulationError(
-                    f"cell {c.name!r} has unknown kind {c.kind!r}")
         if index.cyclic:
             raise SimulationError("combinational cycle outside analog island")
         self.pis = {p: self.slot[p] for p in netlist.input_ports()}
@@ -144,8 +140,6 @@ class _Compiled:
         return slot
 
     def _pin(self, cell, pin):
-        if pin not in cell.pins:
-            raise SimulationError(f"cell {cell.name!r} has no {pin!r} pin")
         return self._net(cell.pins[pin], f"cell {cell.name!r}")
 
     def _statement(self, cell):
@@ -203,12 +197,12 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0; a
     combinational loop that no island cell cuts raises SimulationError
-    (the island rule of ``NetlistIndex``), as do a cell of unknown kind, a
-    cell pin that is unbound or on an undeclared net, a watch net that
-    does not exist, and a negative cycle count. Every call compiles its
-    own plan once, before the first cycle. ``index`` is the netlist's
-    index when the caller has built it already; without one, the call
-    builds its own, once for both the check and the compile.
+    (the island rule of ``NetlistIndex``), as do a cell pin on an
+    undeclared net, a watch net that does not exist, and a negative cycle
+    count. Every call compiles its own plan once, before the first cycle.
+    ``index`` is the netlist's index when the caller has built it
+    already; without one, the call builds its own, once for both the
+    check and the compile.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")

@@ -170,6 +170,32 @@ def test_inject_and_reports(workdir):
     assert audit["removed_cells"] == [] and audit["removed_nets"] == []
 
 
+def test_inject_without_result_analyzes_inline(workdir, tmp_path):
+    design = ["--netlist", str(workdir / "g" / "design.nl"), "--lane-width", "16"]
+    trojan = ["--t", "16", "--l", "16", "--trigger-hex", "beef",
+              "--capture-delay", "1"]
+    assert run("analyze", *design, "--out-dir", str(tmp_path / "a")) == 0
+    assert run("inject", *design, *trojan,
+               "--result", str(tmp_path / "a" / "report.json"),
+               "--out-dir", str(tmp_path / "r")) == 0
+    assert run("inject", *design, *trojan,
+               "--out-dir", str(tmp_path / "inline")) == 0
+    for name in ("trojaned.nl", "eco_audit.json", "inject_report.json"):
+        assert (tmp_path / "inline" / name).read_bytes() == \
+            (tmp_path / "r" / name).read_bytes()
+
+
+def test_inject_result_without_inputs_is_not_found(oracle_w8, tmp_path,
+                                                   capsys):
+    (tmp_path / "w8.nl").write_text(write_netlist(oracle_w8[0]))
+    (tmp_path / "empty.json").write_text(json.dumps(
+        {"state_candidates": [], "input_candidates": []}))
+    assert run("inject", "--netlist", str(tmp_path / "w8.nl"),
+               "--result", str(tmp_path / "empty.json"), "--trigger-hex", "0",
+               "--out-dir", str(tmp_path)) == 3
+    assert capsys.readouterr().err == "not found: no input register located\n"
+
+
 def test_inject_budget_exceeded(workdir, tmp_path):
     code = run("inject", "--netlist", str(workdir / "g" / "design.nl"),
                "--result", str(workdir / "a" / "report.json"),
@@ -311,6 +337,8 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
       "--budget-pct", "-1"], 2),
     (["inject", "--netlist", "{d}/w8.nl", "--trigger-hex", "0",
       "--budget-pct", "nan"], 2),
+    (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/no_inputs.json",
+      "--trigger-hex", "0"], 3),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -320,7 +348,7 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
         "empty-override-window", "no-input-register", "gen-out-dir-is-a-file",
         "analyze-out-dir-is-a-file", "result-ids-not-a-list",
         "result-ids-a-string", "sidecar-ids-not-a-list", "negative-budget",
-        "nan-budget"])
+        "nan-budget", "result-no-input-register"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
@@ -335,6 +363,8 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
         {"state_candidates": [], "input_candidates": 5}))
     (tmp_path / "ids_str.json").write_text(json.dumps(
         {"state_candidates": "abc", "input_candidates": []}))
+    (tmp_path / "no_inputs.json").write_text(json.dumps(
+        {"state_candidates": [], "input_candidates": []}))
     (tmp_path / "sidecar_int.json").write_text(json.dumps(
         {"lane_width": 8, "instances": [{"state_ffs": 5, "input_ffs": []}]}))
     argv = [a.format(d=tmp_path) for a in argv]

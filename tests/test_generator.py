@@ -7,7 +7,8 @@ from kecscope.depgraph import extract_dependencies
 from kecscope.generator import (Builder, GenConfig, GroundTruth,
                                 generate_accelerator, generate_core,
                                 state_bit_index)
-from kecscope.netlist import validate, write_netlist
+from kecscope.netlist import (ArityMismatchError, UnknownCellKindError,
+                              validate, write_netlist)
 from kecscope.sim import simulate
 
 
@@ -73,6 +74,24 @@ def test_builder_rejects_a_duplicate_flip_flop():
     # a fresh q net, so only the cell name repeats
     with pytest.raises(ValueError, match="already exists"):
         b.dff("x", d, q=b.net())
+
+
+def test_builder_rejects_an_unknown_cell_kind():
+    b = Builder("bad")
+    a = b.port_in("a")
+    with pytest.raises(UnknownCellKindError, match="'u1'"):
+        b.cell("FOO", "u1", a=a, y=b.net())
+    assert b.n.cells == []
+
+
+def test_builder_rejects_a_missing_pin():
+    b = Builder("bad")
+    a = b.port_in("a")
+    with pytest.raises(ArityMismatchError, match=r"'u1'.*missing pins \['y'\]"):
+        b.cell("BUF", "u1", a=a)
+    # the rejected cell left its name free
+    b.cell("BUF", "u1", a=a, y=b.net())
+    assert [c.name for c in b.n.cells] == ["u1"]
 
 
 def test_minimal_width_round_trips():

@@ -8,8 +8,8 @@ from kecscope.depgraph import CombinationalCycleError, extract_dependencies
 from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
                               MultiplyDrivenNetError, Netlist, NetlistSyntaxError,
                               Port, UndrivenNetError, UnknownCellKindError,
-                              anonymize, index_netlist, parse_netlist, validate,
-                              write_netlist)
+                              Violation, anonymize, index_netlist, parse_netlist,
+                              validate, write_netlist)
 from kecscope.sim import SimulationError, simulate
 
 INV_DFF = """\
@@ -153,9 +153,34 @@ def test_validate_reports_dangling_output():
 
 
 def test_validate_missing_output_pin_is_arity():
+    # a cell checks its own pins when it is made, so no netlist holds this
+    with pytest.raises(ArityMismatchError, match="'b1'"):
+        Cell("BUF", "b1", {"a": "a"})
+
+
+# a cell appended by hand to INV_DFF, with the nets it needs declared ->
+# the one violation it makes; parse_netlist rejects each such netlist
+SPANNING_VIOLATIONS = {
+    "duplicate-cell": (Cell("BUF", "i1", {"a": "a", "y": "n2"}), ["n2"],
+                       Violation("duplicate-cell", "i1")),
+    "undeclared-net": (Cell("BUF", "b1", {"a": "ghost", "y": "n2"}), ["n2"],
+                       Violation("undeclared-net", "b1: ghost")),
+    "multi-driven-net": (Cell("BUF", "b1", {"a": "a", "y": "n1"}), [],
+                         Violation("multi-driven-net",
+                                   "n1: ['cell i1', 'cell b1']")),
+    "multi-driven-input": (Cell("BUF", "b1", {"a": "clk", "y": "a"}), [],
+                           Violation("multi-driven-net",
+                                     "a: ['input port a', 'cell b1']")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPANNING_VIOLATIONS))
+def test_validate_reports_what_spans_cells(case):
+    cell, nets, violation = SPANNING_VIOLATIONS[case]
     n = parse_netlist(INV_DFF)
-    n.cells.append(Cell("BUF", "b1", {"a": "a"}))
-    assert [v.kind for v in validate(n)] == ["arity"]
+    n.nets += nets
+    n.cells.append(cell)
+    assert validate(n) == [violation]
 
 
 # one island rule for validate, extract_dependencies and simulate: island

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
-                              Port, index_netlist, parse_netlist)
+from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ArityMismatchError,
+                              Cell, Netlist, Port, UnknownCellKindError,
+                              index_netlist, parse_netlist)
 from kecscope.sim import (CHUNK_STATEMENTS, LEAK_POWER_UW, PortMismatchError,
                           SimTrace, SimulationError, StimulusError,
                           _island_controls, dump_trace, equivalence_check,
@@ -266,18 +267,31 @@ def test_trace_dump():
 
 
 def test_unknown_cell_kind_rejected_without_validation():
-    n = Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
-                cells=[Cell("FOO", "u1", {"a": "a", "y": "y"})])
-    with pytest.raises(SimulationError, match="'u1'"):
-        simulate(n, [{"a": 1}], 1, check=False)
+    # the cell checks its kind when it is made, before any netlist holds it
+    with pytest.raises(UnknownCellKindError, match="'u1'"):
+        Cell("FOO", "u1", {"a": "a", "y": "y"})
 
 
 @pytest.mark.parametrize("pins", [{"y": "y"}, {"a": "ghost", "y": "y"}])
 def test_unbound_or_undeclared_input_rejected_without_validation(pins):
+    if "a" not in pins:
+        # an unbound pin: the cell itself cannot be made
+        with pytest.raises(ArityMismatchError, match="'u1'"):
+            Cell("BUF", "u1", pins)
+        return
     n = Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
                 cells=[Cell("BUF", "u1", pins)])
     with pytest.raises(SimulationError, match="'u1'"):
         simulate(n, [{"a": 1}], 1, check=False)
+
+
+def test_checked_simulate_rejects_an_invalid_netlist():
+    n = parse_netlist(TOGGLE)
+    n.nets.append("dangling")
+    with pytest.raises(SimulationError,
+                       match="invalid netlist: .*'undriven-net'"):
+        simulate(n, _stim(n, 1), 1)
+    assert simulate(n, _stim(n, 1), 1, check=False).outputs == [{"q": 0}]
 
 
 def test_unknown_watch_net_rejected_before_first_cycle():

@@ -3,8 +3,8 @@ from collections import Counter
 import pytest
 
 from kecscope.depgraph import extract_dependencies
-from kecscope.generator import GenConfig, generate_accelerator
-from kecscope.locate import PipelineConfig, run_pipeline
+from kecscope.generator import Builder, GenConfig, generate_accelerator
+from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
 from kecscope.netlist import ANALOG_ISLAND_TAG, validate, write_netlist
 from kecscope.sim import equivalence_check, simulate
 from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
@@ -195,3 +195,45 @@ def test_insertion_deterministic(victim16):
     a, _ = insert_hth(netlist, result, spec)
     b, _ = insert_hth(netlist, result, spec)
     assert write_netlist(a) == write_netlist(b)
+
+
+def _register(tap0="r0", clk15="clk"):
+    """A victim of 16 flip-flops r0..r15 on clk (r15 on clk15) and a BUF
+    u0, with a result that locates tap0, r1, ..., r15 in that order."""
+    b = Builder("reg")
+    d, clk = b.port_in("d"), b.port_in("clk")
+    b.port_in("clk2")
+    b.port_in("rst")
+    for i in range(16):
+        b.dff(f"r{i}", d, clk=clk15 if i == 15 else clk)
+    b.cell("BUF", "u0", a=d, y=b.port_out("o"))
+    taps = [tap0] + [f"r{i}" for i in range(1, 16)]
+    return b.n, RepqcResult(frozenset(), taps, None, "grouped", 16, 0)
+
+
+SPEC16 = HthSpec(t=16, l=16, trigger=0xBEEF)
+
+
+def test_insert_into_a_clean_register():
+    netlist, result = _register()
+    for reset_net in (None, "rst"):
+        trojaned, _ = insert_hth(netlist, result, SPEC16, reset_net=reset_net)
+        assert validate(trojaned) == []
+
+
+# _register arguments, reset_net -> the InsertionError message
+INSERTION_ERRORS = {
+    "attach_point_not_a_flip_flop": ({"tap0": "u0"}, None,
+                                     "attach point 'u0' is not a victim flip-flop"),
+    "taps_on_two_clocks": ({"clk15": "clk2"}, None,
+                           r"tapped flip-flops span clocks \['clk', 'clk2'\]"),
+    "unknown_reset_net": ({}, "nope", "reset net 'nope' not in victim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INSERTION_ERRORS))
+def test_insertion_errors(case):
+    register, reset_net, message = INSERTION_ERRORS[case]
+    netlist, result = _register(**register)
+    with pytest.raises(InsertionError, match=message):
+        insert_hth(netlist, result, SPEC16, reset_net=reset_net)
