@@ -222,6 +222,8 @@ def cmd_inject(args):
 
 
 def cmd_simulate(args):
+    if args.expect_secret_hex is not None and args.secret_width is None:
+        _usage_error("--expect-secret-hex needs --secret-width")
     netlist, index = _load_netlist(args.netlist)
     stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
     cycles = args.cycles if args.cycles is not None else len(stimulus)
@@ -236,12 +238,12 @@ def cmd_simulate(args):
         stealth = sim.outputs_equal(
             sim.simulate(baseline, stimulus, cycles, check=False,
                          index=baseline_index), trace)
-    secret = None
-    recovered = None
+    secret = recovered = None
     if args.secret_width:
         secret = reconstruct_secret(trace, args.secret_width)
-    if args.expect_secret_hex is not None and secret is not None:
-        recovered = secret == int(args.expect_secret_hex, 16)
+        if args.expect_secret_hex is not None:
+            # no secret captured is a failed recovery, not an unknown one
+            recovered = secret == int(args.expect_secret_hex, 16)
     report = {
         "report_type": "simulate",
         "netlist": str(args.netlist),

@@ -39,11 +39,15 @@ class CombinationalCycleError(Exception):
 
 @dataclass
 class DependencyGraph:
+    """The flip-flop dependency relation of one netlist, plus one bit per
+    flip-flop at each end: whether a primary input reaches its d pin
+    combinationally, and whether its q output reaches a primary output."""
+
     ffs: list[str]
-    deps: dict[str, set[str]]                 # src ff -> sink ffs
-    rdeps: dict[str, set[str]]                # sink ff -> src ffs
-    input_reach: dict[str, frozenset[str]]    # ff -> PIs in its d-cone
-    output_reach: dict[str, bool]             # ff -> drives a PO combinationally
+    deps: dict[str, set[str]]       # src ff -> sink ffs
+    rdeps: dict[str, set[str]]      # sink ff -> src ffs
+    input_reach: dict[str, bool]    # ff -> a PI is in its d-cone
+    output_reach: dict[str, bool]   # ff -> drives a PO combinationally
 
     def fanin(self, ff):
         return len(self.rdeps[ff])
@@ -53,10 +57,6 @@ class DependencyGraph:
 
     def edge_count(self):
         return sum(len(s) for s in self.deps.values())
-
-
-# the input reach of every flip-flop whose cone holds no primary input
-_NO_PIS: frozenset[str] = frozenset()
 
 
 def extract_dependencies(netlist: Netlist, *,
@@ -79,12 +79,10 @@ def extract_dependencies(netlist: Netlist, *,
     # ends the walk: a flip-flop output, a primary input or an island net
     fanin: dict[str, tuple[str, ...]] = {}
     for c in index.order:
-        outs = CELL_KINDS[c.kind].outputs
-        for pin in outs:
-            net = c.pins[pin]
-            if driver[net] is c:
-                fanin[net] = tuple(n for p, n in c.pins.items()
-                                   if p not in outs)
+        out = CELL_KINDS[c.kind].output
+        net = c.pins[out]
+        if driver[net] is c:
+            fanin[net] = tuple(n for p, n in c.pins.items() if p != out)
     ff_cells = netlist.flip_flops()
     ffs = [c.name for c in ff_cells]
     q_ff = {c.pins["q"]: c.name for c in ff_cells
@@ -93,7 +91,7 @@ def extract_dependencies(netlist: Netlist, *,
 
     deps: dict[str, set[str]] = {f: set() for f in ffs}
     rdeps: dict[str, set[str]] = {}
-    input_reach: dict[str, frozenset[str]] = {}
+    input_reach: dict[str, bool] = {}
     fanin_of, source_of = fanin.get, q_ff.get
     for c in ff_cells:
         d = c.pins["d"]
@@ -101,10 +99,10 @@ def extract_dependencies(netlist: Netlist, *,
         if ins is None:   # d is a flip-flop q, a primary input or an island net
             src = source_of(d)
             srcs = set() if src is None else {src}
-            reach = frozenset((d,)) if d in free_pis else _NO_PIS
+            reach = d in free_pis
         else:
             srcs = set()
-            reached_pis: set[str] = set()
+            reach = False
             seen = {d}
             stack = list(ins)
             while stack:
@@ -120,8 +118,7 @@ def extract_dependencies(netlist: Netlist, *,
                 if src is not None:
                     srcs.add(src)
                 elif net in free_pis:
-                    reached_pis.add(net)
-            reach = frozenset(reached_pis) if reached_pis else _NO_PIS
+                    reach = True
         rdeps[c.name] = srcs
         input_reach[c.name] = reach
         for s in srcs:

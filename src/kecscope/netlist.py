@@ -1,7 +1,7 @@
 """Gate-level netlist IR: parsing, writing, validation, anonymization.
 
 The netlist is a flat, single-module, bit-level structural description with a
-closed 12-kind cell vocabulary. It is the one representation every analysis
+closed 13-kind cell vocabulary. It is the one representation every analysis
 and transformation in this package consumes and produces.
 
 Text format (line oriented, ``#`` starts a comment)::
@@ -16,10 +16,12 @@ Text format (line oriented, ``#`` starts a comment)::
 
 Identifiers match ``[A-Za-z0-9_\\[\\]]+``. All nets are one bit wide; a
 multi-bit port is expanded as ``name[i]``. Every net must be driven exactly
-once, either by an input port or by one cell output pin.
+once, either by an input port or by the one output pin of a cell.
 
 A :class:`Cell` checks its own kind and pins when it is made, so every
-later stage trusts both; :func:`validate` checks what spans cells.
+later stage trusts both; :func:`parse_netlist` checks what a line number
+can point at, and :func:`validate` alone checks what spans cells,
+drivers included.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ NO_TAGS: frozenset[str] = frozenset()
 
 
 class CellKind(NamedTuple):
+    """One cell kind: its input pins, its one output pin, and the
+    combinational value of that output as a Python expression over the
+    input pin names and the lane mask m, every value a bit-parallel int
+    over the lanes; None for DFF."""
+
     inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    # combinational value of the single output: a Python expression over
-    # the input pin names and the lane mask m, every value a bit-parallel
-    # int over the lanes; None for DFF
+    output: str
     expr: str | None
 
 
@@ -51,23 +55,23 @@ class CellKind(NamedTuple):
 # sequential kind; its rst pin is optional and sampled synchronously
 # (active high, clears to 0).
 CELL_KINDS: dict[str, CellKind] = {
-    "INV": CellKind(("a",), ("y",), "~a & m"),
-    "BUF": CellKind(("a",), ("y",), "a"),
-    "AND2": CellKind(("a", "b"), ("y",), "a & b"),
-    "OR2": CellKind(("a", "b"), ("y",), "a | b"),
-    "XOR2": CellKind(("a", "b"), ("y",), "a ^ b"),
-    "XNOR2": CellKind(("a", "b"), ("y",), "~(a ^ b) & m"),
-    "NAND2": CellKind(("a", "b"), ("y",), "~(a & b) & m"),
-    "NOR2": CellKind(("a", "b"), ("y",), "~(a | b) & m"),
+    "INV": CellKind(("a",), "y", "~a & m"),
+    "BUF": CellKind(("a",), "y", "a"),
+    "AND2": CellKind(("a", "b"), "y", "a & b"),
+    "OR2": CellKind(("a", "b"), "y", "a | b"),
+    "XOR2": CellKind(("a", "b"), "y", "a ^ b"),
+    "XNOR2": CellKind(("a", "b"), "y", "~(a ^ b) & m"),
+    "NAND2": CellKind(("a", "b"), "y", "~(a & b) & m"),
+    "NOR2": CellKind(("a", "b"), "y", "~(a | b) & m"),
     # y = s ? b : a
-    "MUX2": CellKind(("a", "b", "s"), ("y",), "(a & ~s | b & s) & m"),
+    "MUX2": CellKind(("a", "b", "s"), "y", "(a & ~s | b & s) & m"),
     # sel = s1s0
-    "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), ("y",),
+    "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), "y",
                      "((a & ~s1 & ~s0) | (b & ~s1 & s0)"
                      " | (c & s1 & ~s0) | (d & s1 & s0)) & m"),
-    "DFF": CellKind(("d", "clk"), ("q",), None),
-    "TIE0": CellKind((), ("y",), "0"),
-    "TIE1": CellKind((), ("y",), "m"),
+    "DFF": CellKind(("d", "clk"), "q", None),
+    "TIE0": CellKind((), "y", "0"),
+    "TIE1": CellKind((), "y", "m"),
 }
 
 SEQUENTIAL_KINDS = frozenset({"DFF"})
@@ -89,14 +93,6 @@ class UnknownCellKindError(NetlistError):
 
 
 class ArityMismatchError(NetlistError):
-    pass
-
-
-class UndrivenNetError(NetlistError):
-    pass
-
-
-class MultiplyDrivenNetError(NetlistError):
     pass
 
 
@@ -124,13 +120,13 @@ class Cell:
     def is_seq(self):
         return self.kind in SEQUENTIAL_KINDS
 
-    def output_nets(self):
-        return [self.pins[p] for p in CELL_KINDS[self.kind].outputs]
+    def output_net(self):
+        return self.pins[CELL_KINDS[self.kind].output]
 
     def input_pins(self):
         """(pin, net) pairs for every bound input pin, optional ones included."""
-        outs = CELL_KINDS[self.kind].outputs
-        return [(p, n) for p, n in self.pins.items() if p not in outs]
+        out = CELL_KINDS[self.kind].output
+        return [(p, n) for p, n in self.pins.items() if p != out]
 
 
 @dataclass
@@ -169,8 +165,8 @@ class Violation:
 
 # kind -> (required pins, allowed pins), built once from CELL_KINDS
 _PIN_SETS = {
-    kind: (frozenset(spec.inputs + spec.outputs),
-           frozenset(spec.inputs + spec.outputs)
+    kind: (frozenset((*spec.inputs, spec.output)),
+           frozenset((*spec.inputs, spec.output))
            | (DFF_OPTIONAL_PINS if kind == "DFF" else frozenset()))
     for kind, spec in CELL_KINDS.items()}
 
@@ -212,37 +208,32 @@ class NetlistIndex:
     cyclic: list[Cell]               # non-island combinational cells left over
 
 
-def _drivers(netlist: Netlist) -> tuple[dict[str, Cell], dict[str, list[str]]]:
-    """The driver pass of :func:`index_netlist`: the net -> driving-cell
-    map and the clashes, without the ordering."""
+def index_netlist(netlist: Netlist) -> NetlistIndex:
+    """One driver pass, recording the nets driven more than once, then
+    Kahn elimination over the combinational cells. Each cell has checked
+    its kind and pins, so its one output pin is bound. The index records
+    driver faults and cycles but raises on none: :func:`validate` reports
+    them."""
     pis = set(netlist.input_ports())
     driver: dict[str, Cell] = {}
     clashes: dict[str, list[str]] = {}
     for c in netlist.cells:
-        for pin in CELL_KINDS[c.kind].outputs:
-            net = c.pins[pin]
-            if net in driver or net in pis:
-                if net not in clashes:
-                    clashes[net] = ([f"input port {net}"] if net in pis
-                                    else [f"cell {driver[net].name}"])
-                clashes[net].append(f"cell {c.name}")
-            driver[net] = c
-    return driver, clashes
-
-
-def index_netlist(netlist: Netlist) -> NetlistIndex:
-    """Driver map and Kahn elimination over the combinational cells. Each
-    cell has checked its kind and pins, so every output pin is bound."""
-    driver, clashes = _drivers(netlist)
+        net = c.output_net()
+        if net in driver or net in pis:
+            if net not in clashes:
+                clashes[net] = ([f"input port {net}"] if net in pis
+                                else [f"cell {driver[net].name}"])
+            clashes[net].append(f"cell {c.name}")
+        driver[net] = c
     comb = [c for c in netlist.cells
             if c.kind not in SEQUENTIAL_KINDS and ANALOG_ISLAND_TAG not in c.tags]
     slot = {id(c): i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
     for i, c in enumerate(comb):
-        outs = CELL_KINDS[c.kind].outputs
+        out = CELL_KINDS[c.kind].output
         for pin, net in c.pins.items():
-            if pin in outs:
+            if pin == out:
                 continue
             j = slot.get(id(driver.get(net)))   # id(None) is no slot
             if j is not None:
@@ -261,9 +252,12 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist source text into the IR.
 
-    Raises a distinct error for each failure class: syntax, unknown cell
-    kind and arity mismatch (from :class:`Cell`), undriven net,
-    multiply-driven net.
+    Raises the errors a line number can point at: NetlistSyntaxError for
+    bad syntax, a bad identifier, a net or cell declared twice, a pin
+    bound twice or an undeclared net; UnknownCellKindError and
+    ArityMismatchError from :class:`Cell`. Driver faults (a net driven
+    twice or not at all) and combinational cycles parse, and
+    :func:`validate` reports them.
     """
     netlist = None
     closed = False
@@ -348,16 +342,6 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistSyntaxError("no module found")
     if not closed:
         raise NetlistSyntaxError("missing endmodule")
-    driver, clashes = _drivers(netlist)
-    for net, got in clashes.items():
-        raise MultiplyDrivenNetError(f"net {net!r} driven by {', '.join(got)}")
-    # a dangling never-read net parses; validate() still reports it. A
-    # cell's own output nets are in the driver map, so every pin is checked.
-    pis = set(netlist.input_ports())
-    for c in netlist.cells:
-        for net in c.pins.values():
-            if net not in driver and net not in pis:
-                raise UndrivenNetError(f"net {net!r} has no driver")
     return netlist
 
 
@@ -373,7 +357,7 @@ def write_netlist(netlist: Netlist) -> str:
     for c in netlist.cells:
         spec = CELL_KINDS[c.kind]
         order = (list(spec.inputs) + (["rst"] if "rst" in c.pins else [])
-                 + list(spec.outputs))
+                 + [spec.output])
         pins = " ".join(f"{p}={c.pins[p]}" for p in order)
         tags = "".join(f" tag={t}" for t in sorted(c.tags))
         out.append(f"cell {c.kind} {c.name}{' ' + pins if pins else ''}{tags}")
@@ -387,12 +371,14 @@ def validate(netlist: Netlist, *, index: NetlistIndex | None = None
 
     Its kinds are the checks that span cells, since a :class:`Cell`
     checks its own kind and pins: ``duplicate-cell``, ``undeclared-net``,
-    ``multi-driven-net``, ``undriven-net`` and ``combinational-cycle``. A
-    cycle counts under the one island rule of :class:`NetlistIndex`:
-    island outputs cut every path, so only a loop without an
-    ``analog_island`` cell on it is reported. ``index`` is the netlist's
-    index when the caller has built it already; without one, validate
-    builds its own.
+    ``multi-driven-net``, ``undriven-net`` and ``combinational-cycle``.
+    It is the only check of drivers, which :func:`parse_netlist` leaves
+    to it; the first two kinds repeat what parsing rejects, for netlists
+    built without parsing. A cycle counts under the one island rule of
+    :class:`NetlistIndex`: island outputs cut every path, so only a loop
+    without an ``analog_island`` cell on it is reported. ``index`` is the
+    netlist's index when the caller has built it already; without one,
+    validate builds its own.
     """
     violations = []
     seen_cells: set[str] = set()

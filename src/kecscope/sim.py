@@ -145,7 +145,7 @@ class _Compiled:
     def _statement(self, cell):
         spec = CELL_KINDS[cell.kind]
         ins = [f"v[{self._pin(cell, p)}]" for p in spec.inputs]
-        return (f"v[{self._pin(cell, spec.outputs[0])}] = "
+        return (f"v[{self._pin(cell, spec.output)}] = "
                 + _TEMPLATES[cell.kind].format(*ins))
 
 
@@ -175,7 +175,7 @@ def _island_controls(netlist):
     outside select nets of the first island MUX4 whose selects are both
     outside, in cell order. Outside means driven by no island cell."""
     island = [c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags]
-    inside = {net for c in island for net in c.output_nets()}
+    inside = {c.output_net() for c in island}
     enable = leak = None
     for c in island:
         ext = {pin: net for pin, net in c.input_pins() if net not in inside}

@@ -31,6 +31,30 @@ def workdir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def analyzed(workdir):
+    """Analyze output of the generated design, sidecar included, in
+    ``workdir/a``; written here so that no test depends on another."""
+    out = workdir / "a"
+    assert run("analyze", "--netlist", str(workdir / "g" / "design.nl"),
+               "--sidecar", str(workdir / "g" / "design.truth.json"),
+               "--lane-width", "16", "--out-dir", str(out)) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def injected(workdir, analyzed):
+    """Inject output at the analyzed register, 16-bit trigger ``beef``,
+    in ``workdir/i``."""
+    out = workdir / "i"
+    assert run("inject", "--netlist", str(workdir / "g" / "design.nl"),
+               "--result", str(analyzed / "report.json"),
+               "--lane-width", "16", "--t", "16", "--l", "16",
+               "--trigger-hex", "beef", "--capture-delay", "1",
+               "--budget-pct", "10", "--out-dir", str(out)) == 0
+    return out
+
+
 def test_gen_writes_files(workdir):
     assert (workdir / "g" / "design.nl").exists()
     truth = json.loads((workdir / "g" / "design.truth.json").read_text())
@@ -65,12 +89,8 @@ def test_gen_masked_sidecar_counts(tmp_path):
     assert total == 800
 
 
-def test_analyze_report(workdir):
-    code = run("analyze", "--netlist", str(workdir / "g" / "design.nl"),
-               "--sidecar", str(workdir / "g" / "design.truth.json"),
-               "--lane-width", "16", "--out-dir", str(workdir / "a"))
-    assert code == 0
-    report = json.loads((workdir / "a" / "report.json").read_text())
+def test_analyze_report(analyzed):
+    report = json.loads((analyzed / "report.json").read_text())
     jsonschema.validate(report, SCHEMA)
     assert report["found"] and report["variant"] == "grouped"
     assert report["truth"]["state_recall"] == 1.0
@@ -79,7 +99,7 @@ def test_analyze_report(workdir):
     assert set(report["stage_ms"]) == {"dependencies", "scores", "groups",
                                        "bounds_search", "localize"}
     for f in ("scores.csv", "degrees.csv", "groups.csv"):
-        assert (workdir / "a" / f).exists()
+        assert (analyzed / f).exists()
 
 
 def test_analyze_builds_each_structure_once(workdir, tmp_path, monkeypatch):
@@ -156,17 +176,11 @@ def test_analyze_invalid_netlist(tmp_path):
     assert code == 4
 
 
-def test_inject_and_reports(workdir):
-    code = run("inject", "--netlist", str(workdir / "g" / "design.nl"),
-               "--result", str(workdir / "a" / "report.json"),
-               "--lane-width", "16", "--t", "16", "--l", "16",
-               "--trigger-hex", "beef", "--capture-delay", "1",
-               "--budget-pct", "10", "--out-dir", str(workdir / "i"))
-    assert code == 0
-    report = json.loads((workdir / "i" / "inject_report.json").read_text())
+def test_inject_and_reports(injected):
+    report = json.loads((injected / "inject_report.json").read_text())
     jsonschema.validate(report, SCHEMA)
     assert report["audit"]["removed_cells"] == 0
-    audit = json.loads((workdir / "i" / "eco_audit.json").read_text())
+    audit = json.loads((injected / "eco_audit.json").read_text())
     assert audit["removed_cells"] == [] and audit["removed_nets"] == []
 
 
@@ -196,24 +210,25 @@ def test_inject_result_without_inputs_is_not_found(oracle_w8, tmp_path,
     assert capsys.readouterr().err == "not found: no input register located\n"
 
 
-def test_inject_budget_exceeded(workdir, tmp_path):
+def test_inject_budget_exceeded(workdir, analyzed, tmp_path):
     code = run("inject", "--netlist", str(workdir / "g" / "design.nl"),
-               "--result", str(workdir / "a" / "report.json"),
+               "--result", str(analyzed / "report.json"),
                "--lane-width", "16", "--t", "16", "--l", "16",
                "--trigger-hex", "beef", "--capture-delay", "1",
                "--budget-pct", "0.01", "--out-dir", str(tmp_path))
     assert code == 3
 
 
-def test_inject_invalid_spec(workdir, tmp_path):
+def test_inject_invalid_spec(workdir, analyzed, tmp_path, capsys):
     code = run("inject", "--netlist", str(workdir / "g" / "design.nl"),
-               "--result", str(workdir / "a" / "report.json"),
+               "--result", str(analyzed / "report.json"),
                "--t", "128", "--trigger-hex", "0", "--out-dir", str(tmp_path))
     assert code == 2
+    assert "error: trigger width 128 not in" in capsys.readouterr().err
 
 
-def test_simulate_trigger_and_stealth(workdir):
-    trojaned = parse_netlist((workdir / "i" / "trojaned.nl").read_text())
+def test_simulate_trigger_and_stealth(workdir, injected):
+    trojaned = parse_netlist((injected / "trojaned.nl").read_text())
     base = {p: 0 for p in trojaned.input_ports()}
 
     def word(v):
@@ -224,7 +239,7 @@ def test_simulate_trigger_and_stealth(workdir):
     stim = [dict(base)] * 3 + [word(0xBEEF)] + [dict(base)] + [word(0x5AA5)]
     stim += [dict(base)] * 20
     (workdir / "trigger.stim").write_text(write_stimulus(stim))
-    code = run("simulate", "--netlist", str(workdir / "i" / "trojaned.nl"),
+    code = run("simulate", "--netlist", str(injected / "trojaned.nl"),
                "--stimulus", str(workdir / "trigger.stim"),
                "--baseline", str(workdir / "g" / "design.nl"),
                "--secret-width", "16", "--expect-secret-hex", "5aa5",
@@ -236,6 +251,22 @@ def test_simulate_trigger_and_stealth(workdir):
     assert report["stealth_equal"] is True
     assert report["leak_cycles"] == 8
     assert (workdir / "s" / "trace.csv").exists()
+
+
+def test_simulate_without_leak_is_not_recovered(oracle_w8, tmp_path):
+    netlist, _ = oracle_w8
+    (tmp_path / "w8.nl").write_text(write_netlist(netlist))
+    (tmp_path / "quiet.stim").write_text(
+        write_stimulus([{p: 0 for p in netlist.input_ports()}] * 4))
+    assert run("simulate", "--netlist", str(tmp_path / "w8.nl"),
+               "--stimulus", str(tmp_path / "quiet.stim"),
+               "--secret-width", "16", "--expect-secret-hex", "5aa5",
+               "--out-dir", str(tmp_path)) == 0
+    report = json.loads((tmp_path / "sim_report.json").read_text())
+    jsonschema.validate(report, SCHEMA)
+    assert report["leak_cycles"] == 0
+    assert report["recovered_secret_hex"] is None
+    assert report["k_recovered"] is False
 
 
 def test_simulate_stimulus_too_short(workdir, tmp_path):
@@ -290,6 +321,21 @@ def test_reports_reproducible(workdir, tmp_path):
 
 NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
 
+# netlist file -> (text, what its exit 4 prints on stderr)
+INVALID_NETLISTS = {
+    "syntax.nl": ("module m\nbogus\nendmodule\n",
+                  "error: line 2: unknown keyword 'bogus'"),
+    "twice.nl": ("module m\ninput a\noutput b\ncell INV i1 a=a y=b\n"
+                 "cell BUF b1 a=a y=b\nendmodule\n",
+                 "violation: multi-driven-net: b: ['cell i1', 'cell b1']"),
+    "undriven.nl": ("module m\ninput a\noutput b\nnet n\n"
+                    "cell INV i1 a=n y=b\nendmodule\n",
+                    "violation: undriven-net: n"),
+    "cycle.nl": ("module m\ninput a\noutput b\nnet n\n"
+                 "cell XOR2 x1 a=a b=b y=n\ncell BUF b1 a=n y=b\nendmodule\n",
+                 "violation: combinational-cycle: b1,x1"),
+}
+
 
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--netlist", "{d}/noff.nl"], 3),
@@ -339,6 +385,12 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
       "--budget-pct", "nan"], 2),
     (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/no_inputs.json",
       "--trigger-hex", "0"], 3),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--expect-secret-hex", "5"], 2),
+    (["analyze", "--netlist", "{d}/syntax.nl"], 4),
+    (["analyze", "--netlist", "{d}/twice.nl"], 4),
+    (["analyze", "--netlist", "{d}/undriven.nl"], 4),
+    (["analyze", "--netlist", "{d}/cycle.nl"], 4),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -348,7 +400,9 @@ NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
         "empty-override-window", "no-input-register", "gen-out-dir-is-a-file",
         "analyze-out-dir-is-a-file", "result-ids-not-a-list",
         "result-ids-a-string", "sidecar-ids-not-a-list", "negative-budget",
-        "nan-budget", "result-no-input-register"])
+        "nan-budget", "result-no-input-register", "expect-secret-without-width",
+        "syntax-error", "net-driven-twice", "undriven-net",
+        "combinational-cycle"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
@@ -367,6 +421,8 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
         {"state_candidates": [], "input_candidates": []}))
     (tmp_path / "sidecar_int.json").write_text(json.dumps(
         {"lane_width": 8, "instances": [{"state_ffs": 5, "input_ffs": []}]}))
+    for name, (text, _) in INVALID_NETLISTS.items():
+        (tmp_path / name).write_text(text)
     argv = [a.format(d=tmp_path) for a in argv]
     if "--out-dir" not in argv:
         argv += ["--out-dir", str(tmp_path)]
@@ -377,3 +433,6 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
         assert "not found:" in err
     if code == 2:
         assert "error:" in err
+    if code == 4:
+        netlist_file = Path(argv[argv.index("--netlist") + 1]).name
+        assert INVALID_NETLISTS[netlist_file][1] in err.splitlines()

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from kecscope.depgraph import CombinationalCycleError, extract_dependencies
 from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
-                              MultiplyDrivenNetError, Netlist, NetlistSyntaxError,
-                              Port, UndrivenNetError, UnknownCellKindError,
-                              Violation, anonymize, index_netlist, parse_netlist,
-                              validate, write_netlist)
+                              Netlist, NetlistSyntaxError, Port,
+                              UnknownCellKindError, Violation, anonymize,
+                              index_netlist, parse_netlist, validate,
+                              write_netlist)
 from kecscope.sim import SimulationError, simulate
 
 INV_DFF = """\
@@ -63,14 +63,13 @@ def test_unknown_cell_kind():
 
 def test_undriven_net():
     bad = INV_DFF.replace("cell INV i1 a=a y=n1\n", "")
-    with pytest.raises(UndrivenNetError):
-        parse_netlist(bad)
+    assert validate(parse_netlist(bad)) == [Violation("undriven-net", "n1")]
 
 
 def test_multiply_driven_net():
     bad = INV_DFF.replace("endmodule", "cell BUF b1 a=a y=n1\nendmodule")
-    with pytest.raises(MultiplyDrivenNetError):
-        parse_netlist(bad)
+    assert validate(parse_netlist(bad)) == [
+        Violation("multi-driven-net", "n1: ['cell i1', 'cell b1']")]
 
 
 def test_syntax_error_has_line():

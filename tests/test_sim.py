@@ -324,7 +324,7 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
             spec = CELL_KINDS[c.kind]
             env = {p: values[c.pins[p]] for p in spec.inputs}
             env["m"] = mask
-            values[c.pins[spec.outputs[0]]] = eval(spec.expr, {}, env)
+            values[c.pins[spec.output]] = eval(spec.expr, {}, env)
         trace.inputs.append({p: values[p] for p in netlist.input_ports()})
         trace.outputs.append({p: values[p] for p in netlist.output_ports()})
         trace.watches.append({n: values[n] for n in watch})
