@@ -33,7 +33,12 @@ from dataclasses import dataclass
 from .netlist import CELL_KINDS, Netlist, NetlistIndex, index_netlist
 
 
-class CombinationalCycleError(Exception):
+class DependencyError(Exception):
+    """A netlist whose dependencies are undefined: a net driven twice, or
+    a combinational cycle (CombinationalCycleError)."""
+
+
+class CombinationalCycleError(DependencyError):
     pass
 
 
@@ -64,30 +69,31 @@ def extract_dependencies(netlist: Netlist, *,
     """Backward cone walk from every flip-flop's d pin over the fanin map.
 
     ``index`` is the netlist's index when the caller has built it already;
-    without one, extraction builds its own. Raises CombinationalCycleError
-    on a combinational loop that no ``analog_island`` cell cuts (the
-    island rule of ``NetlistIndex``).
+    without one, extraction builds its own. Raises DependencyError on a
+    net driven more than once, and its CombinationalCycleError on a
+    combinational loop that no ``analog_island`` cell cuts (the island
+    rule of ``NetlistIndex``).
     """
     if index is None:
         index = index_netlist(netlist)
+    if index.clashes:
+        raise DependencyError(
+            f"nets driven more than once: {sorted(index.clashes)[:8]}")
     if index.cyclic:
         bad = sorted(c.name for c in index.cyclic)
         raise CombinationalCycleError(
             f"combinational cycle outside analog island: {bad[:8]}")
-    driver = index.driver
     # net -> input nets of its combinational driver; a net absent here
     # ends the walk: a flip-flop output, a primary input or an island net
     fanin: dict[str, tuple[str, ...]] = {}
     for c in index.order:
         out = CELL_KINDS[c.kind].output
-        net = c.pins[out]
-        if driver[net] is c:
-            fanin[net] = tuple(n for p, n in c.pins.items() if p != out)
+        fanin[c.pins[out]] = tuple(n for p, n in c.pins.items() if p != out)
     ff_cells = netlist.flip_flops()
     ffs = [c.name for c in ff_cells]
-    q_ff = {c.pins["q"]: c.name for c in ff_cells
-            if driver.get(c.pins["q"]) is c}
-    free_pis = set(netlist.input_ports()) - driver.keys()
+    q_ff = {c.pins["q"]: c.name for c in ff_cells}
+    # no cell drives a primary input: that net would be driven twice
+    pis = set(netlist.input_ports())
 
     deps: dict[str, set[str]] = {f: set() for f in ffs}
     rdeps: dict[str, set[str]] = {}
@@ -99,7 +105,7 @@ def extract_dependencies(netlist: Netlist, *,
         if ins is None:   # d is a flip-flop q, a primary input or an island net
             src = source_of(d)
             srcs = set() if src is None else {src}
-            reach = d in free_pis
+            reach = d in pis
         else:
             srcs = set()
             reach = False
@@ -117,7 +123,7 @@ def extract_dependencies(netlist: Netlist, *,
                 src = source_of(net)
                 if src is not None:
                     srcs.add(src)
-                elif net in free_pis:
+                elif net in pis:
                     reach = True
         rdeps[c.name] = srcs
         input_reach[c.name] = reach

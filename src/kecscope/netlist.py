@@ -198,22 +198,30 @@ class NetlistIndex:
     therefore no cycle; a loop with none leaves its cells, and every cell
     downstream of it, in ``cyclic``.
 
+    ``levels`` splits the ordered cells by the longest path of ordered
+    cells that ends at each: a level-0 cell reads only flip-flop, port or
+    island nets (or nothing, as TIE0 and TIE1 do), and a cell at level
+    L >= 1 reads only cells of lower levels, at least one at L - 1. So the
+    cells of one level never read each other, and ``order``, the levels
+    concatenated, is a topological order.
+
     The index is a snapshot: build a fresh one after editing the netlist.
     """
 
     driver: dict[str, Cell]          # net -> driving cell; input ports absent
     clashes: dict[str, list[str]]    # net -> all its drivers, if more than one
-    order: list[Cell]                # non-island combinational cells, each
+    levels: list[list[Cell]]         # non-island combinational cells by level
+    order: list[Cell]                # the levels concatenated: each cell
                                      # after the drivers of its inputs
     cyclic: list[Cell]               # non-island combinational cells left over
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
     """One driver pass, recording the nets driven more than once, then
-    Kahn elimination over the combinational cells. Each cell has checked
-    its kind and pins, so its one output pin is bound. The index records
-    driver faults and cycles but raises on none: :func:`validate` reports
-    them."""
+    Kahn elimination over the combinational cells, one frontier (one
+    level) at a time. Each cell has checked its kind and pins, so its one
+    output pin is bound. The index records driver faults and cycles but
+    raises on none: :func:`validate` reports them."""
     pis = set(netlist.input_ports())
     driver: dict[str, Cell] = {}
     clashes: dict[str, list[str]] = {}
@@ -239,13 +247,19 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
             if j is not None:
                 indeg[i] += 1
                 fanout[j].append(i)
-    order = [i for i, n in enumerate(indeg) if n == 0]
-    for i in order:   # grows while it is walked
-        for k in fanout[i]:
-            indeg[k] -= 1
-            if indeg[k] == 0:
-                order.append(k)
-    return NetlistIndex(driver, clashes, [comb[i] for i in order],
+    levels = []
+    frontier = [i for i, n in enumerate(indeg) if n == 0]
+    while frontier:
+        levels.append([comb[i] for i in frontier])
+        ready = []
+        for i in frontier:
+            for k in fanout[i]:
+                indeg[k] -= 1
+                if indeg[k] == 0:
+                    ready.append(k)
+        frontier = ready
+    return NetlistIndex(driver, clashes, levels,
+                        [c for level in levels for c in level],
                         [c for c, n in zip(comb, indeg) if n])
 
 

@@ -5,13 +5,17 @@ simulate many independent stimuli at once (``batch`` lanes per net). All
 flip-flops start at 0 unless overridden through ``init`` or cleared by
 their synchronous active-high rst pin.
 
-Each ``simulate`` call first compiles its netlist once: every net gets an
-integer slot in one values list, and every combinational cell, in
-topological order, becomes one generated Python statement that evaluates
-its ``CELL_KINDS`` expression over those slots. The statements are
-compiled in chunks of ``CHUNK_STATEMENTS`` into plain functions, and a
-cycle loads the flip-flop outputs and inputs into their slots, calls the
-chunks in order and latches the flip-flop inputs. The compile is a fixed
+Each ``simulate`` call first builds a plan from the levels of the
+netlist's ``NetlistIndex`` (levelized compiled-code simulation, as in
+Wang and Maurer's LECSIM): the cells of one level never read each other,
+so the plan groups them by kind, and each (level, kind) group becomes one
+generated statement that evaluates the kind's ``CELL_KINDS`` expression
+over the whole group at once. Every net gets an integer slot in one
+values list, each group's outputs in contiguous slots, so a statement
+reads the group's inputs with one ``operator.itemgetter`` per input pin
+and writes its outputs as one slice. The statements form one compiled
+function; a cycle loads the flip-flop outputs and inputs into their
+slots, calls it and latches the flip-flop inputs. The plan is a fixed
 cost per call, before the first cycle; no plan outlives the call, since
 a ``Netlist`` can be edited.
 
@@ -28,8 +32,9 @@ only.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
+from itertools import count, groupby
+from operator import attrgetter, itemgetter
 
 from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, NetlistIndex,
                       index_netlist, validate)
@@ -37,13 +42,6 @@ from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, NetlistIndex,
 # leak symbol (leak[1] leak[0]) -> dynamic power / mean oscillation frequency
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
 RO_FREQ_MHZ = {0: 639, 1: 671, 2: 732, 3: 767}
-
-# Generated statements per compiled function. Compiling a 13.5k-cell
-# design as one function raised peak RSS by 56 MB; in chunks of 100 to
-# 2,000 statements it added nothing measurable, and chunks of 100
-# compiled about 20% faster than chunks of 500.
-CHUNK_STATEMENTS = 100
-
 
 class SimulationError(Exception):
     pass
@@ -100,17 +98,33 @@ def write_stimulus(vectors) -> str:
 
 class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
-    value slots, compiled chunks ``f(v, m)`` (values, lane mask), and slot
-    lists for ports, flip-flop pins, watches and the island's control nets.
-    Only slots and table expressions reach the generated source, never a
-    net or cell name."""
+    value slots, the compiled function ``f(v, m)`` (values, lane mask),
+    and slot lists for ports, flip-flop pins, watches and the island's
+    control nets. Only slots, gather names and table expressions reach the
+    generated source, never a net or cell name."""
 
     def __init__(self, netlist: Netlist, watch, index: NetlistIndex):
-        nets = netlist.all_nets()
-        self.size = len(nets)
-        self.slot = {net: i for i, net in enumerate(nets)}
         if index.cyclic:
             raise SimulationError("combinational cycle outside analog island")
+        if index.clashes:
+            raise SimulationError(
+                f"nets driven more than once: {sorted(index.clashes)[:8]}")
+        kind = attrgetter("kind")
+        groups = [list(cells) for level in index.levels
+                  for _, cells in groupby(sorted(level, key=kind), kind)]
+        # each group's outputs first, in contiguous slots, then every
+        # other net; no net is driven twice, so none takes two slots
+        cells = [c for group in groups for c in group]
+        outputs = [c.output_net() for c in cells]
+        declared = set(netlist.all_nets())
+        for c, net in zip(cells, outputs):
+            if net not in declared:
+                raise SimulationError(
+                    f"cell {c.name!r} uses undeclared net {net!r}")
+        self.slot = dict(zip(outputs, count()))
+        for net in netlist.all_nets():
+            self.slot.setdefault(net, len(self.slot))
+        self.size = len(self.slot)
         self.pis = {p: self.slot[p] for p in netlist.input_ports()}
         self.pos = [(p, self.slot[p]) for p in netlist.output_ports()]
         self.watch = []
@@ -127,11 +141,13 @@ class _Compiled:
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else tuple(
             self._net(n, "analog island") for n in controls)
-        order = index.order
-        self.chunks = [
-            _compile_chunk([self._statement(c) for c in
-                            order[i:i + CHUNK_STATEMENTS]])
-            for i in range(0, len(order), CHUNK_STATEMENTS)]
+        gathers: dict[str, itemgetter] = {}
+        statements = [self._statement(group, gathers) for group in groups]
+        namespace = dict(gathers)
+        exec(compile("def f(v, m):\n    "
+                     + "\n    ".join(statements or ["pass"]) + "\n",
+                     "<kecscope.sim plan>", "exec"), namespace)
+        self.evaluate = namespace["f"]
 
     def _net(self, net, owner):
         slot = self.slot.get(net)
@@ -142,31 +158,34 @@ class _Compiled:
     def _pin(self, cell, pin):
         return self._net(cell.pins[pin], f"cell {cell.name!r}")
 
-    def _statement(self, cell):
-        spec = CELL_KINDS[cell.kind]
-        ins = [f"v[{self._pin(cell, p)}]" for p in spec.inputs]
-        return (f"v[{self._pin(cell, spec.output)}] = "
-                + _TEMPLATES[cell.kind].format(*ins))
-
-
-def _template(spec):
-    """The kind's expression with its i-th input pin name replaced by
-    ``{i}``; the lane mask ``m`` stays."""
-    return re.sub(r"[A-Za-z_]\w*",
-                  lambda mo: ("{%d}" % spec.inputs.index(mo[0])
-                              if mo[0] in spec.inputs else mo[0]),
-                  spec.expr)
-
-
-_TEMPLATES = {kind: _template(spec) for kind, spec in CELL_KINDS.items()
-              if spec.expr is not None}
-
-
-def _compile_chunk(statements):
-    namespace: dict = {}
-    exec(compile("def f(v, m):\n    " + "\n    ".join(statements) + "\n",
-                 "<kecscope.sim chunk>", "exec"), namespace)
-    return namespace["f"]
+    def _statement(self, cells, gathers):
+        """``v[s:e] = [expr for pins in zip(gathers)]`` for one group of
+        same-kind cells whose outputs hold slots s to e - 1, with the
+        kind's ``CELL_KINDS`` expression over its input pin names. A
+        gather is an itemgetter over the group's slots of one input pin;
+        a one-cell group reads its one slot as a 1-tuple instead, since a
+        one-slot itemgetter returns no tuple."""
+        spec = CELL_KINDS[cells[0].kind]
+        start = self.slot[cells[0].output_net()]
+        target = f"v[{start}:{start + len(cells)}]"
+        if not spec.inputs:
+            return f"{target} = [{spec.expr}] * {len(cells)}"
+        pins = [c.pins for c in cells]
+        sources = []
+        for pin in spec.inputs:
+            slots = list(map(self.slot.get, map(itemgetter(pin), pins)))
+            if None in slots:   # raises, naming the cell
+                self._pin(cells[slots.index(None)], pin)
+            if len(slots) == 1:
+                sources.append(f"(v[{slots[0]}],)")
+            else:
+                name = f"_g{len(gathers)}"
+                gathers[name] = itemgetter(*slots)
+                sources.append(f"{name}(v)")
+        source = (sources[0] if len(sources) == 1
+                  else f"zip({', '.join(sources)})")
+        return (f"{target} = [{spec.expr} for {', '.join(spec.inputs)}"
+                f" in {source}]")
 
 
 def _island_controls(netlist):
@@ -197,12 +216,13 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0; a
     combinational loop that no island cell cuts raises SimulationError
-    (the island rule of ``NetlistIndex``), as do a cell pin on an
-    undeclared net, a watch net that does not exist, and a negative cycle
-    count. Every call compiles its own plan once, before the first cycle.
+    (the island rule of ``NetlistIndex``), as do a net driven twice, a
+    cell pin on an undeclared net, a watch net that does not exist, and a
+    negative cycle count, with ``check`` or without. Every call builds its
+    own plan once, before the first cycle.
     ``index`` is the netlist's index when the caller has built it
     already; without one, the call builds its own, once for both the
-    check and the compile.
+    check and the plan.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
@@ -239,8 +259,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
             if port not in carried:
                 raise StimulusError(f"cycle 0: stimulus missing input port {port!r}")
             v[slot] = carried[port]
-        for f in plan.chunks:
-            f(v, mask)
+        plan.evaluate(v, mask)
         trace.inputs.append({p: v[slot] for p, slot in plan.pis.items()})
         trace.outputs.append({p: v[slot] for p, slot in plan.pos})
         trace.watches.append({n: v[slot] for n, slot in plan.watch})

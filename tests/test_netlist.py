@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.depgraph import CombinationalCycleError, extract_dependencies
+from kecscope.depgraph import (CombinationalCycleError, DependencyError,
+                              extract_dependencies)
 from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
                               Netlist, NetlistSyntaxError, Port,
                               UnknownCellKindError, Violation, anonymize,
@@ -239,6 +240,35 @@ def test_island_rule_agrees(case):
             simulate(n, stim, 1, check=False)
 
 
+# two flip-flops whose INV and BUF both drive output y
+DOUBLE_DRIVEN = """\
+module m
+input clk
+input a
+output y
+net q1
+net q2
+cell DFF f1 d=a clk=clk q=q1
+cell DFF f2 d=a clk=clk q=q2
+cell INV i1 a=q1 y=y
+cell BUF b1 a=q2 y=y
+endmodule
+"""
+
+
+def test_a_net_driven_twice_is_rejected_without_validation():
+    # validate is the check that reports it; the two stages that skip it
+    # must not keep one of the drivers silently
+    n = parse_netlist(DOUBLE_DRIVEN)
+    assert [v.kind for v in validate(n)] == ["multi-driven-net"]
+    with pytest.raises(DependencyError,
+                       match=r"nets driven more than once: \['y'\]"):
+        extract_dependencies(n)
+    with pytest.raises(SimulationError,
+                       match=r"nets driven more than once: \['y'\]"):
+        simulate(n, [{"clk": 0, "a": 1}], 1, check=False)
+
+
 def _random_netlist(rng):
     b_nets = [f"n{i}" for i in range(rng.randint(1, 8))]
     n = Netlist(name="rnd")
@@ -270,7 +300,14 @@ def test_round_trip_random_netlists(seed):
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_index_orders_every_comb_cell_after_its_drivers(seed):
-    n = _random_netlist(random.Random(seed))
+    _check_order_and_levels(_random_netlist(random.Random(seed)))
+
+
+def _check_order_and_levels(n):
+    """``order`` holds every non-island combinational cell once, after the
+    drivers of its inputs; ``levels`` concatenate to it, each input of a
+    level-L cell is driven by a lower level or by no ordered cell, and
+    each cell at L >= 1 reads a level-(L - 1) cell. Returns the index."""
     index = index_netlist(n)
     assert index.cyclic == []
     position = {c.name: i for i, c in enumerate(index.order)}
@@ -283,6 +320,53 @@ def test_index_orders_every_comb_cell_after_its_drivers(seed):
             d = index.driver.get(net)
             if d is not None and d.name in position:
                 assert position[d.name] < position[c.name]
+    assert [c for level in index.levels for c in level] == index.order
+    depth = {c.name: level for level, cells in enumerate(index.levels)
+             for c in cells}
+    for level, cells in enumerate(index.levels):
+        for c in cells:
+            read = {depth[d.name] for _, net in c.input_pins()
+                    if (d := index.driver.get(net)) is not None
+                    and d.name in depth}
+            assert all(r < level for r in read)
+            assert level == 0 or level - 1 in read
+    return index
+
+
+def test_index_levels_of_a_generated_design(oracle_w8):
+    index = _check_order_and_levels(oracle_w8[0])
+    assert len(index.levels) >= 10
+
+
+# longest paths from a port, a flip-flop, an island net or nothing (TIE1)
+LEVELS = """\
+module lv
+input a
+input clk
+output y
+net n1
+net n2
+net n3
+net n4
+net q
+net t
+net r
+cell TIE1 t1 y=t
+cell INV i1 a=a y=n1
+cell NAND2 osc a=n3 b=q y=r tag=analog_island
+cell DFF f1 d=n3 clk=clk q=q
+cell AND2 g1 a=n1 b=q y=n2
+cell OR2 g3 a=t b=r y=n4
+cell XOR2 g2 a=n2 b=n1 y=n3
+cell MUX2 m1 a=n3 b=a s=n4 y=y
+endmodule
+"""
+
+
+def test_index_levels_of_a_hand_built_design():
+    index = _check_order_and_levels(parse_netlist(LEVELS))
+    assert [sorted(c.name for c in cells) for cells in index.levels] == [
+        ["i1", "t1"], ["g1", "g3"], ["g2"], ["m1"]]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 17])

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ArityMismatchError,
                               Cell, Netlist, Port, UnknownCellKindError,
                               index_netlist, parse_netlist)
-from kecscope.sim import (CHUNK_STATEMENTS, LEAK_POWER_UW, PortMismatchError,
+from kecscope.sim import (LEAK_POWER_UW, PortMismatchError,
                           SimTrace, SimulationError, StimulusError,
                           _island_controls, dump_trace, equivalence_check,
                           parse_stimulus, simulate, write_stimulus)
@@ -405,15 +406,62 @@ def test_compiled_simulator_matches_reference(seed):
     assert simulate(*args, **kwargs) == _reference(*args, **kwargs)
 
 
-def test_compiled_simulator_matches_reference_across_chunks(oracle_w8):
-    netlist, _ = oracle_w8
-    assert len(index_netlist(netlist).order) > 3 * CHUNK_STATEMENTS
-    rng = random.Random(5)
-    batch, cycles = 3, 4
+def _compare_every_net(netlist, batch, cycles, seed):
+    rng = random.Random(seed)
     stim = [{p: rng.getrandbits(batch) for p in netlist.input_ports()}
             for _ in range(cycles)]
     init = {c.name: rng.getrandbits(batch) for c in netlist.flip_flops()}
-    # every net watched, so every generated statement is compared
+    # every net watched, so every group's every slot is compared
     kwargs = dict(watch=netlist.all_nets(), init=init, batch=batch)
     assert (simulate(netlist, stim, cycles, **kwargs)
             == _reference(netlist, stim, cycles, **kwargs))
+
+
+def test_compiled_simulator_matches_reference_across_levels(oracle_w8):
+    netlist, _ = oracle_w8
+    levels = index_netlist(netlist).levels
+    assert len(levels) >= 10
+    assert max(len({c.kind for c in level}) for level in levels) >= 3
+    _compare_every_net(netlist, 3, 4, 5)
+
+
+# one-cell groups of a one-input and of a two-input kind (a one-slot
+# gather), a TIE0 and a two-cell TIE1 group, and groups that read both
+# constants, a port and a flip-flop
+SMALL_GROUPS = """\
+module g
+input clk
+input a
+input b
+output y
+output z
+net t0
+net t1
+net t2
+net n1
+net n2
+net n3
+net q
+cell TIE0 c0 y=t0
+cell TIE1 c1 y=t1
+cell TIE1 c2 y=t2
+cell XOR2 x1 a=a b=t1 y=n1
+cell AND2 g1 a=b b=t2 y=n2
+cell AND2 g2 a=q b=t1 y=n3
+cell INV i1 a=n1 y=y
+cell MUX2 m1 a=n2 b=n3 s=t0 y=z
+cell DFF f1 d=y clk=clk q=q
+endmodule
+"""
+
+
+@pytest.mark.parametrize("batch", [1, 5])
+def test_compiled_simulator_matches_reference_on_small_groups(batch):
+    netlist = parse_netlist(SMALL_GROUPS)
+    # (level, kind) -> cells: the groups the simulator compiles
+    groups = Counter((depth, c.kind) for depth, level
+                     in enumerate(index_netlist(netlist).levels) for c in level)
+    assert groups == {
+        (0, "TIE0"): 1, (0, "TIE1"): 2, (1, "XOR2"): 1, (1, "AND2"): 2,
+        (2, "INV"): 1, (2, "MUX2"): 1}
+    _compare_every_net(netlist, batch, 4, batch)
