@@ -21,8 +21,8 @@ from .generator import GenConfig, GroundTruth, generate_accelerator, id_list
 from .keccak import LANE_WIDTHS
 from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      SearchBounds, run_pipeline)
-from .netlist import (NetlistError, anonymize, index_netlist, parse_netlist,
-                      validate, write_netlist)
+from .netlist import (NetlistError, anonymize, parse_netlist, validate,
+                      write_netlist)
 from .trojan import (ALLOWED_L, HthSpec, InsertionError, insert_hth,
                      overhead_report, reconstruct_secret)
 
@@ -53,16 +53,15 @@ def _read(path, what, parse=str):
 
 
 def _load_netlist(path):
-    """(netlist, its index): parsed, validated, and indexed once for
-    every later stage."""
+    """The parsed and validated netlist; validation builds the one index
+    every later stage reads."""
     netlist = parse_netlist(_read(path, "netlist"))
-    index = index_netlist(netlist)
-    problems = validate(netlist, index=index)
+    problems = validate(netlist)
     if problems:
         for v in problems[:10]:
             print(f"violation: {v.kind}: {v.detail}", file=sys.stderr)
         raise SystemExit(EXIT_INVALID)
-    return netlist, index
+    return netlist
 
 
 def _positive_int(text):
@@ -117,7 +116,7 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
-    netlist, index = _load_netlist(args.netlist)
+    netlist = _load_netlist(args.netlist)
     truth = None
     if args.sidecar:
         truth = _read(args.sidecar, "sidecar", GroundTruth.from_json)
@@ -131,7 +130,7 @@ def cmd_analyze(args):
     config = PipelineConfig(lane_width=args.lane_width, instances=args.instances,
                             shares=args.shares, bounds_override=override)
     t0 = time.perf_counter()
-    result, stage_ms = run_pipeline(netlist, config, index=index)
+    result, stage_ms = run_pipeline(netlist, config)
     total_ms = (time.perf_counter() - t0) * 1e3
 
     report = {
@@ -174,7 +173,7 @@ def cmd_analyze(args):
 
 
 def cmd_inject(args):
-    netlist, index = _load_netlist(args.netlist)
+    netlist = _load_netlist(args.netlist)
     spec = HthSpec(t=args.t, l=args.l, trigger=int(args.trigger_hex, 16),
                    capture_delay=args.capture_delay, k_offset=args.k_offset)
     if args.result:
@@ -189,7 +188,7 @@ def cmd_inject(args):
     else:
         result, _ = run_pipeline(netlist, PipelineConfig(
             lane_width=args.lane_width, instances=args.instances,
-            shares=args.shares), index=index)
+            shares=args.shares))
     if not result.found():
         raise KeccakNotPresentError("no input register located")
     trojaned, edit = insert_hth(netlist, result, spec, reset_net=args.reset_net)
@@ -224,20 +223,19 @@ def cmd_inject(args):
 def cmd_simulate(args):
     if args.expect_secret_hex is not None and args.secret_width is None:
         _usage_error("--expect-secret-hex needs --secret-width")
-    netlist, index = _load_netlist(args.netlist)
+    netlist = _load_netlist(args.netlist)
     stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
     cycles = args.cycles if args.cycles is not None else len(stimulus)
     # _load_netlist has just validated this netlist
-    trace = sim.simulate(netlist, stimulus, cycles, check=False, index=index)
+    trace = sim.simulate(netlist, stimulus, cycles, check=False)
     stealth = None
     if args.baseline:
-        baseline, baseline_index = _load_netlist(args.baseline)
+        baseline = _load_netlist(args.baseline)
         sim.check_ports(baseline, netlist)
         # the stealth check of equivalence_check, against the trace above;
         # _load_netlist has validated the baseline too
         stealth = sim.outputs_equal(
-            sim.simulate(baseline, stimulus, cycles, check=False,
-                         index=baseline_index), trace)
+            sim.simulate(baseline, stimulus, cycles, check=False), trace)
     secret = recovered = None
     if args.secret_width:
         secret = reconstruct_secret(trace, args.secret_width)

@@ -13,14 +13,12 @@ Tracing rules, fixed here once for every downstream analysis:
   * cells tagged ``analog_island`` are opaque and never entered: island
     outputs cut every path, the one island rule of ``NetlistIndex``.
 
-Each call builds one fanin map from the ordered cells of the netlist's
-``NetlistIndex``, which the caller hands in when it has built one already
-(the CLI builds it once per loaded netlist, for validation and extraction
-alike): every net driven by a non-island combinational cell maps to the
-tuple of that cell's input nets. A flip-flop's cone is then a walk of dict
-lookups from its d net, through the fanin map, stopping at flip-flop q
-nets (sources), at undriven primary inputs and at every other net (island
-outputs). A d net outside the fanin map is such a stop itself, so that
+Each call builds one fanin map from the ordered cells of
+``netlist.index``, the netlist's one ``NetlistIndex``: every net driven
+by a non-island combinational cell maps to the tuple of that cell's input
+nets. A flip-flop's cone is then a walk of dict lookups from its d net,
+through the fanin map, stopping at flip-flop q nets (sources), at
+undriven primary inputs and at every other net (island outputs). A d net outside the fanin map is such a stop itself, so that
 trivial cone takes its one source without a walk. The output-reach pass
 walks the same map back from the primary outputs.
 """
@@ -30,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .netlist import CELL_KINDS, Netlist, NetlistIndex, index_netlist
+from .netlist import CELL_KINDS, Netlist
 
 
 class DependencyError(Exception):
@@ -64,18 +62,14 @@ class DependencyGraph:
         return sum(len(s) for s in self.deps.values())
 
 
-def extract_dependencies(netlist: Netlist, *,
-                         index: NetlistIndex | None = None) -> DependencyGraph:
+def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     """Backward cone walk from every flip-flop's d pin over the fanin map.
 
-    ``index`` is the netlist's index when the caller has built it already;
-    without one, extraction builds its own. Raises DependencyError on a
-    net driven more than once, and its CombinationalCycleError on a
-    combinational loop that no ``analog_island`` cell cuts (the island
-    rule of ``NetlistIndex``).
+    Raises DependencyError on a net driven more than once, and its
+    CombinationalCycleError on a combinational loop that no
+    ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
     """
-    if index is None:
-        index = index_netlist(netlist)
+    index = netlist.index
     if index.clashes:
         raise DependencyError(
             f"nets driven more than once: {sorted(index.clashes)[:8]}")

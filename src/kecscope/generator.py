@@ -118,25 +118,33 @@ class GroundTruth:
 class Builder:
     """Incremental netlist builder with shared TIE cells and gate helpers.
 
-    May wrap an existing netlist for additive edits; generated names are
-    uniquified against everything already present.
+    ``base`` is the name of a new netlist, or a netlist to add to, whose
+    cells the result shares; generated names are uniquified against
+    everything already present. :meth:`netlist` hands over what is built.
     """
 
-    def __init__(self, name, netlist=None, auto_prefix=""):
-        self.n = netlist if netlist is not None else Netlist(name=name)
+    def __init__(self, base, auto_prefix=""):
+        self.base = Netlist(base) if isinstance(base, str) else base
+        self.ports = list(self.base.ports)
+        self.nets = list(self.base.nets)
+        self.cells = list(self.base.cells)
         self._auto = 0
         self._tie = {}
         self.auto_prefix = auto_prefix
-        self._used_nets = set(self.n.all_nets())
-        self._used_cells = {c.name for c in self.n.cells}
+        self._used_nets = set(self.base.all_nets())
+        self._used_cells = {c.name for c in self.cells}
+
+    def netlist(self) -> Netlist:
+        return replace(self.base, ports=self.ports, nets=self.nets,
+                       cells=self.cells)
 
     def port_in(self, name):
-        self.n.ports.append(Port(name, "in"))
+        self.ports.append(Port(name, "in"))
         self._used_nets.add(name)
         return name
 
     def port_out(self, name):
-        self.n.ports.append(Port(name, "out"))
+        self.ports.append(Port(name, "out"))
         self._used_nets.add(name)
         return name
 
@@ -150,14 +158,14 @@ class Builder:
         elif name in self._used_nets:
             raise ValueError(f"net {name!r} already exists")
         self._used_nets.add(name)
-        self.n.nets.append(name)
+        self.nets.append(name)
         return name
 
     def _append(self, kind, name, pins, tags=frozenset()):
         # untagged cells share tags: each frozenset(()) is a new object
         if name in self._used_cells:
             raise ValueError(f"cell {name!r} already exists")
-        self.n.cells.append(Cell(kind, name, pins, tags))
+        self.cells.append(Cell(kind, name, pins, tags))
         self._used_cells.add(name)
         return name
 
@@ -456,7 +464,7 @@ def _build_decoys(b, cfg):
     n_in = 8
     dec_in = [b.port_in(f"dec_in{i}") for i in range(n_in)]
     outs = []
-    first = len(b.n.cells)
+    first = len(b.cells)
     remaining = cfg.decoy_ffs
     sid = 0
     while remaining > 0:
@@ -514,7 +522,7 @@ def _build_decoys(b, cfg):
     for i, bucket in enumerate(buckets):
         po = b.port_out(f"dec_out{i}")
         b.cell("BUF", f"decpo{i}", a=b.xor_tree(bucket, "decpo_"), y=po)
-    return [c.name for c in b.n.cells[first:] if c.kind == "DFF"]
+    return [c.name for c in b.cells[first:] if c.kind == "DFF"]
 
 
 def _pick_kind(rng):
@@ -546,8 +554,9 @@ def generate_accelerator(cfg: GenConfig) -> tuple[Netlist, GroundTruth]:
         control.extend(ctl)
     decoys = _build_decoys(b, cfg)
     gt = GroundTruth(cfg.w, cfg.shares, instances, decoys, control)
-    gt.window_collisions = _window_collisions(b.n, gt)
-    return b.n, gt
+    netlist = b.netlist()
+    gt.window_collisions = _window_collisions(netlist, gt)
+    return netlist, gt
 
 
 def _window_collisions(netlist, gt):
@@ -572,7 +581,7 @@ def generate_core(w: int) -> tuple[Netlist, GroundTruth]:
     for k, ff in names.items():
         b.dff(ff, nxt[k], q=state_q[k])
     gt = GroundTruth(w, 1, [InstanceTruth(_sidecar_order([names], w), [])])
-    return b.n, gt
+    return b.netlist(), gt
 
 
 def state_bit_index(x, y, z, w):

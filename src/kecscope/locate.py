@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
-from .netlist import Netlist, NetlistIndex
+from .netlist import Netlist
 from .scoring import ScoreTable, compute_zscores
 
 
@@ -203,13 +203,11 @@ class PipelineConfig:
     bounds_override: SearchBounds | None = None
 
 
-def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None, *,
-                 index: NetlistIndex | None = None
+def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
                  ) -> tuple[RepqcResult, dict[str, float]]:
     """Full attack analysis on one netlist; returns the localization result
     and per-stage wall-clock milliseconds. The result's ``analysis`` holds
-    the dependency graph, scores and groups it was derived from.
-    ``index`` is handed on to ``extract_dependencies``."""
+    the dependency graph, scores and groups it was derived from."""
     config = config or PipelineConfig()
     timings: dict[str, float] = {}
 
@@ -219,8 +217,7 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None, *,
         timings[name] = (time.perf_counter() - t0) * 1e3
         return out
 
-    graph = staged("dependencies",
-                   lambda: extract_dependencies(netlist, index=index))
+    graph = staged("dependencies", lambda: extract_dependencies(netlist))
     if not graph.ffs:
         raise KeccakNotPresentError("Keccak not present: no flip-flops")
     scores = staged("scores", lambda: compute_zscores(graph))

@@ -18,10 +18,11 @@ Identifiers match ``[A-Za-z0-9_\\[\\]]+``. All nets are one bit wide; a
 multi-bit port is expanded as ``name[i]``. Every net must be driven exactly
 once, either by an input port or by the one output pin of a cell.
 
-A :class:`Cell` checks its own kind and pins when it is made, so every
-later stage trusts both; :func:`parse_netlist` checks what a line number
-can point at, and :func:`validate` alone checks what spans cells,
-drivers included.
+A :class:`Cell` checks its own kind and pins when it is made, and a
+:class:`Netlist` its declarations, so every later stage trusts both. A
+netlist is a frozen value: nothing edits it after it is made, so the one
+:class:`NetlistIndex` it caches is never stale. :func:`validate` alone
+checks drivers and cycles.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
@@ -96,6 +98,16 @@ class ArityMismatchError(NetlistError):
     pass
 
 
+class DeclarationError(NetlistError):
+    """A net or cell name declared twice (``net`` or ``cell`` set), or a
+    pin of ``cell`` on the undeclared ``net`` (both set)."""
+
+    def __init__(self, message, net=None, cell=None):
+        self.net = net
+        self.cell = cell
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Port:
     name: str
@@ -107,7 +119,7 @@ class Cell:
     """One cell instance. Making one raises UnknownCellKindError for a
     kind outside ``CELL_KINDS`` and ArityMismatchError unless its pins are
     exactly that kind's, plus DFF's optional rst. Nothing re-checks them,
-    so code must not edit ``kind`` or ``pins`` afterwards."""
+    and netlists share their cells, so code must not edit a cell."""
 
     kind: str
     name: str
@@ -129,13 +141,44 @@ class Cell:
         return [(p, n) for p, n in self.pins.items() if p != out]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Netlist:
+    """A frozen netlist; ``ports``, ``nets`` and ``cells`` are stored as
+    tuples. Making one raises DeclarationError, naming the net or cell at
+    fault, unless no net is declared twice (ports and nets together), no
+    cell name is used twice and every cell pin is on a declared net.
+    ``index`` is its :class:`NetlistIndex`, built on first use."""
+
     name: str
-    ports: list[Port] = field(default_factory=list)
-    nets: list[str] = field(default_factory=list)   # internal nets only
-    cells: list[Cell] = field(default_factory=list)
+    ports: tuple[Port, ...] = ()
+    nets: tuple[str, ...] = ()   # internal nets only
+    cells: tuple[Cell, ...] = ()
     attributes: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("ports", "nets", "cells"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        # transient: a parsed 51k-cell netlist would carry them for good
+        declared: set[str] = set()
+        for net in self.all_nets():
+            if net in declared:
+                raise DeclarationError(f"net {net!r} declared twice", net=net)
+            declared.add(net)
+        names: set[str] = set()
+        for c in self.cells:
+            if c.name in names:
+                raise DeclarationError(f"cell {c.name!r} declared twice",
+                                       cell=c.name)
+            names.add(c.name)
+            if not declared.issuperset(c.pins.values()):
+                net = next(n for n in c.pins.values() if n not in declared)
+                raise DeclarationError(
+                    f"cell {c.name!r} uses undeclared net {net!r}",
+                    net=net, cell=c.name)
+
+    @cached_property
+    def index(self) -> NetlistIndex:
+        return index_netlist(self)
 
     def input_ports(self):
         return [p.name for p in self.ports if p.direction == "in"]
@@ -190,7 +233,8 @@ def _check_cell(kind, name, pins):
 @dataclass
 class NetlistIndex:
     """The structural view of one netlist that validation, dependency
-    extraction and simulation share, built by :func:`index_netlist`.
+    extraction and simulation share: ``Netlist.index``, built once per
+    netlist by :func:`index_netlist`.
 
     The one island rule: cells tagged ``analog_island`` are never ordered,
     so their outputs, like flip-flop outputs and primary inputs, cut every
@@ -204,8 +248,6 @@ class NetlistIndex:
     L >= 1 reads only cells of lower levels, at least one at L - 1. So the
     cells of one level never read each other, and ``order``, the levels
     concatenated, is a topological order.
-
-    The index is a snapshot: build a fresh one after editing the netlist.
     """
 
     driver: dict[str, Cell]          # net -> driving cell; input ports absent
@@ -266,24 +308,25 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
 def parse_netlist(text: str) -> Netlist:
     """Parse netlist source text into the IR.
 
-    Raises the errors a line number can point at: NetlistSyntaxError for
-    bad syntax, a bad identifier, a net or cell declared twice, a pin
-    bound twice or an undeclared net; UnknownCellKindError and
-    ArityMismatchError from :class:`Cell`. Driver faults (a net driven
-    twice or not at all) and combinational cycles parse, and
-    :func:`validate` reports them.
+    Raises NetlistSyntaxError for what a line number can point at: bad
+    syntax, a bad identifier, a pin bound twice, and the three declaration
+    facts :class:`Netlist` checks (a net or cell declared twice, an
+    undeclared net), mapped back to their line; UnknownCellKindError and
+    ArityMismatchError come from :class:`Cell`. A net may be declared
+    after a cell uses it. Driver faults (a net driven twice or not at all)
+    and combinational cycles parse, and :func:`validate` reports them.
     """
-    netlist = None
+    name = None
     closed = False
-    declared: set[str] = set()
-    names: set[str] = set()
+    ports: list[Port] = []
+    nets: list[str] = []
+    cells: list[Cell] = []
+    attributes: dict[str, str] = {}
 
-    def declare(net, lineno):
-        if not ID_RE.match(net):
-            raise NetlistSyntaxError(f"bad identifier {net!r}", lineno)
-        if net in declared:
-            raise NetlistSyntaxError(f"net {net!r} declared twice", lineno)
-        declared.add(net)
+    def identifier(token, lineno):
+        if not ID_RE.match(token):
+            raise NetlistSyntaxError(f"bad identifier {token!r}", lineno)
+        return token
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -292,39 +335,32 @@ def parse_netlist(text: str) -> Netlist:
         tok = line.split()
         kw = tok[0]
         if kw == "module":
-            if netlist is not None:
+            if name is not None:
                 raise NetlistSyntaxError("duplicate module line", lineno)
             if len(tok) != 2 or not ID_RE.match(tok[1]):
                 raise NetlistSyntaxError("expected: module NAME", lineno)
-            netlist = Netlist(name=tok[1])
+            name = tok[1]
             continue
-        if netlist is None:
+        if name is None:
             raise NetlistSyntaxError("statement before module line", lineno)
         if closed:
             raise NetlistSyntaxError("statement after endmodule", lineno)
-        if kw in ("input", "output"):
+        if kw in ("input", "output", "net"):
             if len(tok) != 2:
                 raise NetlistSyntaxError(f"expected: {kw} NET", lineno)
-            declare(tok[1], lineno)
-            netlist.ports.append(Port(tok[1], "in" if kw == "input" else "out"))
-        elif kw == "net":
-            if len(tok) != 2:
-                raise NetlistSyntaxError("expected: net NET", lineno)
-            declare(tok[1], lineno)
-            netlist.nets.append(tok[1])
+            net = identifier(tok[1], lineno)
+            if kw == "net":
+                nets.append(net)
+            else:
+                ports.append(Port(net, "in" if kw == "input" else "out"))
         elif kw == "attr":
             if len(tok) != 3:
                 raise NetlistSyntaxError("expected: attr KEY VALUE", lineno)
-            netlist.attributes[tok[1]] = tok[2]
+            attributes[tok[1]] = tok[2]
         elif kw == "cell":
             if len(tok) < 3:
                 raise NetlistSyntaxError("expected: cell KIND ID PIN=NET ...", lineno)
-            kind, name = tok[1], tok[2]
-            if not ID_RE.match(name):
-                raise NetlistSyntaxError(f"bad identifier {name!r}", lineno)
-            if name in names:
-                raise NetlistSyntaxError(f"cell {name!r} declared twice", lineno)
-            names.add(name)
+            cell = identifier(tok[2], lineno)
             pins: dict[str, str] = {}
             tags = set()
             for item in tok[3:]:
@@ -333,30 +369,41 @@ def parse_netlist(text: str) -> Netlist:
                 pin, net = item.split("=", 1)
                 if pin == "tag":
                     tags.add(net)
-                    continue
-                # a declared net has passed ID_RE already; an undeclared
-                # one is reported as bad, bound twice or undeclared, in
-                # that order
-                if net not in declared:
-                    if not ID_RE.match(net):
-                        raise NetlistSyntaxError(f"bad identifier {net!r}", lineno)
-                    if pin not in pins:
-                        raise NetlistSyntaxError(f"net {net!r} not declared", lineno)
-                if pin in pins:
+                elif pin in pins:
                     raise NetlistSyntaxError(f"pin {pin!r} bound twice", lineno)
-                pins[pin] = net
-            netlist.cells.append(
-                Cell(kind, name, pins, frozenset(tags) if tags else NO_TAGS))
+                else:
+                    pins[pin] = net
+            cells.append(Cell(tok[1], cell, pins,
+                              frozenset(tags) if tags else NO_TAGS))
         elif kw == "endmodule":
             closed = True
         else:
             raise NetlistSyntaxError(f"unknown keyword {kw!r}", lineno)
 
-    if netlist is None:
+    if name is None:
         raise NetlistSyntaxError("no module found")
     if not closed:
         raise NetlistSyntaxError("missing endmodule")
-    return netlist
+    try:
+        return Netlist(name, ports, nets, cells, attributes)
+    except DeclarationError as e:
+        raise _declaration_line(text, e) from None
+
+
+def _declaration_line(text, error):
+    """The NetlistSyntaxError of a DeclarationError at its line: the second
+    declaration of a net or cell name, or the cell that reads an undeclared
+    net, reported as a bad identifier if it is no identifier."""
+    net, cell = error.net, error.cell
+    keywords, at, name = ((("cell",), 2, cell) if cell is not None
+                          else (("input", "output", "net"), 1, net))
+    lines = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+             if (tok := raw.split("#", 1)[0].split())[at:at + 1] == [name]
+             and tok[0] in keywords]
+    if net is None or cell is None:
+        return NetlistSyntaxError(str(error), lines[1])
+    return NetlistSyntaxError(f"net {net!r} not declared" if ID_RE.match(net)
+                              else f"bad identifier {net!r}", lines[0])
 
 
 def write_netlist(netlist: Netlist) -> str:
@@ -379,34 +426,19 @@ def write_netlist(netlist: Netlist) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate(netlist: Netlist, *, index: NetlistIndex | None = None
-             ) -> list[Violation]:
+def validate(netlist: Netlist) -> list[Violation]:
     """Structural check; returns violations as data (empty list = valid).
 
-    Its kinds are the checks that span cells, since a :class:`Cell`
-    checks its own kind and pins: ``duplicate-cell``, ``undeclared-net``,
-    ``multi-driven-net``, ``undriven-net`` and ``combinational-cycle``.
-    It is the only check of drivers, which :func:`parse_netlist` leaves
-    to it; the first two kinds repeat what parsing rejects, for netlists
-    built without parsing. A cycle counts under the one island rule of
-    :class:`NetlistIndex`: island outputs cut every path, so only a loop
-    without an ``analog_island`` cell on it is reported. ``index`` is the
-    netlist's index when the caller has built it already; without one,
-    validate builds its own.
+    A :class:`Cell` checks its own kind and pins and a :class:`Netlist`
+    its declarations, so three kinds are left, all read from
+    ``netlist.index``: ``multi-driven-net``, ``undriven-net`` and
+    ``combinational-cycle``. It is the only check of drivers, which
+    :func:`parse_netlist` leaves to it. A cycle counts under the one
+    island rule of :class:`NetlistIndex`: island outputs cut every path,
+    so only a loop without an ``analog_island`` cell on it is reported.
     """
     violations = []
-    seen_cells: set[str] = set()
-    declared = set(netlist.all_nets())
-    for c in netlist.cells:
-        if c.name in seen_cells:
-            violations.append(Violation("duplicate-cell", c.name))
-        seen_cells.add(c.name)
-        for net in c.pins.values():
-            if net not in declared:
-                violations.append(Violation("undeclared-net", f"{c.name}: {net}"))
-
-    if index is None:
-        index = index_netlist(netlist)
+    index = netlist.index
     pis = set(netlist.input_ports())
     for net in netlist.all_nets():
         if net in index.clashes:
@@ -434,7 +466,7 @@ def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:
         rng.shuffle(ids)
         return ids
 
-    net_names = [p.name for p in netlist.ports] + list(netlist.nets)
+    net_names = netlist.all_nets()
     net_map = dict(zip(net_names, fresh_ids("n", len(net_names))))
     cell_map = dict(zip((c.name for c in netlist.cells),
                         fresh_ids("u", len(netlist.cells))))
@@ -450,18 +482,5 @@ def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:
     ]
     rng.shuffle(cells)
     blind = Netlist(name="anon", ports=ports, nets=nets, cells=cells,
-                    attributes=dict(netlist.attributes))
-    rename = dict(net_map)
-    rename.update(cell_map)
-    return blind, rename
-
-
-def copy_netlist(netlist: Netlist) -> Netlist:
-    return Netlist(
-        name=netlist.name,
-        ports=list(netlist.ports),
-        nets=list(netlist.nets),
-        cells=[Cell(c.kind, c.name, dict(c.pins), c.tags)
-               for c in netlist.cells],
-        attributes=dict(netlist.attributes),
-    )
+                    attributes=netlist.attributes)
+    return blind, {**net_map, **cell_map}

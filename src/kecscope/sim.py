@@ -5,8 +5,8 @@ simulate many independent stimuli at once (``batch`` lanes per net). All
 flip-flops start at 0 unless overridden through ``init`` or cleared by
 their synchronous active-high rst pin.
 
-Each ``simulate`` call first builds a plan from the levels of the
-netlist's ``NetlistIndex`` (levelized compiled-code simulation, as in
+Each ``simulate`` call first builds a plan from the levels of
+``netlist.index`` (levelized compiled-code simulation, as in
 Wang and Maurer's LECSIM): the cells of one level never read each other,
 so the plan groups them by kind, and each (level, kind) group becomes one
 generated statement that evaluates the kind's ``CELL_KINDS`` expression
@@ -16,8 +16,8 @@ reads the group's inputs with one ``operator.itemgetter`` per input pin
 and writes its outputs as one slice. The statements form one compiled
 function; a cycle loads the flip-flop outputs and inputs into their
 slots, calls it and latches the flip-flop inputs. The plan is a fixed
-cost per call, before the first cycle; no plan outlives the call, since
-a ``Netlist`` can be edited.
+cost per call, before the first cycle; the index it is built from is
+the netlist's own, built once per netlist.
 
 Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
@@ -36,8 +36,7 @@ from dataclasses import dataclass
 from itertools import count, groupby
 from operator import attrgetter, itemgetter
 
-from .netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, NetlistIndex,
-                      index_netlist, validate)
+from .netlist import ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, validate
 
 # leak symbol (leak[1] leak[0]) -> dynamic power / mean oscillation frequency
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
@@ -101,9 +100,12 @@ class _Compiled:
     value slots, the compiled function ``f(v, m)`` (values, lane mask),
     and slot lists for ports, flip-flop pins, watches and the island's
     control nets. Only slots, gather names and table expressions reach the
-    generated source, never a net or cell name."""
+    generated source, never a net or cell name. Every pin is on a declared
+    net, which the netlist checked when it was made, so every pin has a
+    slot."""
 
-    def __init__(self, netlist: Netlist, watch, index: NetlistIndex):
+    def __init__(self, netlist: Netlist, watch):
+        index = netlist.index
         if index.cyclic:
             raise SimulationError("combinational cycle outside analog island")
         if index.clashes:
@@ -114,14 +116,8 @@ class _Compiled:
                   for _, cells in groupby(sorted(level, key=kind), kind)]
         # each group's outputs first, in contiguous slots, then every
         # other net; no net is driven twice, so none takes two slots
-        cells = [c for group in groups for c in group]
-        outputs = [c.output_net() for c in cells]
-        declared = set(netlist.all_nets())
-        for c, net in zip(cells, outputs):
-            if net not in declared:
-                raise SimulationError(
-                    f"cell {c.name!r} uses undeclared net {net!r}")
-        self.slot = dict(zip(outputs, count()))
+        self.slot = dict(zip((c.output_net() for group in groups
+                              for c in group), count()))
         for net in netlist.all_nets():
             self.slot.setdefault(net, len(self.slot))
         self.size = len(self.slot)
@@ -134,13 +130,13 @@ class _Compiled:
             self.watch.append((net, self.slot[net]))
         ffs = netlist.flip_flops()
         self.ff_names = [c.name for c in ffs]
-        self.q = [self._pin(c, "q") for c in ffs]
-        self.d = [self._pin(c, "d") for c in ffs]
-        self.rst = [(i, self._pin(c, "rst"))
+        self.q = [self.slot[c.pins["q"]] for c in ffs]
+        self.d = [self.slot[c.pins["d"]] for c in ffs]
+        self.rst = [(i, self.slot[c.pins["rst"]])
                     for i, c in enumerate(ffs) if "rst" in c.pins]
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else tuple(
-            self._net(n, "analog island") for n in controls)
+            self.slot[n] for n in controls)
         gathers: dict[str, itemgetter] = {}
         statements = [self._statement(group, gathers) for group in groups]
         namespace = dict(gathers)
@@ -148,15 +144,6 @@ class _Compiled:
                      + "\n    ".join(statements or ["pass"]) + "\n",
                      "<kecscope.sim plan>", "exec"), namespace)
         self.evaluate = namespace["f"]
-
-    def _net(self, net, owner):
-        slot = self.slot.get(net)
-        if slot is None:
-            raise SimulationError(f"{owner} uses undeclared net {net!r}")
-        return slot
-
-    def _pin(self, cell, pin):
-        return self._net(cell.pins[pin], f"cell {cell.name!r}")
 
     def _statement(self, cells, gathers):
         """``v[s:e] = [expr for pins in zip(gathers)]`` for one group of
@@ -170,12 +157,9 @@ class _Compiled:
         target = f"v[{start}:{start + len(cells)}]"
         if not spec.inputs:
             return f"{target} = [{spec.expr}] * {len(cells)}"
-        pins = [c.pins for c in cells]
         sources = []
         for pin in spec.inputs:
-            slots = list(map(self.slot.get, map(itemgetter(pin), pins)))
-            if None in slots:   # raises, naming the cell
-                self._pin(cells[slots.index(None)], pin)
+            slots = [self.slot[c.pins[pin]] for c in cells]
             if len(slots) == 1:
                 sources.append(f"(v[{slots[0]}],)")
             else:
@@ -206,8 +190,7 @@ def _island_controls(netlist):
 
 
 def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
-             batch: int = 1, check: bool = True,
-             index: NetlistIndex | None = None) -> SimTrace:
+             batch: int = 1, check: bool = True) -> SimTrace:
     """Run ``cycles`` clock cycles.
 
     stimulus: per-cycle dicts of port -> value; cycle 0 must cover every
@@ -217,25 +200,21 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     Island cells are not evaluated and their outputs read 0; a
     combinational loop that no island cell cuts raises SimulationError
     (the island rule of ``NetlistIndex``), as do a net driven twice, a
-    cell pin on an undeclared net, a watch net that does not exist, and a
-    negative cycle count, with ``check`` or without. Every call builds its
-    own plan once, before the first cycle.
-    ``index`` is the netlist's index when the caller has built it
-    already; without one, the call builds its own, once for both the
-    check and the plan.
+    watch net that does not exist, and a negative cycle count, with
+    ``check`` or without; ``check`` runs :func:`validate` first. The check
+    and the plan read the one ``netlist.index``, and every call builds
+    its own plan once, before the first cycle.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
     if len(stimulus) < cycles:
         raise StimulusError(
             f"stimulus covers {len(stimulus)} cycles, need {cycles}")
-    if index is None:
-        index = index_netlist(netlist)
     if check:
-        problems = validate(netlist, index=index)
+        problems = validate(netlist)
         if problems:
             raise SimulationError(f"invalid netlist: {problems[:3]}")
-    plan = _Compiled(netlist, watch, index)
+    plan = _Compiled(netlist, watch)
     mask = (1 << batch) - 1
     q_state = [0] * len(plan.q)
     if init:

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 from .generator import Builder, _equals_const, _incrementer
 from .locate import RepqcResult
-from .netlist import ANALOG_ISLAND_TAG, Netlist, copy_netlist
+from .netlist import ANALOG_ISLAND_TAG, Netlist
 
 ALLOWED_T = (16, 32, 64)
 ALLOWED_L = (16, 32, 64)
@@ -83,7 +83,7 @@ def build_hth(spec: HthSpec) -> Netlist:
     tap_m = [b.port_in(f"tap_m[{i}]") for i in range(spec.t)]
     tap_k = [b.port_in(f"tap_k[{i}]") for i in range(spec.l)]
     _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix="")
-    return b.n
+    return b.netlist()
 
 
 def _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix):
@@ -173,7 +173,8 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
     Comparator taps the T lowest-index located flip-flops; the shift
     register taps L of them starting at k_offset (leaking a window of a
     wider secret); the clock is shared with the victim. Only new cells and
-    nets are added. Without a reset_net the trojan relies on the power-on
+    nets are added: the trojaned netlist shares the victim's cells, and
+    the victim stays as it was. Without a reset_net the trojan relies on the power-on
     all-zero state instead of the global reset.
     """
     needed = max(spec.t, spec.k_offset + spec.l)
@@ -194,8 +195,7 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
         raise InsertionError(f"tapped flip-flops span clocks {sorted(clocks)}")
     clk = clocks.pop()
 
-    out = copy_netlist(victim)
-    b = Builder("scratch", netlist=out, auto_prefix=PREFIX)
+    b = Builder(victim, auto_prefix=PREFIX)
     if reset_net is None:
         rst = b.net(f"{PREFIX}rst_q")
         b.cell("TIE0", f"{PREFIX}rst_tie", y=rst)
@@ -205,6 +205,7 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
         rst = reset_net
     k_taps = taps[spec.k_offset:spec.k_offset + spec.l]
     _emit_hth(b, spec, taps[:spec.t], k_taps, clk, rst, PREFIX)
+    out = b.netlist()
 
     # the builder only appends, so the additions are the tails
     added_cells = sorted(c.name for c in out.cells[len(victim.cells):])

@@ -9,7 +9,8 @@ from kecscope.depgraph import (CombinationalCycleError, degree_histogram,
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
 from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
-                              Port, anonymize, index_netlist, parse_netlist)
+                              Port, anonymize, index_netlist, parse_netlist,
+                              write_netlist)
 from kecscope.trojan import HthSpec, insert_hth
 
 
@@ -150,11 +151,10 @@ def _reference(netlist):
 
 
 def _assert_matches_reference(netlist):
-    """Extraction with its own index and with one handed in agrees with
-    the reference."""
+    """Extraction agrees with the reference, both the call that builds the
+    netlist's index and the call that reads it again."""
     deps, rdeps, input_reach, output_reach = _reference(netlist)
-    for g in (extract_dependencies(netlist),
-              extract_dependencies(netlist, index=index_netlist(netlist))):
+    for g in (extract_dependencies(netlist), extract_dependencies(netlist)):
         assert g.ffs == [c.name for c in netlist.cells if c.is_seq()]
         assert g.deps == deps
         assert g.rdeps == rdeps
@@ -169,36 +169,39 @@ def _random_design(rng):
     """Netlist with every combinational kind, acyclic outside the island.
     Island-tagged cells may read any wire, so some loops run through an
     island; flip-flops read any net on d and rst (some have rst, some drive
-    an output port directly), and the primary outputs read random nets."""
+    an output port directly), and the primary outputs read random nets.
+    Every netlist it builds round-trips through its text."""
     inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
     qs = [f"q{j}" for j in range(rng.randint(0, 8))]
     kinds = COMB_KINDS + [rng.choice(COMB_KINDS) for _ in range(rng.randint(0, 30))]
     rng.shuffle(kinds)
     wires = [f"w{j}" for j in range(len(kinds))]
-    n = Netlist(name="rnd", ports=[Port(p, "in") for p in ["clk"] + inputs],
-                nets=wires + qs)
+    ports = [Port(p, "in") for p in ["clk"] + inputs]
+    cells = []
     pool = inputs + qs
     for j, kind in enumerate(kinds):
         island = rng.random() < 0.15
         pins = {p: rng.choice(wires if island else pool)
                 for p in CELL_KINDS[kind].inputs}
         pins["y"] = wires[j]
-        n.cells.append(Cell(kind, f"g{j}", pins,
-                            frozenset([ANALOG_ISLAND_TAG] if island else [])))
+        cells.append(Cell(kind, f"g{j}", pins,
+                          frozenset([ANALOG_ISLAND_TAG] if island else [])))
         pool.append(wires[j])
     for j in range(rng.randint(0, 3)):
-        n.ports.append(Port(f"o{j}", "out"))
+        ports.append(Port(f"o{j}", "out"))
         if rng.random() < 0.3:
-            n.cells.append(Cell("DFF", f"fo{j}",
-                                {"d": rng.choice(pool), "clk": "clk", "q": f"o{j}"}))
+            cells.append(Cell("DFF", f"fo{j}",
+                              {"d": rng.choice(pool), "clk": "clk", "q": f"o{j}"}))
         else:
-            n.cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
+            cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
     for j, q in enumerate(qs):
         pins = {"d": rng.choice(pool), "clk": "clk", "q": q}
         if rng.random() < 0.5:
             pins["rst"] = rng.choice(pool)
-        n.cells.append(Cell("DFF", f"f{j}", pins))
-    rng.shuffle(n.cells)
+        cells.append(Cell("DFF", f"f{j}", pins))
+    rng.shuffle(cells)
+    n = Netlist("rnd", ports=ports, nets=wires + qs, cells=cells)
+    assert parse_netlist(write_netlist(n)) == n
     return n
 
 

@@ -81,7 +81,7 @@ def test_builder_rejects_an_unknown_cell_kind():
     a = b.port_in("a")
     with pytest.raises(UnknownCellKindError, match="'u1'"):
         b.cell("FOO", "u1", a=a, y=b.net())
-    assert b.n.cells == []
+    assert b.netlist().cells == ()
 
 
 def test_builder_rejects_a_missing_pin():
@@ -91,7 +91,7 @@ def test_builder_rejects_a_missing_pin():
         b.cell("BUF", "u1", a=a)
     # the rejected cell left its name free
     b.cell("BUF", "u1", a=a, y=b.net())
-    assert [c.name for c in b.n.cells] == ["u1"]
+    assert [c.name for c in b.netlist().cells] == ["u1"]
 
 
 def test_minimal_width_round_trips():

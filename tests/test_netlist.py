@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +7,14 @@ from hypothesis import strategies as st
 
 from kecscope.depgraph import (CombinationalCycleError, DependencyError,
                               extract_dependencies)
+from kecscope import netlist as netlist_module
+from kecscope.generator import GenConfig, generate_accelerator
+from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
-                              Netlist, NetlistSyntaxError, Port,
-                              UnknownCellKindError, Violation, anonymize,
-                              index_netlist, parse_netlist, validate,
-                              write_netlist)
+                              DeclarationError, Netlist, NetlistSyntaxError,
+                              Port, UnknownCellKindError, Violation,
+                              anonymize, index_netlist, parse_netlist,
+                              validate, write_netlist)
 from kecscope.sim import SimulationError, simulate
 
 INV_DFF = """\
@@ -80,8 +84,8 @@ def test_syntax_error_has_line():
 
 
 # a cell line appended to INV_DFF (as line 9) -> the message it fails with;
-# a bad identifier is reported before a pin bound twice, and that before
-# an undeclared net
+# a bad cell name is reported before a pin bound twice, and that before a
+# pin net that is undeclared or no identifier
 CELL_LINE_ERRORS = {
     "bad_cell_name": ("cell BUF b$1 a=a y=q2", "bad identifier 'b$1'"),
     "bad_pin_net": ("cell BUF b1 a=a$ y=q2", "bad identifier 'a$'"),
@@ -159,12 +163,13 @@ def test_validate_missing_output_pin_is_arity():
 
 
 # a cell appended by hand to INV_DFF, with the nets it needs declared ->
-# the one violation it makes; parse_netlist rejects each such netlist
+# the one violation it makes, or the message of the DeclarationError that
+# keeps the netlist from being made; parse_netlist rejects each such netlist
 SPANNING_VIOLATIONS = {
     "duplicate-cell": (Cell("BUF", "i1", {"a": "a", "y": "n2"}), ["n2"],
-                       Violation("duplicate-cell", "i1")),
+                       "cell 'i1' declared twice"),
     "undeclared-net": (Cell("BUF", "b1", {"a": "ghost", "y": "n2"}), ["n2"],
-                       Violation("undeclared-net", "b1: ghost")),
+                       "cell 'b1' uses undeclared net 'ghost'"),
     "multi-driven-net": (Cell("BUF", "b1", {"a": "a", "y": "n1"}), [],
                          Violation("multi-driven-net",
                                    "n1: ['cell i1', 'cell b1']")),
@@ -178,9 +183,99 @@ SPANNING_VIOLATIONS = {
 def test_validate_reports_what_spans_cells(case):
     cell, nets, violation = SPANNING_VIOLATIONS[case]
     n = parse_netlist(INV_DFF)
-    n.nets += nets
-    n.cells.append(cell)
-    assert validate(n) == [violation]
+
+    def extended():
+        return replace(n, nets=n.nets + tuple(nets), cells=n.cells + (cell,))
+
+    if isinstance(violation, str):
+        with pytest.raises(DeclarationError) as e:
+            extended()
+        assert str(e.value) == violation
+    else:
+        assert validate(extended()) == [violation]
+
+
+# ports, nets and cells of a netlist that cannot be made -> the message of
+# its DeclarationError and the net and cell it names
+CONSTRUCTION_FAULTS = {
+    "port_and_net": ([Port("a", "in"), Port("y", "out")], ["a"],
+                     [Cell("INV", "u1", {"a": "a", "y": "y"})],
+                     "net 'a' declared twice", "a", None),
+    "two_ports": ([Port("a", "in"), Port("y", "out"), Port("a", "out")], [],
+                  [Cell("INV", "u1", {"a": "a", "y": "y"})],
+                  "net 'a' declared twice", "a", None),
+    "cell_name_twice": ([Port("a", "in"), Port("y", "out")], ["n"],
+                        [Cell("INV", "u1", {"a": "a", "y": "n"}),
+                         Cell("INV", "u1", {"a": "n", "y": "y"})],
+                        "cell 'u1' declared twice", None, "u1"),
+    "undeclared_pin_net": ([Port("a", "in"), Port("y", "out")], [],
+                           [Cell("AND2", "u1", {"a": "a", "b": "ghost",
+                                                "y": "y"})],
+                           "cell 'u1' uses undeclared net 'ghost'",
+                           "ghost", "u1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_FAULTS))
+def test_a_netlist_checks_its_declarations(case):
+    ports, nets, cells, message, net, cell = CONSTRUCTION_FAULTS[case]
+    with pytest.raises(DeclarationError) as e:
+        Netlist("m", ports=ports, nets=nets, cells=cells)
+    assert (str(e.value), e.value.net, e.value.cell) == (message, net, cell)
+
+
+# INV_DFF with a declaration line put before line 6 ("cell INV i1 ...")
+# -> the line and message of the NetlistSyntaxError
+DECLARATION_LINES = {
+    "net_after_port": ("net a", 6, "net 'a' declared twice"),
+    "port_after_port": ("output clk", 6, "net 'clk' declared twice"),
+    "cell_before_cell": ("cell INV f1 a=a y=q", 8,
+                         "cell 'f1' declared twice"),
+    "undeclared_net": ("cell BUF b1 a=zz y=q", 6, "net 'zz' not declared"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DECLARATION_LINES))
+def test_a_declaration_error_has_its_line(case):
+    line, lineno, message = DECLARATION_LINES[case]
+    text = INV_DFF.replace("cell INV i1", line + "\ncell INV i1")
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(text)
+    assert (e.value.line, str(e.value)) == (lineno, f"line {lineno}: {message}")
+
+
+def test_a_net_may_be_declared_after_its_reader():
+    text = INV_DFF.replace("net n1\n", "").replace("endmodule", "net n1\nendmodule")
+    assert text.splitlines()[-2:] == ["net n1", "endmodule"]
+    assert parse_netlist(text) == parse_netlist(INV_DFF)
+
+
+def test_a_netlist_is_frozen():
+    n = parse_netlist(INV_DFF)
+    for field in ("name", "ports", "nets", "cells", "attributes"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(n, field, getattr(n, field))
+    assert type(n.cells) is tuple
+
+
+def test_every_stage_reads_one_index(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return index_netlist(n)
+
+    # the cached property looks index_netlist up as a module global
+    monkeypatch.setattr(netlist_module, "index_netlist", counted)
+    generated, _ = generate_accelerator(GenConfig(w=8, seed=3))
+    calls.clear()
+    n = parse_netlist(write_netlist(generated))
+    assert validate(n) == []
+    run_pipeline(n, PipelineConfig(lane_width=8))
+    stim = [{p: 0 for p in n.input_ports()}] * 2
+    assert (simulate(n, stim, 2, check=True).outputs
+            == simulate(n, stim, 2, check=False).outputs)
+    assert calls == [n] and n.index is n.index
 
 
 # one island rule for validate, extract_dependencies and simulate: island
@@ -271,23 +366,21 @@ def test_a_net_driven_twice_is_rejected_without_validation():
 
 def _random_netlist(rng):
     b_nets = [f"n{i}" for i in range(rng.randint(1, 8))]
-    n = Netlist(name="rnd")
-    n.ports.append(Port("clk", "in"))
-    n.ports.append(Port("pi", "in"))
-    n.nets.extend(b_nets)
+    cells = []
     driven = []
     for i, net in enumerate(b_nets):
         src = rng.choice(driven + ["pi"])
         if rng.random() < 0.4:
-            n.cells.append(Cell("DFF", f"f{i}", {"d": src, "clk": "clk", "q": net}))
+            cells.append(Cell("DFF", f"f{i}", {"d": src, "clk": "clk", "q": net}))
         elif rng.random() < 0.5:
-            n.cells.append(Cell("INV", f"g{i}", {"a": src, "y": net}))
+            cells.append(Cell("INV", f"g{i}", {"a": src, "y": net}))
         else:
             other = rng.choice(driven + ["pi"])
-            n.cells.append(Cell("XOR2", f"g{i}", {"a": src, "b": other, "y": net},
-                                frozenset(["analog_island"] if rng.random() < 0.1 else [])))
+            cells.append(Cell("XOR2", f"g{i}", {"a": src, "b": other, "y": net},
+                              frozenset(["analog_island"] if rng.random() < 0.1 else [])))
         driven.append(net)
-    return n
+    return Netlist("rnd", ports=[Port("clk", "in"), Port("pi", "in")],
+                   nets=b_nets, cells=cells)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -1,13 +1,15 @@
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ArityMismatchError,
-                              Cell, Netlist, Port, UnknownCellKindError,
-                              index_netlist, parse_netlist)
+                              Cell, DeclarationError, Netlist, Port,
+                              UnknownCellKindError, index_netlist,
+                              parse_netlist, write_netlist)
 from kecscope.sim import (LEAK_POWER_UW, PortMismatchError,
                           SimTrace, SimulationError, StimulusError,
                           _island_controls, dump_trace, equivalence_check,
@@ -105,20 +107,20 @@ def test_determinism():
 
 
 def test_checked_simulate_indexes_once(monkeypatch):
-    from kecscope import netlist, sim
+    from kecscope import netlist
     calls = []
 
     def counted(n):
         calls.append(n)
         return index_netlist(n)
 
-    # validate and the compile both take the index simulate built
-    for module in (netlist, sim):
-        monkeypatch.setattr(module, "index_netlist", counted)
+    # validate and the compile both read the netlist's one index
+    monkeypatch.setattr(netlist, "index_netlist", counted)
     n = parse_netlist(TOGGLE)
     simulate(n, _stim(n, 2), 2, check=True)
     assert len(calls) == 1
-    simulate(n, _stim(n, 2), 2, check=True, index=index_netlist(n))
+    # a second call reads the index the first one built
+    simulate(n, _stim(n, 2), 2, check=True)
     assert len(calls) == 1
 
 
@@ -280,15 +282,15 @@ def test_unbound_or_undeclared_input_rejected_without_validation(pins):
         with pytest.raises(ArityMismatchError, match="'u1'"):
             Cell("BUF", "u1", pins)
         return
-    n = Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
+    # an undeclared net: the netlist cannot be made, so nothing simulates it
+    with pytest.raises(DeclarationError, match="'u1' uses undeclared net 'ghost'"):
+        Netlist(name="m", ports=[Port("a", "in"), Port("y", "out")],
                 cells=[Cell("BUF", "u1", pins)])
-    with pytest.raises(SimulationError, match="'u1'"):
-        simulate(n, [{"a": 1}], 1, check=False)
 
 
 def test_checked_simulate_rejects_an_invalid_netlist():
     n = parse_netlist(TOGGLE)
-    n.nets.append("dangling")
+    n = replace(n, nets=n.nets + ("dangling",))
     with pytest.raises(SimulationError,
                        match="invalid netlist: .*'undriven-net'"):
         simulate(n, _stim(n, 1), 1)
@@ -352,11 +354,13 @@ def _random_design(rng):
     """Acyclic netlist with every combinational kind, island-tagged cells
     among them, flip-flops with and without rst (whose d may read any net,
     so state feeds back), and most of the time an oscillator island, listed
-    first, whose enable and leak nets are random nets."""
+    first, whose enable and leak nets are random nets. Every netlist it
+    builds round-trips through its text."""
     inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
     qs = [f"q{j}" for j in range(rng.randint(0, 6))]
-    n = Netlist(name="rnd", ports=[Port(p, "in") for p in ["clk"] + inputs],
-                nets=list(qs))
+    ports = [Port(p, "in") for p in ["clk"] + inputs]
+    nets = list(qs)
+    cells = []
     pool = inputs + qs
     kinds = COMB_KINDS + [rng.choice(COMB_KINDS) for _ in range(rng.randint(0, 30))]
     rng.shuffle(kinds)
@@ -364,14 +368,14 @@ def _random_design(rng):
         pins = {p: rng.choice(pool) for p in CELL_KINDS[kind].inputs}
         pins["y"] = f"w{j}"
         tags = frozenset([ANALOG_ISLAND_TAG] if rng.random() < 0.1 else [])
-        n.nets.append(f"w{j}")
-        n.cells.append(Cell(kind, f"g{j}", pins, tags))
+        nets.append(f"w{j}")
+        cells.append(Cell(kind, f"g{j}", pins, tags))
         pool.append(f"w{j}")
     for j, q in enumerate(qs):
         pins = {"d": rng.choice(pool), "clk": "clk", "q": q}
         if rng.random() < 0.5:
             pins["rst"] = rng.choice(pool)
-        n.cells.append(Cell("DFF", f"f{j}", pins))
+        cells.append(Cell("DFF", f"f{j}", pins))
     if rng.random() < 0.7:
         ro = parse_netlist(RO_ISLAND)
         rename = {"en": rng.choice(pool), "l0": rng.choice(pool),
@@ -379,11 +383,13 @@ def _random_design(rng):
         island = [Cell(c.kind, "ro_" + c.name,
                        {p: rename.get(net, "ro_" + net) for p, net in c.pins.items()},
                        c.tags) for c in ro.cells if c.tags]
-        n.nets += ["ro_" + net for net in ro.nets]
-        n.cells[:0] = island
+        nets += ["ro_" + net for net in ro.nets]
+        cells[:0] = island
     for j in range(rng.randint(1, 3)):
-        n.ports.append(Port(f"o{j}", "out"))
-        n.cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
+        ports.append(Port(f"o{j}", "out"))
+        cells.append(Cell("BUF", f"ob{j}", {"a": rng.choice(pool), "y": f"o{j}"}))
+    n = Netlist("rnd", ports=ports, nets=nets, cells=cells)
+    assert parse_netlist(write_netlist(n)) == n
     return n
 
 

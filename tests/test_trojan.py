@@ -5,7 +5,8 @@ import pytest
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import Builder, GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
-from kecscope.netlist import ANALOG_ISLAND_TAG, validate, write_netlist
+from kecscope.netlist import (ANALOG_ISLAND_TAG, parse_netlist, validate,
+                              write_netlist)
 from kecscope.sim import equivalence_check, simulate
 from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
                              overhead_report, reconstruct_secret)
@@ -91,6 +92,16 @@ def test_insert_is_additive(victim16):
     assert before <= after
     assert set(edit.tapped_nets) >= {netlist.cells_by_name()[f].pins["q"]
                                      for f in result.input_candidates}
+
+
+def test_insert_shares_and_keeps_the_victim(victim16):
+    netlist, _, result = victim16
+    text = write_netlist(netlist)
+    trojaned, _ = insert_hth(netlist, result,
+                             HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1))
+    assert netlist == parse_netlist(text)
+    # the victim's cells come first, the same objects, never copied
+    assert all(a is b for a, b in zip(trojaned.cells, netlist.cells))
 
 
 def test_insert_needs_enough_candidates(victim16):
@@ -208,7 +219,7 @@ def _register(tap0="r0", clk15="clk"):
         b.dff(f"r{i}", d, clk=clk15 if i == 15 else clk)
     b.cell("BUF", "u0", a=d, y=b.port_out("o"))
     taps = [tap0] + [f"r{i}" for i in range(1, 16)]
-    return b.n, RepqcResult(frozenset(), taps, None, "grouped", 16, 0)
+    return b.netlist(), RepqcResult(frozenset(), taps, None, "grouped", 16, 0)
 
 
 SPEC16 = HthSpec(t=16, l=16, trigger=0xBEEF)
