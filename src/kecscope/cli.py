@@ -109,9 +109,6 @@ def cmd_gen(args):
         (out / "design.rename.json").write_text(json.dumps(rename, indent=1))
     print(f"wrote {out / 'design.nl'} "
           f"({netlist.cell_count()} cells, {len(netlist.flip_flops())} ffs)")
-    if truth.window_collisions:
-        print(f"warning: {len(truth.window_collisions)} decoy flip-flops "
-              f"inside the state window", file=sys.stderr)
     return EXIT_OK
 
 
@@ -183,7 +180,7 @@ def cmd_inject(args):
                 frozenset(id_list(rep["state_candidates"])),
                 id_list(rep["input_candidates"]),
                 rep.get("winning_group"), rep.get("variant", "grouped"),
-                args.lane_width, rep.get("expected_state_count", 0))
+                rep.get("expected_state_count", 0))
         result = _read(args.result, "result", from_report)
     else:
         result, _ = run_pipeline(netlist, PipelineConfig(

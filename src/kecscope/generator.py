@@ -25,8 +25,6 @@ import random
 from dataclasses import asdict, dataclass, field, replace
 
 from . import keccak
-from .depgraph import extract_dependencies
-from .locate import naive_bounds
 from .netlist import Cell, Netlist, Port
 
 DECOY_KIND_WEIGHTS = (("pipeline", 40), ("counter", 30), ("lfsr", 20), ("fsm", 10))
@@ -73,14 +71,15 @@ class InstanceTruth:
 
 @dataclass
 class GroundTruth:
-    """Sidecar labeling, never embedded in the blind netlist."""
+    """Sidecar labeling, never embedded in the blind netlist: what the
+    generator built, nothing an analysis derives. ``from_json`` ignores
+    unknown keys, which older sidecars carry."""
 
     lane_width: int
     shares: int
     instances: list[InstanceTruth]
     decoy_ffs: list[str] = field(default_factory=list)
     control_ffs: list[str] = field(default_factory=list)
-    window_collisions: list[str] = field(default_factory=list)
 
     def all_state_ffs(self):
         return [f for inst in self.instances for f in inst.state_ffs]
@@ -102,7 +101,6 @@ class GroundTruth:
                        for i in d["instances"]],
             decoy_ffs=id_list(d.get("decoy_ffs", [])),
             control_ffs=id_list(d.get("control_ffs", [])),
-            window_collisions=id_list(d.get("window_collisions", [])),
         )
 
     def remap(self, rename):
@@ -111,8 +109,7 @@ class GroundTruth:
         instances = [InstanceTruth(ids(i.state_ffs), ids(i.input_ffs))
                      for i in self.instances]
         return replace(self, instances=instances, decoy_ffs=ids(self.decoy_ffs),
-                       control_ffs=ids(self.control_ffs),
-                       window_collisions=ids(self.window_collisions))
+                       control_ffs=ids(self.control_ffs))
 
 
 class Builder:
@@ -457,7 +454,10 @@ def _build_instance(b, idx, cfg, rst):
 
 def _build_decoys(b, cfg):
     """Seeded filler logic: pipeline words, counters, LFSRs and one-hot
-    rings, none of which can reach the state-candidate degree windows."""
+    rings. Each kind bounds the sequential fanin of its flip-flops by its
+    width: at most 1 for a pipeline stage, 2 for an LFSR bit, 8 for a ring
+    bit and 16 for a counter bit, all below the smallest fanin floor of
+    any lane width (25, at w = 1), so no decoy enters a state window."""
     if cfg.decoy_ffs == 0:
         return []
     rng = random.Random(cfg.seed)
@@ -540,8 +540,9 @@ def generate_accelerator(cfg: GenConfig) -> tuple[Netlist, GroundTruth]:
     """Build the victim design plus its labeling sidecar.
 
     Deterministic: identical cfg produces identical netlist text. The
-    sidecar records any decoy flip-flop that lands inside the naive state
-    window so a lucky collision can never silently fake a result.
+    generator runs none of the analysis it is the ground truth for; no
+    decoy flip-flop can land inside a state window by construction (see
+    ``_build_decoys``).
     """
     b = Builder(f"keccak_accel_w{cfg.w}")
     b.port_in("clk")
@@ -553,20 +554,8 @@ def generate_accelerator(cfg: GenConfig) -> tuple[Netlist, GroundTruth]:
         instances.append(truth)
         control.extend(ctl)
     decoys = _build_decoys(b, cfg)
-    gt = GroundTruth(cfg.w, cfg.shares, instances, decoys, control)
-    netlist = b.netlist()
-    gt.window_collisions = _window_collisions(netlist, gt)
-    return netlist, gt
-
-
-def _window_collisions(netlist, gt):
-    graph = extract_dependencies(netlist)
-    nb = naive_bounds(gt.lane_width)
-    labeled = set(gt.all_state_ffs())
-    return sorted(
-        f for f in gt.decoy_ffs
-        if f not in labeled
-        and graph.fanin(f) >= nb.fif and graph.fanout(f) >= nb.fof)
+    return b.netlist(), GroundTruth(cfg.w, cfg.shares, instances, decoys,
+                                    control)
 
 
 def generate_core(w: int) -> tuple[Netlist, GroundTruth]:

@@ -9,7 +9,9 @@ statistic: the smallest one whose window holds the expected state size,
 read off the sorted fanouts of the flip-flops that clear both floors. The
 input register is then the lowest-scoring register group that the
 candidates depend on, ranked from one count of candidate hits per
-flip-flop.
+flip-flop. Only one that hits at least fof - 1 candidates counts, as an
+input bit does through the state bit it is absorbed into; a round-counter
+bit, which reaches the state through iota alone, hits a few.
 
 Pipeline order: dependencies -> scores -> levels/groups -> bounds search ->
 grouped localization, falling back to per-flip-flop localization when
@@ -58,11 +60,13 @@ class Analysis(NamedTuple):
 
 @dataclass
 class RepqcResult:
+    """A localization: the state candidates, the located input register
+    (empty when none was found) with its group id, the variant that found
+    it, the state size it expected and the bounds of the search."""
     state_candidates: frozenset[str]
     input_candidates: list[str]
     winning_group: str | None
     variant: str                      # "grouped" | "individual"
-    lane_width: int
     expected_state_count: int
     bounds: SearchBounds | None = None
     # set by run_pipeline; None for a result read back from a report or
@@ -142,28 +146,31 @@ def expected_state_count(w, instances=1, shares=1):
     return 25 * w * instances * shares
 
 
-def _hit_counts(graph: DependencyGraph, ckff: set[str]) -> Counter:
-    """For each flip-flop some state candidate sequentially depends on,
-    the number of candidates that do. Candidates themselves are left out:
-    the feedback of the state onto itself says nothing about where its
-    input comes from."""
+def _hit_counts(graph: DependencyGraph, ckff: set[str], w: int) -> Counter:
+    """For each flip-flop that at least fof - 1 state candidates (the hit
+    floor) sequentially depend on, the number that do. Candidates are left
+    out: the feedback of the state onto itself says nothing about where
+    its input comes from."""
     if not ckff:
         raise ValueError("empty state candidate set")
-    return Counter(m for f in ckff for m in graph.rdeps[f] if m not in ckff)
+    floor = derive_bounds(w)[1] - 1
+    hits = Counter(m for f in ckff for m in graph.rdeps[f] if m not in ckff)
+    return Counter({m: n for m, n in hits.items() if n >= floor})
 
 
 def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
                           graph: DependencyGraph, ckff: set[str],
                           w: int) -> RepqcResult:
     """Grouped localization: keep the register groups whose members take
-    at least w candidate hits in total, prune never-hit members, rank the
-    survivors by ascending mean score of their hit members (ties by level
-    key) and return the w lowest-scoring members of the best group.
+    at least w candidate hits in total, prune members below the hit floor
+    (``_hit_counts``), rank the survivors by ascending mean score of their
+    hit members (ties by level key) and return the w lowest-scoring
+    members of the best group.
 
     Returns an empty result when no group survives or when the best group
     cannot supply w members (the imprecise-grouping failure mode).
     """
-    hits = _hit_counts(graph, ckff)
+    hits = _hit_counts(graph, ckff, w)
     survivors = []
     for g in groups.regular():
         members = [m for m in g.members if m in hits]
@@ -182,8 +189,9 @@ def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
                              ckff: set[str], w: int) -> RepqcResult:
     """Groupless fallback: every flip-flop is its own group of one, the
     group-size filter disappears, and the answer is simply the w
-    lowest-scoring hit flip-flops (ties broken by id)."""
-    hits = _hit_counts(graph, ckff)
+    lowest-scoring flip-flops that reach the hit floor (ties broken by
+    id)."""
+    hits = _hit_counts(graph, ckff, w)
     if len(hits) < w:
         return _result(ckff, [], None, "individual", w)
     members = sorted(hits, key=lambda m: (scores.z[m], m))[:w]
@@ -191,7 +199,7 @@ def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
 
 
 def _result(ckff, members, gid, variant, w):
-    return RepqcResult(frozenset(ckff), members, gid, variant, w,
+    return RepqcResult(frozenset(ckff), members, gid, variant,
                        expected_state_count(w))
 
 
@@ -259,7 +267,6 @@ def remap_result(result: RepqcResult, rename: dict[str, str]) -> RepqcResult:
         input_candidates=[rename[f] for f in result.input_candidates],
         winning_group=result.winning_group,
         variant=result.variant,
-        lane_width=result.lane_width,
         expected_state_count=result.expected_state_count,
         bounds=result.bounds,
     )

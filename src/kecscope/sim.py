@@ -23,11 +23,11 @@ Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
 the island's control nets, those no island cell drives, are sampled every
 cycle: the one read by the first island NAND2 is the enable, the select
-nets of the first island MUX4 are the two leak bits, and the island
-contributes a (leak symbol, power) pair to the trace through a fixed
-lookup while enabled. The oscillator itself is analog behavior out of
-digital scope; its per-symbol mean frequencies are carried as metadata
-only.
+nets of the first island MUX4 are the two leak bits. The trace records
+the three as lane masks, and derives from them the leak symbol and,
+through a fixed lookup, its power while the island is enabled. The
+oscillator itself is analog behavior out of digital scope; its
+per-symbol mean frequencies are carried as metadata only.
 """
 
 from __future__ import annotations
@@ -56,14 +56,24 @@ class PortMismatchError(SimulationError):
 
 @dataclass
 class SimTrace:
+    """One record per cycle: primary outputs, watched nets and the
+    island's control lane masks (enable, leak[1], leak[0]), None without
+    an island. ``leak`` and ``power_uw`` derive from them: the symbol and
+    its power while enabled at batch 1, else None and 0.0."""
     cycles: int
     batch: int
-    inputs: list[dict[str, int]]
     outputs: list[dict[str, int]]
     watches: list[dict[str, int]]
-    leak: list[int | None]              # symbol when enabled (batch == 1)
-    power_uw: list[float]               # 0.0 while the oscillator is off
-    island_raw: list[tuple[int, int] | None]  # (enable mask, symbol bits 2*lane)
+    island_raw: list[tuple[int, int, int] | None]
+
+    @property
+    def leak(self) -> list[int | None]:
+        return [None if self.batch != 1 or raw is None or not raw[0]
+                else raw[1] << 1 | raw[2] for raw in self.island_raw]
+
+    @property
+    def power_uw(self) -> list[float]:
+        return [0.0 if s is None else LEAK_POWER_UW[s] for s in self.leak]
 
     def leak_symbols(self):
         return [s for s in self.leak if s is not None]
@@ -98,11 +108,11 @@ def write_stimulus(vectors) -> str:
 class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
     value slots, the compiled function ``f(v, m)`` (values, lane mask),
-    and slot lists for ports, flip-flop pins, watches and the island's
-    control nets. Only slots, gather names and table expressions reach the
-    generated source, never a net or cell name. Every pin is on a declared
-    net, which the netlist checked when it was made, so every pin has a
-    slot."""
+    slot lists for ports, flip-flop pins and watches, and a getter of the
+    island's control nets. Only slots, gather names and table expressions
+    reach the generated source, never a net or cell name. Every pin is on
+    a declared net, which the netlist checked when it was made, so every
+    pin has a slot."""
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
@@ -120,7 +130,6 @@ class _Compiled:
                               for c in group), count()))
         for net in netlist.all_nets():
             self.slot.setdefault(net, len(self.slot))
-        self.size = len(self.slot)
         self.pis = {p: self.slot[p] for p in netlist.input_ports()}
         self.pos = [(p, self.slot[p]) for p in netlist.output_ports()]
         self.watch = []
@@ -135,8 +144,8 @@ class _Compiled:
         self.rst = [(i, self.slot[c.pins["rst"]])
                     for i, c in enumerate(ffs) if "rst" in c.pins]
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
-        self.island = None if controls is None else tuple(
-            self.slot[n] for n in controls)
+        self.island = None if controls is None else itemgetter(
+            *(self.slot[n] for n in controls))
         gathers: dict[str, itemgetter] = {}
         statements = [self._statement(group, gathers) for group in groups]
         namespace = dict(gathers)
@@ -203,7 +212,8 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     watch net that does not exist, and a negative cycle count, with
     ``check`` or without; ``check`` runs :func:`validate` first. The check
     and the plan read the one ``netlist.index``, and every call builds
-    its own plan once, before the first cycle.
+    its own plan once, before the first cycle (``SimTrace`` says what
+    the trace records).
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
@@ -224,8 +234,8 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
                 raise SimulationError(f"init names unknown flip-flop {ff!r}")
             q_state[ff_pos[ff]] = val & mask
 
-    v = [0] * plan.size
-    trace = SimTrace(cycles, batch, [], [], [], [], [], [])
+    v = [0] * len(plan.slot)
+    trace = SimTrace(cycles, batch, [], [], [])
     carried: dict[str, int] = {}
     for cycle in range(cycles):
         for slot, q in zip(plan.q, q_state):
@@ -239,24 +249,10 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
                 raise StimulusError(f"cycle 0: stimulus missing input port {port!r}")
             v[slot] = carried[port]
         plan.evaluate(v, mask)
-        trace.inputs.append({p: v[slot] for p, slot in plan.pis.items()})
         trace.outputs.append({p: v[slot] for p, slot in plan.pos})
         trace.watches.append({n: v[slot] for n, slot in plan.watch})
-        if plan.island is not None:
-            en_slot, l1_slot, l0_slot = plan.island
-            en = v[en_slot]
-            sym = (v[l1_slot] << 1) | v[l0_slot]
-            trace.island_raw.append((en, sym))
-            if batch == 1 and en:
-                trace.leak.append(sym)
-                trace.power_uw.append(LEAK_POWER_UW[sym])
-            else:
-                trace.leak.append(None)
-                trace.power_uw.append(0.0)
-        else:
-            trace.island_raw.append(None)
-            trace.leak.append(None)
-            trace.power_uw.append(0.0)
+        trace.island_raw.append(None if plan.island is None
+                                else plan.island(v))
         q_state = [v[slot] for slot in plan.d]
         for i, slot in plan.rst:
             q_state[i] &= ~v[slot] & mask
@@ -288,9 +284,9 @@ def dump_trace(trace: SimTrace) -> str:
     """CSV: cycle, each output port, leak symbol, power."""
     ports = sorted(trace.outputs[0]) if trace.outputs else []
     lines = ["cycle," + ",".join(ports) + ",leak,power_uW"]
-    for i in range(trace.cycles):
-        leak = "" if trace.leak[i] is None else f"{trace.leak[i]:02b}"
-        row = [str(i)] + [str(trace.outputs[i][p]) for p in ports]
-        row += [leak, f"{trace.power_uw[i]:.1f}"]
+    for i, (out, leak, power) in enumerate(
+            zip(trace.outputs, trace.leak, trace.power_uw)):
+        row = [str(i)] + [str(out[p]) for p in ports]
+        row += ["" if leak is None else f"{leak:02b}", f"{power:.1f}"]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -1,15 +1,22 @@
+import ast
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+import kecscope
 from kecscope import keccak
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import (Builder, GenConfig, GroundTruth,
                                 generate_accelerator, generate_core,
                                 state_bit_index)
+from kecscope.locate import derive_bounds
 from kecscope.netlist import (ArityMismatchError, UnknownCellKindError,
                               validate, write_netlist)
 from kecscope.sim import simulate
+
+MIN_FANIN_FLOOR = min(derive_bounds(w)[0] for w in keccak.LANE_WIDTHS)
 
 
 def permute_init(netlist, truth, states, share=0, instance=0):
@@ -118,13 +125,15 @@ def test_seed_changes_decoys():
     assert write_netlist(a) != write_netlist(b)
 
 
-def test_oracle_counts_and_validity(oracle_w64):
+def test_oracle_counts_and_validity(oracle_w64, oracle_w64_graph):
     netlist, truth = oracle_w64
+    graph = oracle_w64_graph
     assert validate(netlist) == []
     assert len(truth.all_state_ffs()) == 1600
     assert len(truth.all_input_ffs()) == 64
     assert len(truth.decoy_ffs) == 3000
-    assert truth.window_collisions == []
+    # no decoy can enter a state window: each is below every fanin floor
+    assert max(map(graph.fanin, truth.decoy_ffs)) < MIN_FANIN_FLOOR
     names = {c.name for c in netlist.cells}
     assert set(truth.all_state_ffs()) <= names
 
@@ -153,6 +162,39 @@ def test_sidecar_round_trip(oracle_w8):
     _, truth = oracle_w8
     again = GroundTruth.from_json(truth.to_json())
     assert again == truth
+
+
+def test_sidecar_loads_with_a_key_it_does_not_know(oracle_w8):
+    # older sidecars also carry the decoys found inside the state window
+    _, truth = oracle_w8
+    record = {**json.loads(truth.to_json()), "window_collisions": []}
+    assert GroundTruth.from_json(json.dumps(record)) == truth
+
+
+GROUND_TRUTH_MODULES = ("generator", "netlist", "keccak")
+ANALYSIS_MODULES = {"depgraph", "scoring", "grouping", "locate", "sim",
+                    "trojan", "cli"}
+
+
+def _imported_modules(path):
+    """Last dotted component of every module a source file imports, and
+    every name taken from a package by ``from . import name``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(a.name.rsplit(".", 1)[-1] for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module.rsplit(".", 1)[-1])
+            names.update(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", GROUND_TRUTH_MODULES)
+def test_ground_truth_imports_no_analysis(module):
+    # the ground truth must not run the analysis it grades
+    path = Path(kecscope.__file__).parent / f"{module}.py"
+    assert not _imported_modules(path) & ANALYSIS_MODULES
 
 
 def test_round_logic_matches_reference_w8():

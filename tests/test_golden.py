@@ -36,7 +36,7 @@ def _anonymized():
 def _inserted():
     netlist, truth = generate_accelerator(GenConfig(w=16, decoy_ffs=100, seed=2))
     result = RepqcResult(frozenset(truth.all_state_ffs()), truth.all_input_ffs(),
-                         None, "grouped", 16, 400)
+                         None, "grouped", 400)
     spec = HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1)
     return _digest(*insert_hth(netlist, result, spec, reset_net="rst"))
 
@@ -44,19 +44,19 @@ def _inserted():
 GOLDEN = {
     "one-share-w8-decoys": (
         lambda: _generated(w=8, decoy_ffs=300, seed=1),
-        "a8c37f86c10f598d4013da696e5f69b1372ec7b8ba7193f336ba5e13a03946b2"),
+        "2dd75b88fd2b0920dc99b44291ee53a6db76942e817d6b00ab77c0f2d7a3b733"),
     "masked-w8-2-instances": (
         lambda: _generated(w=8, shares=2, instances=2, seed=2),
-        "a49aa9eb3cf87581e79ec34c75e2fc9a9ec5e58730dd0a3701a0f9ace2967ebf"),
+        "71707a231dfb0285c474571486b0769a5b2e1f34bdf336eeb85579912f3f8bd2"),
     "split-loader-w8": (
         lambda: _generated(w=8, loader="split", decoy_ffs=50, seed=3),
-        "0987a8a437f430181f306aacb5aa07e59cf7ba12c06ae8d2280f0112f8722e38"),
+        "e8dcaa3f5e41a2a0025fa89b607b679837c55ff63fd54c1150623c27859b0662"),
     "anonymized-w8": (
         _anonymized,
-        "30303ff41ad50e69d3cdd92b073b5e3af330b2a6762ee53e39e2bd888b00d8dc"),
+        "3a3bedc50c9a7355495854935cf49dbb91b8a51e10a0837f6e03bd276b1c5431"),
     "core-w8": (
         lambda: _digest(*generate_core(8)),
-        "a21ed3f769fcb60f01afe02bb062ecc3ab0559ff7fa86a30d6839d66fe08593d"),
+        "d543012a35a9c1d7e0f0b23b4517ea003dc03cdb91079266385c845082c0a9af"),
     "insert-hth-w16": (
         _inserted,
         "e9a51597601a859f52d8d1096c39ed6f1d374702b74f3bbb3896730738ee094f"),

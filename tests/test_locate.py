@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecscope.depgraph import DependencyGraph, extract_dependencies
+from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.grouping import Group, GroupTable, compute_levels, group_by_levels
 from kecscope.keccak import LANE_WIDTHS, round_dependency_sets
 from kecscope.locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
@@ -131,9 +133,16 @@ def _stub_graph(edges, ffs):
                            {f: False for f in ffs})
 
 
+def _hit_floor(w):
+    """The least number of candidates a member must hit to count."""
+    return derive_bounds(w)[1] - 1
+
+
 def _three_group_fixture(w=4):
-    """Only group A is fully hit; B never hit; C hit but too small."""
-    state = [f"s{i}" for i in range(8)]
+    """Only group A is fully hit; B never hit; C hit but too small. The
+    state has exactly as many candidates as the hit floor, so each member
+    that feeds all of them just counts."""
+    state = [f"s{i:02d}" for i in range(_hit_floor(w))]
     a = [f"a{i}" for i in range(w)]
     b = [f"b{i}" for i in range(w)]
     c = ["c0"]
@@ -190,6 +199,42 @@ def test_grouped_requires_candidates():
     graph, groups, scores, _, _ = _three_group_fixture()
     with pytest.raises(ValueError):
         locate_inputs_grouped(scores, groups, graph, set(), 4)
+
+
+def test_members_below_the_hit_floor_do_not_count():
+    graph, groups, scores, ckff, a = _three_group_fixture()
+    # a round-counter-like group: lower scores than a, but each member
+    # hits one candidate fewer than the floor
+    r = [f"r{i}" for i in range(4)]
+    below = sorted(ckff)[:_hit_floor(4) - 1]
+    for m in r:
+        graph.ffs.append(m)
+        graph.deps[m] = set(below)
+        graph.rdeps[m] = set()
+        for s in below:
+            graph.rdeps[s].add(m)
+        scores.z[m] = 0.0
+    groups.groups.insert(0, Group("gr", (1, 2), r))
+    res = locate_inputs_grouped(scores, groups, graph, ckff, 4)
+    assert res.winning_group == "ga"
+    assert sorted(res.input_candidates) == sorted(a)
+    res = locate_inputs_individual(scores, graph, ckff, 4)
+    assert sorted(res.input_candidates) == sorted(a)
+
+
+@pytest.mark.parametrize("blind", (False, True), ids=("named", "anonymized"))
+@pytest.mark.parametrize("decoys", (0, 3000))
+@pytest.mark.parametrize("w", (1, 2, 4, 8))
+def test_input_register_located_at_small_widths(w, decoys, blind):
+    # at w <= 4 the round counter has at least w bits, so it clears both
+    # group filters; only the hit floor keeps its few hits from counting
+    netlist, truth = generate_accelerator(GenConfig(w=w, decoy_ffs=decoys,
+                                                    seed=1))
+    if blind:
+        netlist, rename = anonymize(netlist, 1)
+        truth = truth.remap(rename)
+    result, _ = run_pipeline(netlist, PipelineConfig(lane_width=w))
+    assert set(result.input_candidates) == set(truth.all_input_ffs())
 
 
 def test_individual_no_hits_is_empty():
@@ -299,16 +344,14 @@ def _widening_search(graph, w, instances=1, shares=1):
 
 
 def _mark_hits(groups, graph, ckff):
-    """gid -> (pair hit count, member -> hit)"""
-    marks = {g.gid: [0, {m: False for m in g.members}] for g in groups.groups}
+    """gid -> member -> number of (candidate, member) hit pairs"""
+    marks = {g.gid: dict.fromkeys(g.members, 0) for g in groups.groups}
     member_group = {m: g.gid for g in groups.groups for m in g.members}
     for f in ckff:
         for m in graph.rdeps[f]:
             if m in ckff or m not in member_group:
                 continue
-            mark = marks[member_group[m]]
-            mark[1][m] = True
-            mark[0] += 1
+            marks[member_group[m]][m] += 1
     return marks
 
 
@@ -318,10 +361,10 @@ def _reference_grouped(scores, groups, graph, ckff, w):
     marks = _mark_hits(groups, graph, ckff)
     survivors = []
     for g in groups.regular():
-        hits, member_hit = marks[g.gid]
-        if hits >= w:
-            survivors.append((g, [m for m in g.members if member_hit[m]]))
-    empty = RepqcResult(frozenset(ckff), [], None, "grouped", w,
+        hit = {m: n for m, n in marks[g.gid].items() if n >= _hit_floor(w)}
+        if sum(hit.values()) >= w:
+            survivors.append((g, [m for m in g.members if m in hit]))
+    empty = RepqcResult(frozenset(ckff), [], None, "grouped",
                         expected_state_count(w))
     if not survivors:
         return empty
@@ -334,21 +377,24 @@ def _reference_grouped(scores, groups, graph, ckff, w):
     if len(members) < w:
         return empty
     members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, best.gid, "grouped", w,
+    return RepqcResult(frozenset(ckff), members, best.gid, "grouped",
                        expected_state_count(w))
 
 
 def _reference_individual(scores, graph, ckff, w):
     if not ckff:
         raise ValueError("empty state candidate set")
-    hit = set()
+    pairs = {}
     for f in ckff:
-        hit.update(m for m in graph.rdeps[f] if m not in ckff)
+        for m in graph.rdeps[f]:
+            if m not in ckff:
+                pairs[m] = pairs.get(m, 0) + 1
+    hit = {m for m, n in pairs.items() if n >= _hit_floor(w)}
     if len(hit) < w:
-        return RepqcResult(frozenset(ckff), [], None, "individual", w,
+        return RepqcResult(frozenset(ckff), [], None, "individual",
                            expected_state_count(w))
     members = sorted(hit, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, None, "individual", w,
+    return RepqcResult(frozenset(ckff), members, None, "individual",
                        expected_state_count(w))
 
 
@@ -379,26 +425,59 @@ def test_clever_search_matches_widening(seed, n, instances):
             == _outcome(_widening_search, graph, 1, instances))
 
 
-@settings(max_examples=150, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
-       w=st.integers(1, 6))
-def test_localizers_match_hit_marking(seed, n, w):
-    rng = random.Random(seed)
-    graph = random_graph(rng, n)
+def _localizer_case(rng, n):
+    """A dense graph (as for the floors) with up to two thirds of its
+    flip-flops as candidates, so member hit counts straddle the hit
+    floors of small widths; few distinct scores, so ties in both rankings
+    are common; and random groups over all flip-flops."""
+    graph = _dense_graph(rng, n)
     ffs = graph.ffs
-    ckff = set(rng.sample(ffs, rng.randint(0, n // 2)))
-    # few distinct scores, so ties in both rankings are common
+    ckff = set(rng.sample(ffs, rng.randint(0, 2 * n // 3)))
     scores = _stub_scores({f: rng.choice((0.0, 0.25, 0.5, 1.5)) for f in ffs})
     buckets = {}
     for f in ffs:
         buckets.setdefault(rng.randint(0, 5), []).append(f)
     groups = [Group(f"g{k}", (k % 3, k // 3) if k else None, sorted(m))
               for k, m in sorted(buckets.items(), reverse=True)]
-    table = GroupTable(groups)
+    return graph, ckff, scores, GroupTable(groups)
+
+
+SMALL_WIDTHS = (1, 2, 4, 8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
+       w=st.sampled_from(SMALL_WIDTHS))
+def test_localizers_match_hit_marking(seed, n, w):
+    graph, ckff, scores, table = _localizer_case(random.Random(seed), n)
     assert (_outcome(locate_inputs_grouped, scores, table, graph, ckff, w)
             == _outcome(_reference_grouped, scores, table, graph, ckff, w))
     assert (_outcome(locate_inputs_individual, scores, graph, ckff, w)
             == _outcome(_reference_individual, scores, graph, ckff, w))
+
+
+def test_localizer_cases_straddle_the_hit_floor():
+    # the draws of test_localizers_match_hit_marking are not vacuous:
+    # members fall on both sides of the floor and both localizers find
+    # registers in some draws and not in others
+    below = above = 0
+    found = {"grouped": set(), "individual": set()}
+    for seed in range(60):
+        rng = random.Random(seed)
+        n, w = rng.randint(2, 80), rng.choice(SMALL_WIDTHS)
+        graph, ckff, scores, table = _localizer_case(rng, n)
+        if not ckff:
+            continue
+        pairs = Counter(m for f in ckff for m in graph.rdeps[f]
+                        if m not in ckff)
+        below += sum(0 < k < _hit_floor(w) for k in pairs.values())
+        above += sum(k >= _hit_floor(w) for k in pairs.values())
+        found["grouped"].add(locate_inputs_grouped(
+            scores, table, graph, ckff, w).found())
+        found["individual"].add(locate_inputs_individual(
+            scores, graph, ckff, w).found())
+    assert below and above
+    assert found == {"grouped": {False, True}, "individual": {False, True}}
 
 
 class _CountingGraph(DependencyGraph):

@@ -176,6 +176,23 @@ def test_island_leak_and_power():
     assert tr.leak == [None, 1, 2, 3, None]
     assert tr.power_uw == [0.0, 34.2, 36.9, 38.9, 0.0]
     assert tr.leak_symbols() == [1, 2, 3]
+    assert tr.island_raw == [(0, 0, 0), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+                             (0, 1, 1)]
+
+
+def test_island_samples_keep_every_lane_at_batch_2():
+    # lane 0 holds symbol 2 in both cycles, lane 1 symbol 1 and then 0;
+    # one int (leak[1] << 1) | leak[0] would shift lane 0's leak[1] onto
+    # lane 1's leak[0] and read 2 in both cycles
+    n = parse_netlist(RO_ISLAND)
+    stim = [{"clk": 0, "en": 0b11, "l1": 0b01, "l0": 0b10},
+            {"l0": 0b00}]
+    tr = simulate(n, stim, 2, batch=2)
+    assert tr.island_raw[0] != tr.island_raw[1]
+    assert tr.island_raw == [(0b11, 0b01, 0b10), (0b11, 0b01, 0b00)]
+    # lanes are leaked one symbol at a time only at batch 1
+    assert tr.leak == [None, None] and tr.power_uw == [0.0, 0.0]
+    assert tr == _reference(n, stim, 2, batch=2)
 
 
 SECOND_ISLAND = """\
@@ -317,7 +334,7 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
     probe = _island_controls(netlist)
     values = dict.fromkeys(netlist.all_nets(), 0)
     carried = {}
-    trace = SimTrace(cycles, batch, [], [], [], [], [], [])
+    trace = SimTrace(cycles, batch, [], [], [])
     for cycle in range(cycles):
         for c in ffs:
             values[c.pins["q"]] = state[c.name]
@@ -328,17 +345,10 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
             env = {p: values[c.pins[p]] for p in spec.inputs}
             env["m"] = mask
             values[c.pins[spec.output]] = eval(spec.expr, {}, env)
-        trace.inputs.append({p: values[p] for p in netlist.input_ports()})
         trace.outputs.append({p: values[p] for p in netlist.output_ports()})
         trace.watches.append({n: values[n] for n in watch})
-        en = sym = None
-        if probe is not None:
-            en = values[probe[0]]
-            sym = (values[probe[1]] << 1) | values[probe[2]]
-        trace.island_raw.append(None if probe is None else (en, sym))
-        leaking = batch == 1 and bool(en)
-        trace.leak.append(sym if leaking else None)
-        trace.power_uw.append(LEAK_POWER_UW[sym] if leaking else 0.0)
+        trace.island_raw.append(
+            None if probe is None else tuple(values[n] for n in probe))
         for c in ffs:
             d = values[c.pins["d"]]
             if "rst" in c.pins:

@@ -219,7 +219,7 @@ def _register(tap0="r0", clk15="clk"):
         b.dff(f"r{i}", d, clk=clk15 if i == 15 else clk)
     b.cell("BUF", "u0", a=d, y=b.port_out("o"))
     taps = [tap0] + [f"r{i}" for i in range(1, 16)]
-    return b.netlist(), RepqcResult(frozenset(), taps, None, "grouped", 16, 0)
+    return b.netlist(), RepqcResult(frozenset(), taps, None, "grouped", 0)
 
 
 SPEC16 = HthSpec(t=16, l=16, trigger=0xBEEF)
