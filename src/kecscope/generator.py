@@ -242,36 +242,41 @@ class Builder:
 
     def const_mux(self, values, sel, prefix=""):
         """Mux tree over constant bits indexed by the sel nets (LSB first),
-        folding constant subtrees to shared TIE nets."""
+        folding constant subtrees to shared TIE nets. The recursion is a
+        method, not a closure that calls itself: such a closure is a
+        reference cycle that would hold the builder and all it has built
+        until the cyclic collector ran."""
         size = 1 << len(sel)
-        vals = list(values) + [0] * (size - len(values))
+        return self._const_tree(list(values) + [0] * (size - len(values)),
+                                sel, prefix)
 
-        def build(bits, sels):
-            if all(b == bits[0] for b in bits):
-                return self.tie(bits[0], prefix)
-            half = len(bits) // 2
-            lo = build(bits[:half], sels[:-1])
-            hi = build(bits[half:], sels[:-1])
-            if lo == hi:
-                return lo
-            return self.mux2(lo, hi, sels[-1], prefix)
-
-        return build(vals, sel)
+    def _const_tree(self, bits, sels, prefix):
+        if all(b == bits[0] for b in bits):
+            return self.tie(bits[0], prefix)
+        half = len(bits) // 2
+        lo = self._const_tree(bits[:half], sels[:-1], prefix)
+        hi = self._const_tree(bits[half:], sels[:-1], prefix)
+        if lo == hi:
+            return lo
+        return self.mux2(lo, hi, sels[-1], prefix)
 
     def mux_n(self, inputs, sel, prefix=""):
-        """Binary mux tree over arbitrary nets; missing slots read TIE0."""
+        """Binary mux tree over arbitrary nets; missing slots read TIE0.
+        TIE0 is asked for even when no slot is missing, which fixes the
+        names of what follows. The recursion is a method, as in
+        :meth:`const_mux`."""
         size = 1 << len(sel)
-        nets = list(inputs) + [self.tie(0, prefix)] * (size - len(inputs))
+        return self._mux_tree(
+            list(inputs) + [self.tie(0, prefix)] * (size - len(inputs)),
+            sel, prefix)
 
-        def build(lst, sels):
-            if len(lst) == 1:
-                return lst[0]
-            half = len(lst) // 2
-            lo = build(lst[:half], sels[:-1])
-            hi = build(lst[half:], sels[:-1])
-            return self.mux2(lo, hi, sels[-1], prefix)
-
-        return build(nets, sel)
+    def _mux_tree(self, nets, sels, prefix):
+        if len(nets) == 1:
+            return nets[0]
+        half = len(nets) // 2
+        lo = self._mux_tree(nets[:half], sels[:-1], prefix)
+        hi = self._mux_tree(nets[half:], sels[:-1], prefix)
+        return self.mux2(lo, hi, sels[-1], prefix)
 
 
 def _incrementer(b, bits, prefix):

@@ -67,7 +67,9 @@ class RepqcResult:
     input_candidates: list[str]
     winning_group: str | None
     variant: str                      # "grouped" | "individual"
-    expected_state_count: int
+    # set by run_pipeline, which alone knows the instances and shares;
+    # None from a localizer
+    expected_state_count: int | None = None
     bounds: SearchBounds | None = None
     # set by run_pipeline; None for a result read back from a report or
     # remapped through a rename
@@ -181,8 +183,8 @@ def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
         _, best, members = min(survivors, key=lambda s: s[0])
         if len(members) >= w:
             members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-            return _result(ckff, members, best.gid, "grouped", w)
-    return _result(ckff, [], None, "grouped", w)
+            return RepqcResult(frozenset(ckff), members, best.gid, "grouped")
+    return RepqcResult(frozenset(ckff), [], None, "grouped")
 
 
 def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
@@ -193,14 +195,9 @@ def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
     id)."""
     hits = _hit_counts(graph, ckff, w)
     if len(hits) < w:
-        return _result(ckff, [], None, "individual", w)
+        return RepqcResult(frozenset(ckff), [], None, "individual")
     members = sorted(hits, key=lambda m: (scores.z[m], m))[:w]
-    return _result(ckff, members, None, "individual", w)
-
-
-def _result(ckff, members, gid, variant, w):
-    return RepqcResult(frozenset(ckff), members, gid, variant,
-                       expected_state_count(w))
+    return RepqcResult(frozenset(ckff), members, None, "individual")
 
 
 @dataclass

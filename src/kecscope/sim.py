@@ -28,6 +28,11 @@ the three as lane masks, and derives from them the leak symbol and,
 through a fixed lookup, its power while the island is enabled. The
 oscillator itself is analog behavior out of digital scope; its
 per-symbol mean frequencies are carried as metadata only.
+
+Stealth has two definitions: :func:`equivalence_check` compares the
+simulated outputs of two designs on one stimulus, and :func:`extends`
+proves them equal on every stimulus from structure alone, when one design
+only adds cells and nets to the other, as ``insert_hth`` does.
 """
 
 from __future__ import annotations
@@ -152,7 +157,9 @@ class _Compiled:
         exec(compile("def f(v, m):\n    "
                      + "\n    ".join(statements or ["pass"]) + "\n",
                      "<kecscope.sim plan>", "exec"), namespace)
-        self.evaluate = namespace["f"]
+        # popped: f's globals are the namespace, and a namespace that
+        # still held f would be a reference cycle
+        self.evaluate = namespace.pop("f")
 
     def _statement(self, cells, gathers):
         """``v[s:e] = [expr for pins in zip(gathers)]`` for one group of
@@ -272,9 +279,41 @@ def outputs_equal(t1: SimTrace, t2: SimTrace) -> bool:
     return all(a == b for a, b in zip(t1.outputs, t2.outputs))
 
 
+def extends(netlist: Netlist, baseline: Netlist) -> bool:
+    """True iff ``netlist`` only adds to ``baseline``: both have the same
+    ports (name and direction), every baseline cell equals the cell that
+    drives its output net in ``netlist``, and every baseline net is a
+    baseline input port or the output of a baseline cell.
+
+    ``netlist`` must be valid (:func:`validate` finds nothing). Then the
+    baseline's cells are a subset of an acyclic netlist whose nets each
+    have one driver, and each baseline net is driven in both designs by
+    the same cell or port. So the baseline is valid too, and every
+    baseline net, its outputs among them, takes the same value in both
+    designs in every cycle of every stimulus, as long as the flip-flops
+    they share start alike (as they do without ``init``). That verdict is
+    stronger than the one :func:`equivalence_check` gives on one
+    stimulus, and it reads ``netlist.index`` alone, with no index, plan
+    or run of the baseline.
+    """
+    if set(netlist.ports) != set(baseline.ports):
+        return False
+    driver = netlist.index.driver
+    if not all(c == driver.get(c.output_net()) for c in baseline.cells):
+        return False
+    # The baseline's cells then drive distinct nets (their names are
+    # distinct), none of them an input port (in the valid netlist a cell
+    # driving an input port would clash), all declared. So the baseline's
+    # nets are its input ports and its cells' outputs iff they add up.
+    return (len(baseline.ports) + len(baseline.nets)
+            == len(baseline.input_ports()) + len(baseline.cells))
+
+
 def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:
-    """True iff primary-output traces agree cycle for cycle. Both designs
-    must expose identical port sets."""
+    """True iff primary-output traces agree cycle for cycle on this
+    stimulus. Both designs must expose identical port sets. This is the
+    simulated definition that :func:`extends` decides from structure
+    when one design only adds to the other."""
     check_ports(n1, n2)
     return outputs_equal(simulate(n1, stimulus, cycles),
                          simulate(n2, stimulus, cycles))

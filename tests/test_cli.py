@@ -1,14 +1,19 @@
+import gc
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import jsonschema
 import pytest
 
-from kecscope import depgraph, grouping, locate, netlist, scoring
+from kecscope import cli, depgraph, grouping, locate, netlist, scoring
 from kecscope.cli import main
-from kecscope.netlist import parse_netlist, write_netlist
-from kecscope.sim import write_stimulus
+from kecscope.generator import GenConfig, generate_accelerator
+from kecscope.locate import PipelineConfig, run_pipeline
+from kecscope.netlist import anonymize, parse_netlist, validate, write_netlist
+from kecscope.sim import simulate, write_stimulus
+from kecscope.trojan import HthSpec, insert_hth
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parents[1]
@@ -130,7 +135,8 @@ def test_analyze_builds_each_structure_once(workdir, tmp_path, monkeypatch):
     assert (tmp_path / "groups.csv").read_text() == grouping.dump_groups(groups)
 
 
-def test_each_loaded_netlist_is_indexed_once(workdir, tmp_path, monkeypatch):
+def test_each_loaded_netlist_is_indexed_once(workdir, injected, tmp_path,
+                                             monkeypatch):
     calls = []
     build = netlist.index_netlist
 
@@ -143,19 +149,28 @@ def test_each_loaded_netlist_is_indexed_once(workdir, tmp_path, monkeypatch):
         if (module.__name__.startswith("kecscope")
                 and getattr(module, "index_netlist", None) is build):
             monkeypatch.setattr(module, "index_netlist", counted)
-    assert run("analyze", "--netlist", str(workdir / "g" / "design.nl"),
+    victim = str(workdir / "g" / "design.nl")
+    trojaned = str(injected / "trojaned.nl")
+    assert run("analyze", "--netlist", victim,
                "--lane-width", "16", "--out-dir", str(tmp_path / "a")) == 0
     assert len(calls) == 1
 
-    calls.clear()
     base = parse_netlist((workdir / "g" / "design.nl").read_text())
     (tmp_path / "quiet.stim").write_text(
         write_stimulus([{p: 0 for p in base.input_ports()}] * 3))
-    assert run("simulate", "--netlist", str(workdir / "g" / "design.nl"),
-               "--stimulus", str(tmp_path / "quiet.stim"),
-               "--baseline", str(workdir / "g" / "design.nl"),
-               "--out-dir", str(tmp_path / "s")) == 0
-    assert len(calls) == 2 and calls[0] is not calls[1]
+    # the trojaned design extends the victim: the victim is never indexed;
+    # the other way round it is indexed, validated and simulated
+    for design, baseline, indexes in ((trojaned, victim, 1),
+                                      (victim, trojaned, 2)):
+        calls.clear()
+        out = tmp_path / f"s{indexes}"
+        assert run("simulate", "--netlist", design,
+                   "--stimulus", str(tmp_path / "quiet.stim"),
+                   "--baseline", baseline, "--out-dir", str(out)) == 0
+        # one index per netlist, each of a different netlist
+        assert len(calls) == len({id(n) for n in calls}) == indexes
+        report = json.loads((out / "sim_report.json").read_text())
+        assert report["stealth_equal"] is True
 
 
 def test_analyze_not_present(workdir, tmp_path):
@@ -436,3 +451,118 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     if code == 4:
         netlist_file = Path(argv[argv.index("--netlist") + 1]).name
         assert INVALID_NETLISTS[netlist_file][1] in err.splitlines()
+
+
+# baseline -> (its text, the exit code, and stealth_equal or what stderr
+# prints) of simulate --netlist NO_FFS (an INV from a to b) --baseline it
+BASELINES = {
+    "same": (NO_FFS, 0, True),
+    # NO_FFS extends it: one cell and one net less
+    "extended": ("module m\ninput a\noutput b\nnet n\ncell INV i1 a=a y=b\n"
+                 "cell BUF b1 a=a y=n\nendmodule\n", 0, True),
+    "buf": (NO_FFS.replace("INV", "BUF"), 0, False),
+    "ports": (NO_FFS.replace("input a", "input a\ninput c"), 2,
+              "error: designs expose different primary ports"),
+    # every cell the netlist's, but a net nothing drives
+    "undriven": (NO_FFS.replace("output b", "output b\nnet n"), 4,
+                 "violation: undriven-net: n"),
+    "twice": (INVALID_NETLISTS["twice.nl"][0], 4,
+              "violation: multi-driven-net: b: ['cell i1', 'cell b1']"),
+    "syntax": (INVALID_NETLISTS["syntax.nl"][0], 4,
+               "error: line 2: unknown keyword 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("baseline", sorted(BASELINES))
+def test_simulate_baseline_verdicts(tmp_path, capsys, baseline):
+    text, code, outcome = BASELINES[baseline]
+    (tmp_path / "inv.nl").write_text(NO_FFS)
+    (tmp_path / "b.nl").write_text(text)
+    (tmp_path / "a.stim").write_text("a=0\na=1\n")
+    assert run("simulate", "--netlist", str(tmp_path / "inv.nl"),
+               "--stimulus", str(tmp_path / "a.stim"),
+               "--baseline", str(tmp_path / "b.nl"),
+               "--out-dir", str(tmp_path)) == code
+    if code:
+        assert outcome in capsys.readouterr().err.splitlines()
+    else:
+        report = json.loads((tmp_path / "sim_report.json").read_text())
+        assert report["stealth_equal"] is outcome
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+@pytest.mark.parametrize("argv, code", [
+    (["simulate", "--netlist", "{d}/inv.nl", "--stimulus", "{d}/a.stim"], 0),
+    (["simulate", "--netlist", "{d}/inv.nl", "--stimulus", "{d}/none.stim"],
+     2),
+    (["simulate", "--netlist", "{d}/inv.nl", "--stimulus", "{d}/a.stim",
+      "--cycles", "-1"], 2),
+    (["analyze", "--netlist", "{d}/inv.nl"], 3),
+    (["analyze", "--netlist", "{d}/twice.nl"], 4),
+    (["analyze", "--netlist", "{d}/syntax.nl"], 4),
+], ids=["ok", "usage-exit", "usage-failure", "not-found", "invalid",
+        "syntax"])
+def test_main_runs_without_the_cyclic_collector_and_restores_it(
+        tmp_path, monkeypatch, collecting, argv, code):
+    (tmp_path / "inv.nl").write_text(NO_FFS)
+    (tmp_path / "a.stim").write_text("a=0\n")
+    for name in ("twice.nl", "syntax.nl"):
+        (tmp_path / name).write_text(INVALID_NETLISTS[name][0])
+    seen = []
+
+    def parse(text):
+        seen.append(gc.isenabled())
+        return parse_netlist(text)
+
+    monkeypatch.setattr(cli, "parse_netlist", parse)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert run(*(a.format(d=tmp_path) for a in argv),
+                   "--out-dir", str(tmp_path)) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert seen == [False]
+
+
+SMALL = GenConfig(w=16, decoy_ffs=500, seed=3)
+
+
+@pytest.fixture(scope="module")
+def small_attack():
+    victim, _ = generate_accelerator(SMALL)
+    result, _ = run_pipeline(victim, PipelineConfig(lane_width=16))
+    spec = HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1)
+    trojaned, _ = insert_hth(victim, result, spec)
+    return {"victim": victim, "result": result, "spec": spec,
+            "trojaned": trojaned,
+            "stimulus": [dict.fromkeys(trojaned.input_ports(), 0)] * 4}
+
+
+# every stage a command runs; replace(n) is a new netlist with no index
+STAGES = {
+    "generate_accelerator": lambda a: generate_accelerator(SMALL),
+    "anonymize": lambda a: anonymize(a["victim"], 1),
+    "write_and_parse": lambda a: parse_netlist(write_netlist(a["victim"])),
+    "validate": lambda a: validate(replace(a["victim"])),
+    "run_pipeline": lambda a: run_pipeline(replace(a["victim"]),
+                                           PipelineConfig(lane_width=16)),
+    "insert_hth": lambda a: insert_hth(a["victim"], a["result"], a["spec"]),
+    "simulate": lambda a: simulate(replace(a["trojaned"]), a["stimulus"], 4),
+}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGES))
+def test_no_stage_leaves_a_reference_cycle(small_attack, stage):
+    # what main may run with the cyclic collector off: its result dropped,
+    # a stage must leave nothing only that collector could free
+    before = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        STAGES[stage](small_attack)
+        assert gc.collect() == 0
+    finally:
+        if before:
+            gc.enable()

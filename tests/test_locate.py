@@ -321,6 +321,19 @@ def test_pipeline_invariant_under_anonymization(oracle_w8):
     assert remapped.analysis is None
 
 
+def test_only_the_pipeline_sets_the_expected_state_count():
+    # two instances: 400 candidates at w = 8, where one instance has 200
+    netlist, _ = generate_accelerator(GenConfig(w=8, instances=2, seed=1))
+    config = PipelineConfig(lane_width=8, instances=2)
+    res, _ = run_pipeline(netlist, config)
+    assert res.expected_state_count == len(res.state_candidates) == 400
+    graph, scores, groups = res.analysis
+    ckff = set(res.state_candidates)
+    for direct in (locate_inputs_grouped(scores, groups, graph, ckff, 8),
+                   locate_inputs_individual(scores, graph, ckff, 8)):
+        assert direct.expected_state_count is None
+
+
 # Reference definitions the search and the localizers are checked against:
 # the fanout ceiling widened one step at a time with a full rescan per
 # step, and hit marking per (candidate, member) pair.
@@ -364,8 +377,7 @@ def _reference_grouped(scores, groups, graph, ckff, w):
         hit = {m: n for m, n in marks[g.gid].items() if n >= _hit_floor(w)}
         if sum(hit.values()) >= w:
             survivors.append((g, [m for m in g.members if m in hit]))
-    empty = RepqcResult(frozenset(ckff), [], None, "grouped",
-                        expected_state_count(w))
+    empty = RepqcResult(frozenset(ckff), [], None, "grouped")
     if not survivors:
         return empty
 
@@ -377,8 +389,7 @@ def _reference_grouped(scores, groups, graph, ckff, w):
     if len(members) < w:
         return empty
     members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, best.gid, "grouped",
-                       expected_state_count(w))
+    return RepqcResult(frozenset(ckff), members, best.gid, "grouped")
 
 
 def _reference_individual(scores, graph, ckff, w):
@@ -391,11 +402,9 @@ def _reference_individual(scores, graph, ckff, w):
                 pairs[m] = pairs.get(m, 0) + 1
     hit = {m for m, n in pairs.items() if n >= _hit_floor(w)}
     if len(hit) < w:
-        return RepqcResult(frozenset(ckff), [], None, "individual",
-                           expected_state_count(w))
+        return RepqcResult(frozenset(ckff), [], None, "individual")
     members = sorted(hit, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, None, "individual",
-                       expected_state_count(w))
+    return RepqcResult(frozenset(ckff), members, None, "individual")
 
 
 def _outcome(fn, *args):

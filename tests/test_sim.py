@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ArityMismatchError,
                               Cell, DeclarationError, Netlist, Port,
                               UnknownCellKindError, index_netlist,
-                              parse_netlist, write_netlist)
+                              parse_netlist, validate, write_netlist)
 from kecscope.sim import (LEAK_POWER_UW, PortMismatchError,
                           SimTrace, SimulationError, StimulusError,
                           _island_controls, dump_trace, equivalence_check,
-                          parse_stimulus, simulate, write_stimulus)
+                          extends, parse_stimulus, simulate, write_stimulus)
 
 TOGGLE = """\
 module t
@@ -481,3 +481,142 @@ def test_compiled_simulator_matches_reference_on_small_groups(batch):
         (0, "TIE0"): 1, (0, "TIE1"): 2, (1, "XOR2"): 1, (1, "AND2"): 2,
         (2, "INV"): 1, (2, "MUX2"): 1}
     _compare_every_net(netlist, batch, 4, batch)
+
+
+# The structural stealth verdict (extends) against the simulated one
+# (equivalence_check), on the random designs above and edits of them.
+
+def _random_stimulus(rng, netlist):
+    cycles = rng.randint(1, 6)
+    return [{p: rng.getrandbits(1) for p in netlist.input_ports()}
+            for _ in range(cycles)], cycles
+
+
+def _additive_edit(rng, n):
+    """n with nets appended and cells inserted anywhere in the cell list,
+    each cell reading n's nets or earlier new ones; flip-flops and island
+    cells among them, the ports unchanged."""
+    pool = n.all_nets()
+    nets, cells = list(n.nets), list(n.cells)
+    for j in range(len(cells), len(cells) + rng.randint(1, 12)):
+        kind = rng.choice(COMB_KINDS + ["DFF"])
+        spec = CELL_KINDS[kind]
+        pins = {p: rng.choice(pool) for p in spec.inputs}
+        if kind == "DFF":
+            pins["clk"] = "clk"
+        pins[spec.output] = f"x{j}"
+        tags = frozenset([ANALOG_ISLAND_TAG] if rng.random() < 0.1 else [])
+        nets.append(f"x{j}")
+        cells.insert(rng.randint(0, len(cells)), Cell(kind, f"e{j}", pins, tags))
+        pool.append(f"x{j}")
+    return replace(n, nets=nets, cells=cells)
+
+
+def _additive(rng, n):
+    return _additive_edit(rng, n), n
+
+
+def _replaced(n, old, new):
+    return replace(n, cells=[new if c is old else c for c in n.cells])
+
+
+def _other_kind(rng, n):
+    cell = rng.choice([c for c in n.cells if c.kind in ("AND2", "OR2", "XOR2")])
+    kind = rng.choice([k for k in ("AND2", "OR2", "XOR2", "NAND2") if k != cell.kind])
+    return _replaced(n, cell, Cell(kind, cell.name, cell.pins, cell.tags)), n
+
+
+def _other_pin(rng, n):
+    cell = rng.choice([c for c in n.cells if c.input_pins()])
+    pin, net = rng.choice(cell.input_pins())
+    # an input port never closes a cycle
+    new = rng.choice([p for p in n.input_ports() if p != net])
+    return _replaced(n, cell, Cell(cell.kind, cell.name,
+                                   {**cell.pins, pin: new}, cell.tags)), n
+
+
+def _other_tag(rng, n):
+    cell = rng.choice([c for c in n.cells if not c.tags])
+    return _replaced(n, cell, Cell(cell.kind, cell.name, cell.pins,
+                                   frozenset([ANALOG_ISLAND_TAG]))), n
+
+
+def _removed_cell(rng, n):
+    # the baseline has a cell the netlist lacks
+    extra = Cell("BUF", "extra", {"a": rng.choice(n.all_nets()), "y": "xb"})
+    return n, replace(n, nets=[*n.nets, "xb"], cells=[*n.cells, extra])
+
+
+def _undriven_baseline_net(rng, n):
+    # the baseline lacks the driver of one of its nets, so it is invalid
+    cell = rng.choice(n.cells)
+    return n, replace(n, cells=[c for c in n.cells if c is not cell])
+
+
+def _redriven_net(rng, n):
+    # a baseline net driven by another cell, the same function under
+    # another name
+    cell = rng.choice(n.cells)
+    return _replaced(n, cell, Cell(cell.kind, "r_" + cell.name, cell.pins,
+                                   cell.tags)), n
+
+
+def _added_port(rng, n):
+    if rng.random() < 0.5:
+        return replace(n, ports=[*n.ports, Port("extra", "in")]), n
+    out = Cell("BUF", "extra_b", {"a": rng.choice(n.all_nets()), "y": "extra"})
+    return replace(n, ports=[*n.ports, Port("extra", "out")],
+                   cells=[*n.cells, out]), n
+
+
+def _turned_port(rng, n):
+    # an input port turned output, driven by a new constant
+    port = rng.choice([p for p in n.ports if p.direction == "in"])
+    ports = [Port(p.name, "out") if p is port else p for p in n.ports]
+    tie = Cell("TIE0", "extra_t", {"y": port.name})
+    return replace(n, ports=ports, cells=[*n.cells, tie]), n
+
+
+NON_ADDITIVE = {f.__name__.lstrip("_"): f for f in (
+    _other_kind, _other_pin, _other_tag, _removed_cell, _undriven_baseline_net,
+    _redriven_net, _added_port, _turned_port)}
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_an_additive_edit_extends_and_keeps_the_outputs(seed):
+    rng = random.Random(seed)
+    n = _random_design(rng)
+    edited = _additive_edit(rng, n)
+    assert validate(edited) == []
+    assert extends(edited, n) and extends(n, n)
+    assert not extends(n, edited)
+    # the text round trip the CLI reads both designs through
+    assert extends(parse_netlist(write_netlist(edited)),
+                   parse_netlist(write_netlist(n)))
+    stim, cycles = _random_stimulus(rng, n)
+    assert equivalence_check(edited, n, stim, cycles)
+
+
+@pytest.mark.parametrize("edit", sorted(NON_ADDITIVE))
+@given(seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=15, deadline=None)
+def test_a_non_additive_edit_does_not_extend(edit, seed):
+    rng = random.Random(seed)
+    netlist, baseline = NON_ADDITIVE[edit](rng, _random_design(rng))
+    assert validate(netlist) == []
+    assert not extends(netlist, baseline)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_extends_implies_the_simulated_verdict(seed):
+    rng = random.Random(seed)
+    edit = rng.choice([_additive, *NON_ADDITIVE.values()])
+    netlist, baseline = edit(rng, _random_design(rng))
+    if rng.random() < 0.5:
+        netlist = _additive_edit(rng, netlist)
+    if extends(netlist, baseline):
+        assert validate(baseline) == []
+        stim, cycles = _random_stimulus(rng, baseline)
+        assert equivalence_check(netlist, baseline, stim, cycles)

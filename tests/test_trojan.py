@@ -7,7 +7,7 @@ from kecscope.generator import Builder, GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, parse_netlist, validate,
                               write_netlist)
-from kecscope.sim import equivalence_check, simulate
+from kecscope.sim import equivalence_check, extends, simulate
 from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
                              overhead_report, reconstruct_secret)
 
@@ -92,6 +92,10 @@ def test_insert_is_additive(victim16):
     assert before <= after
     assert set(edit.tapped_nets) >= {netlist.cells_by_name()[f].pins["q"]
                                      for f in result.input_candidates}
+    # the structural stealth verdict, also through the text both go through
+    assert extends(trojaned, netlist) and not extends(netlist, trojaned)
+    assert extends(parse_netlist(write_netlist(trojaned)),
+                   parse_netlist(write_netlist(netlist)))
 
 
 def test_insert_shares_and_keeps_the_victim(victim16):
