@@ -18,9 +18,10 @@ Each call builds one fanin map from the ordered cells of
 by a non-island combinational cell maps to the tuple of that cell's input
 nets. A flip-flop's cone is then a walk of dict lookups from its d net,
 through the fanin map, stopping at flip-flop q nets (sources), at
-undriven primary inputs and at every other net (island outputs). A d net outside the fanin map is such a stop itself, so that
-trivial cone takes its one source without a walk. The output-reach pass
-walks the same map back from the primary outputs.
+primary inputs and at every other net (island outputs). A d net outside
+the fanin map is such a stop itself, so that trivial cone takes its one
+source without a walk. The output-reach pass walks the same map back from
+the primary outputs.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from dataclasses import dataclass
 from .netlist import CELL_KINDS, Netlist
 
 
-class DependencyError(Exception):
-    """A netlist whose dependencies are undefined: a net driven twice, or
-    a combinational cycle (CombinationalCycleError)."""
-
-
-class CombinationalCycleError(DependencyError):
-    pass
+class CombinationalCycleError(Exception):
+    """A netlist whose dependencies are undefined: one with a
+    combinational cycle."""
 
 
 @dataclass
@@ -65,14 +62,11 @@ class DependencyGraph:
 def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     """Backward cone walk from every flip-flop's d pin over the fanin map.
 
-    Raises DependencyError on a net driven more than once, and its
-    CombinationalCycleError on a combinational loop that no
+    Raises CombinationalCycleError on a combinational loop that no
     ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
+    The netlist has checked that every net has one driver.
     """
     index = netlist.index
-    if index.clashes:
-        raise DependencyError(
-            f"nets driven more than once: {sorted(index.clashes)[:8]}")
     if index.cyclic:
         bad = sorted(c.name for c in index.cyclic)
         raise CombinationalCycleError(
@@ -86,7 +80,7 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     ff_cells = netlist.flip_flops()
     ffs = [c.name for c in ff_cells]
     q_ff = {c.pins["q"]: c.name for c in ff_cells}
-    # no cell drives a primary input: that net would be driven twice
+    # no cell drives a primary input, which has its port as its one driver
     pis = set(netlist.input_ports())
 
     deps: dict[str, set[str]] = {f: set() for f in ffs}

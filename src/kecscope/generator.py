@@ -40,9 +40,6 @@ class GenConfig:
     loader: str = "absorb"   # "absorb" | "split" (two loader paths)
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.w not in keccak.LANE_WIDTHS:
             raise ValueError(f"unsupported lane width {self.w}")
         if self.instances < 1:

@@ -19,10 +19,10 @@ multi-bit port is expanded as ``name[i]``. Every net must be driven exactly
 once, either by an input port or by the one output pin of a cell.
 
 A :class:`Cell` checks its own kind and pins when it is made, and a
-:class:`Netlist` its declarations, so every later stage trusts both. A
-netlist is a frozen value: nothing edits it after it is made, so the one
-:class:`NetlistIndex` it caches is never stale. :func:`validate` alone
-checks drivers and cycles.
+:class:`Netlist` its declarations and drivers, so every later stage trusts
+both. A netlist is a frozen value: nothing edits it after it is made, so
+the one :class:`NetlistIndex` it caches is never stale. :func:`validate`
+checks what is left, combinational cycles.
 """
 
 from __future__ import annotations
@@ -42,14 +42,16 @@ NO_TAGS: frozenset[str] = frozenset()
 
 
 class CellKind(NamedTuple):
-    """One cell kind: its input pins, its one output pin, and the
+    """One cell kind: its input pins, its one output pin, the
     combinational value of that output as a Python expression over the
     input pin names and the lane mask m, every value a bit-parallel int
-    over the lanes; None for DFF."""
+    over the lanes, or None for a sequential kind, and the input pins a
+    cell may leave unbound."""
 
     inputs: tuple[str, ...]
     output: str
     expr: str | None
+    optional: tuple[str, ...] = ()
 
 
 # The cell semantics: pins and evaluation per kind, read by the simulator's
@@ -71,13 +73,10 @@ CELL_KINDS: dict[str, CellKind] = {
     "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), "y",
                      "((a & ~s1 & ~s0) | (b & ~s1 & s0)"
                      " | (c & s1 & ~s0) | (d & s1 & s0)) & m"),
-    "DFF": CellKind(("d", "clk"), "q", None),
+    "DFF": CellKind(("d", "clk"), "q", None, ("rst",)),
     "TIE0": CellKind((), "y", "0"),
     "TIE1": CellKind((), "y", "m"),
 }
-
-SEQUENTIAL_KINDS = frozenset({"DFF"})
-DFF_OPTIONAL_PINS = frozenset({"rst"})
 
 
 class NetlistError(Exception):
@@ -99,8 +98,10 @@ class ArityMismatchError(NetlistError):
 
 
 class DeclarationError(NetlistError):
-    """A net or cell name declared twice (``net`` or ``cell`` set), or a
-    pin of ``cell`` on the undeclared ``net`` (both set)."""
+    """A fact :class:`Netlist` checks, broken: a net or cell name declared
+    twice (``net`` or ``cell`` set), a pin of ``cell`` on the undeclared
+    ``net``, a ``net`` driven twice, ``cell`` its second driver, or a
+    ``net`` driven by nothing."""
 
     def __init__(self, message, net=None, cell=None):
         self.net = net
@@ -118,8 +119,8 @@ class Port:
 class Cell:
     """One cell instance. Making one raises UnknownCellKindError for a
     kind outside ``CELL_KINDS`` and ArityMismatchError unless its pins are
-    exactly that kind's, plus DFF's optional rst. Nothing re-checks them,
-    and netlists share their cells, so code must not edit a cell."""
+    exactly that kind's, optional ones aside. Nothing re-checks them, and
+    netlists share their cells, so code must not edit a cell."""
 
     kind: str
     name: str
@@ -130,7 +131,7 @@ class Cell:
         _check_cell(self.kind, self.name, self.pins)
 
     def is_seq(self):
-        return self.kind in SEQUENTIAL_KINDS
+        return CELL_KINDS[self.kind].expr is None
 
     def output_net(self):
         return self.pins[CELL_KINDS[self.kind].output]
@@ -146,8 +147,10 @@ class Netlist:
     """A frozen netlist; ``ports``, ``nets`` and ``cells`` are stored as
     tuples. Making one raises DeclarationError, naming the net or cell at
     fault, unless no net is declared twice (ports and nets together), no
-    cell name is used twice and every cell pin is on a declared net.
-    ``index`` is its :class:`NetlistIndex`, built on first use."""
+    cell name is used twice, every cell pin is on a declared net, and
+    every net is driven exactly once: by an input port or by the output
+    pin of one cell. ``index`` is its :class:`NetlistIndex`, built on
+    first use."""
 
     name: str
     ports: tuple[Port, ...] = ()
@@ -165,6 +168,7 @@ class Netlist:
                 raise DeclarationError(f"net {net!r} declared twice", net=net)
             declared.add(net)
         names: set[str] = set()
+        drivers = self.input_ports()   # the net each driver drives
         for c in self.cells:
             if c.name in names:
                 raise DeclarationError(f"cell {c.name!r} declared twice",
@@ -175,6 +179,30 @@ class Netlist:
                 raise DeclarationError(
                     f"cell {c.name!r} uses undeclared net {net!r}",
                     net=net, cell=c.name)
+            drivers.append(c.output_net())
+        # every driven net is declared, so each net has one driver iff the
+        # driven nets are distinct and as many as the declared ones
+        if not len(set(drivers)) == len(drivers) == len(declared):
+            raise self._driver_fault()
+
+    def _driver_fault(self):
+        """The DeclarationError of the first declared net not driven
+        exactly once."""
+        drivers: dict[str, list] = {net: ["its input port"]
+                                    for net in self.input_ports()}
+        for c in self.cells:
+            drivers.setdefault(c.output_net(), []).append(c)
+        for net in self.all_nets():
+            found = drivers.get(net, [])
+            if len(found) != 1:
+                break
+        if not found:
+            return DeclarationError(f"net {net!r} driven by nothing", net=net)
+        first, second = found[:2]
+        if isinstance(first, Cell):
+            first = f"cell {first.name!r}"
+        return DeclarationError(f"net {net!r} driven twice, by {first} and "
+                                f"cell {second.name!r}", net=net, cell=second.name)
 
     @cached_property
     def index(self) -> NetlistIndex:
@@ -209,8 +237,7 @@ class Violation:
 # kind -> (required pins, allowed pins), built once from CELL_KINDS
 _PIN_SETS = {
     kind: (frozenset((*spec.inputs, spec.output)),
-           frozenset((*spec.inputs, spec.output))
-           | (DFF_OPTIONAL_PINS if kind == "DFF" else frozenset()))
+           frozenset((*spec.inputs, *spec.optional, spec.output)))
     for kind, spec in CELL_KINDS.items()}
 
 
@@ -234,7 +261,8 @@ def _check_cell(kind, name, pins):
 class NetlistIndex:
     """The structural view of one netlist that validation, dependency
     extraction and simulation share: ``Netlist.index``, built once per
-    netlist by :func:`index_netlist`.
+    netlist by :func:`index_netlist`. The netlist has one driver per net,
+    so ``driver`` maps every net a cell drives to that one cell.
 
     The one island rule: cells tagged ``analog_island`` are never ordered,
     so their outputs, like flip-flop outputs and primary inputs, cut every
@@ -251,7 +279,6 @@ class NetlistIndex:
     """
 
     driver: dict[str, Cell]          # net -> driving cell; input ports absent
-    clashes: dict[str, list[str]]    # net -> all its drivers, if more than one
     levels: list[list[Cell]]         # non-island combinational cells by level
     order: list[Cell]                # the levels concatenated: each cell
                                      # after the drivers of its inputs
@@ -259,24 +286,13 @@ class NetlistIndex:
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
-    """One driver pass, recording the nets driven more than once, then
-    Kahn elimination over the combinational cells, one frontier (one
-    level) at a time. Each cell has checked its kind and pins, so its one
-    output pin is bound. The index records driver faults and cycles but
-    raises on none: :func:`validate` reports them."""
-    pis = set(netlist.input_ports())
-    driver: dict[str, Cell] = {}
-    clashes: dict[str, list[str]] = {}
-    for c in netlist.cells:
-        net = c.output_net()
-        if net in driver or net in pis:
-            if net not in clashes:
-                clashes[net] = ([f"input port {net}"] if net in pis
-                                else [f"cell {driver[net].name}"])
-            clashes[net].append(f"cell {c.name}")
-        driver[net] = c
+    """The driver map, then Kahn elimination over the combinational
+    cells, one frontier (one level) at a time. The index records cycles
+    but raises on none: :func:`validate` reports them."""
+    driver = {c.output_net(): c for c in netlist.cells}
     comb = [c for c in netlist.cells
-            if c.kind not in SEQUENTIAL_KINDS and ANALOG_ISLAND_TAG not in c.tags]
+            if CELL_KINDS[c.kind].expr is not None
+            and ANALOG_ISLAND_TAG not in c.tags]
     slot = {id(c): i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
@@ -300,7 +316,7 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
                 if indeg[k] == 0:
                     ready.append(k)
         frontier = ready
-    return NetlistIndex(driver, clashes, levels,
+    return NetlistIndex(driver, levels,
                         [c for level in levels for c in level],
                         [c for c, n in zip(comb, indeg) if n])
 
@@ -309,12 +325,14 @@ def parse_netlist(text: str) -> Netlist:
     """Parse netlist source text into the IR.
 
     Raises NetlistSyntaxError for what a line number can point at: bad
-    syntax, a bad identifier, a pin bound twice, and the three declaration
-    facts :class:`Netlist` checks (a net or cell declared twice, an
-    undeclared net), mapped back to their line; UnknownCellKindError and
+    syntax, a bad identifier, a pin bound twice, and the facts
+    :class:`Netlist` checks, mapped back to their line: a net or cell
+    declared twice (the second declaration), an undeclared net (the cell
+    that reads it), a net driven twice (the second driver's cell line) and
+    a net driven by nothing (its declaration); UnknownCellKindError and
     ArityMismatchError come from :class:`Cell`. A net may be declared
-    after a cell uses it. Driver faults (a net driven twice or not at all)
-    and combinational cycles parse, and :func:`validate` reports them.
+    after a cell uses it. Combinational cycles parse, and :func:`validate`
+    reports them.
     """
     name = None
     closed = False
@@ -391,19 +409,29 @@ def parse_netlist(text: str) -> Netlist:
 
 
 def _declaration_line(text, error):
-    """The NetlistSyntaxError of a DeclarationError at its line: the second
-    declaration of a net or cell name, or the cell that reads an undeclared
-    net, reported as a bad identifier if it is no identifier."""
+    """The NetlistSyntaxError of a DeclarationError at its line: the line
+    of the cell it names, else the declaration of the net it names; of two
+    declarations of one name, the second. A cell that reads an undeclared
+    net is reported as such, or as a bad identifier if the net is no
+    identifier."""
+    def lines(keywords, at, name):
+        return [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                if (tok := raw.split("#", 1)[0].split())[at:at + 1] == [name]
+                and tok[0] in keywords]
+
     net, cell = error.net, error.cell
-    keywords, at, name = ((("cell",), 2, cell) if cell is not None
-                          else (("input", "output", "net"), 1, net))
-    lines = [lineno for lineno, raw in enumerate(text.splitlines(), start=1)
-             if (tok := raw.split("#", 1)[0].split())[at:at + 1] == [name]
-             and tok[0] in keywords]
-    if net is None or cell is None:
-        return NetlistSyntaxError(str(error), lines[1])
-    return NetlistSyntaxError(f"net {net!r} not declared" if ID_RE.match(net)
-                              else f"bad identifier {net!r}", lines[0])
+    declarations = ("input", "output", "net")
+    if cell is None:
+        found = lines(declarations, 1, net)
+    else:
+        found = lines(("cell",), 2, cell)
+        if net is not None and not lines(declarations, 1, net):
+            return NetlistSyntaxError(
+                f"net {net!r} not declared" if ID_RE.match(net)
+                else f"bad identifier {net!r}", found[0])
+    # a driver fault is found only once every name is declared once
+    return NetlistSyntaxError(str(error), found[1] if len(found) > 1
+                              else found[0])
 
 
 def write_netlist(netlist: Netlist) -> str:
@@ -417,8 +445,8 @@ def write_netlist(netlist: Netlist) -> str:
         out.append(f"attr {k} {netlist.attributes[k]}")
     for c in netlist.cells:
         spec = CELL_KINDS[c.kind]
-        order = (list(spec.inputs) + (["rst"] if "rst" in c.pins else [])
-                 + [spec.output])
+        order = [*spec.inputs, *(p for p in spec.optional if p in c.pins),
+                 spec.output]
         pins = " ".join(f"{p}={c.pins[p]}" for p in order)
         tags = "".join(f" tag={t}" for t in sorted(c.tags))
         out.append(f"cell {c.kind} {c.name}{' ' + pins if pins else ''}{tags}")
@@ -430,26 +458,15 @@ def validate(netlist: Netlist) -> list[Violation]:
     """Structural check; returns violations as data (empty list = valid).
 
     A :class:`Cell` checks its own kind and pins and a :class:`Netlist`
-    its declarations, so three kinds are left, all read from
-    ``netlist.index``: ``multi-driven-net``, ``undriven-net`` and
-    ``combinational-cycle``. It is the only check of drivers, which
-    :func:`parse_netlist` leaves to it. A cycle counts under the one
-    island rule of :class:`NetlistIndex`: island outputs cut every path,
-    so only a loop without an ``analog_island`` cell on it is reported.
+    its declarations and drivers, so one kind is left, read from
+    ``netlist.index``: ``combinational-cycle``. A cycle counts under the
+    one island rule of :class:`NetlistIndex`: island outputs cut every
+    path, so only a loop without an ``analog_island`` cell on it is
+    reported.
     """
-    violations = []
-    index = netlist.index
-    pis = set(netlist.input_ports())
-    for net in netlist.all_nets():
-        if net in index.clashes:
-            violations.append(Violation("multi-driven-net",
-                                        f"{net}: {index.clashes[net]}"))
-        elif net not in index.driver and net not in pis:
-            violations.append(Violation("undriven-net", net))
-    if index.cyclic:
-        violations.append(Violation(
-            "combinational-cycle", ",".join(sorted(c.name for c in index.cyclic))))
-    return violations
+    cyclic = netlist.index.cyclic
+    return [Violation("combinational-cycle",
+                      ",".join(sorted(c.name for c in cyclic)))] if cyclic else []
 
 
 def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:

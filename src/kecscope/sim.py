@@ -26,8 +26,7 @@ cycle: the one read by the first island NAND2 is the enable, the select
 nets of the first island MUX4 are the two leak bits. The trace records
 the three as lane masks, and derives from them the leak symbol and,
 through a fixed lookup, its power while the island is enabled. The
-oscillator itself is analog behavior out of digital scope; its
-per-symbol mean frequencies are carried as metadata only.
+oscillator itself is analog behavior out of digital scope.
 
 Stealth has two definitions: :func:`equivalence_check` compares the
 simulated outputs of two designs on one stimulus, and :func:`extends`
@@ -43,9 +42,8 @@ from operator import attrgetter, itemgetter
 
 from .netlist import ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, validate
 
-# leak symbol (leak[1] leak[0]) -> dynamic power / mean oscillation frequency
+# leak symbol (leak[1] leak[0]) -> dynamic power
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
-RO_FREQ_MHZ = {0: 639, 1: 671, 2: 732, 3: 767}
 
 class SimulationError(Exception):
     pass
@@ -116,16 +114,13 @@ class _Compiled:
     slot lists for ports, flip-flop pins and watches, and a getter of the
     island's control nets. Only slots, gather names and table expressions
     reach the generated source, never a net or cell name. Every pin is on
-    a declared net, which the netlist checked when it was made, so every
-    pin has a slot."""
+    a declared net driven once, which the netlist checked when it was
+    made, so every pin has one slot."""
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
         if index.cyclic:
             raise SimulationError("combinational cycle outside analog island")
-        if index.clashes:
-            raise SimulationError(
-                f"nets driven more than once: {sorted(index.clashes)[:8]}")
         kind = attrgetter("kind")
         groups = [list(cells) for level in index.levels
                   for _, cells in groupby(sorted(level, key=kind), kind)]
@@ -215,12 +210,13 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0; a
     combinational loop that no island cell cuts raises SimulationError
-    (the island rule of ``NetlistIndex``), as do a net driven twice, a
-    watch net that does not exist, and a negative cycle count, with
-    ``check`` or without; ``check`` runs :func:`validate` first. The check
-    and the plan read the one ``netlist.index``, and every call builds
-    its own plan once, before the first cycle (``SimTrace`` says what
-    the trace records).
+    (the island rule of ``NetlistIndex``), as do a watch net that does
+    not exist and a negative cycle count, with ``check`` or without;
+    ``check`` runs :func:`validate` first, which finds only such a loop,
+    since the netlist checked its drivers when it was made. The check and
+    the plan read the one ``netlist.index``, and every call builds its own
+    plan once, before the first cycle (``SimTrace`` says what the trace
+    records).
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
@@ -281,14 +277,14 @@ def outputs_equal(t1: SimTrace, t2: SimTrace) -> bool:
 
 def extends(netlist: Netlist, baseline: Netlist) -> bool:
     """True iff ``netlist`` only adds to ``baseline``: both have the same
-    ports (name and direction), every baseline cell equals the cell that
-    drives its output net in ``netlist``, and every baseline net is a
-    baseline input port or the output of a baseline cell.
+    ports (name and direction), and every baseline cell equals the cell
+    that drives its output net in ``netlist``.
 
-    ``netlist`` must be valid (:func:`validate` finds nothing). Then the
-    baseline's cells are a subset of an acyclic netlist whose nets each
-    have one driver, and each baseline net is driven in both designs by
-    the same cell or port. So the baseline is valid too, and every
+    ``netlist`` must be valid (:func:`validate` finds nothing). Each
+    baseline net is driven once, by a baseline input port or cell, as
+    the baseline checked when it was made; so it is driven in both
+    designs by the same port or cell. The baseline's cells are then a
+    subset of an acyclic netlist, so the baseline is valid too, and every
     baseline net, its outputs among them, takes the same value in both
     designs in every cycle of every stimulus, as long as the flip-flops
     they share start alike (as they do without ``init``). That verdict is
@@ -299,14 +295,7 @@ def extends(netlist: Netlist, baseline: Netlist) -> bool:
     if set(netlist.ports) != set(baseline.ports):
         return False
     driver = netlist.index.driver
-    if not all(c == driver.get(c.output_net()) for c in baseline.cells):
-        return False
-    # The baseline's cells then drive distinct nets (their names are
-    # distinct), none of them an input port (in the valid netlist a cell
-    # driving an input port would clash), all declared. So the baseline's
-    # nets are its input ports and its cells' outputs iff they add up.
-    return (len(baseline.ports) + len(baseline.nets)
-            == len(baseline.input_ports()) + len(baseline.cells))
+    return all(c == driver.get(c.output_net()) for c in baseline.cells)
 
 
 def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:

@@ -43,9 +43,6 @@ class HthSpec:
     k_offset: int = 0   # which register bit the leaked window starts at
 
     def __post_init__(self):
-        self.validate()
-
-    def validate(self):
         if self.t not in ALLOWED_T:
             raise ValueError(f"trigger width {self.t} not in {ALLOWED_T}")
         if self.l not in ALLOWED_L:

@@ -342,10 +342,11 @@ INVALID_NETLISTS = {
                   "error: line 2: unknown keyword 'bogus'"),
     "twice.nl": ("module m\ninput a\noutput b\ncell INV i1 a=a y=b\n"
                  "cell BUF b1 a=a y=b\nendmodule\n",
-                 "violation: multi-driven-net: b: ['cell i1', 'cell b1']"),
+                 "error: line 5: net 'b' driven twice, by cell 'i1' and "
+                 "cell 'b1'"),
     "undriven.nl": ("module m\ninput a\noutput b\nnet n\n"
                     "cell INV i1 a=n y=b\nendmodule\n",
-                    "violation: undriven-net: n"),
+                    "error: line 4: net 'n' driven by nothing"),
     "cycle.nl": ("module m\ninput a\noutput b\nnet n\n"
                  "cell XOR2 x1 a=a b=b y=n\ncell BUF b1 a=n y=b\nendmodule\n",
                  "violation: combinational-cycle: b1,x1"),
@@ -465,9 +466,9 @@ BASELINES = {
               "error: designs expose different primary ports"),
     # every cell the netlist's, but a net nothing drives
     "undriven": (NO_FFS.replace("output b", "output b\nnet n"), 4,
-                 "violation: undriven-net: n"),
+                 "error: line 4: net 'n' driven by nothing"),
     "twice": (INVALID_NETLISTS["twice.nl"][0], 4,
-              "violation: multi-driven-net: b: ['cell i1', 'cell b1']"),
+              INVALID_NETLISTS["twice.nl"][1]),
     "syntax": (INVALID_NETLISTS["syntax.nl"][0], 4,
                "error: line 2: unknown keyword 'bogus'"),
 }

@@ -65,13 +65,13 @@ def run_rounds(netlist, truth, states):
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GenConfig(w=63).validate()
+        GenConfig(w=63)
     with pytest.raises(ValueError):
-        GenConfig(shares=3).validate()
+        GenConfig(shares=3)
     with pytest.raises(ValueError):
-        GenConfig(decoy_ffs=-1).validate()
+        GenConfig(decoy_ffs=-1)
     with pytest.raises(ValueError):
-        GenConfig(loader="dma").validate()
+        GenConfig(loader="dma")
 
 
 def test_builder_rejects_a_duplicate_flip_flop():
@@ -86,9 +86,11 @@ def test_builder_rejects_a_duplicate_flip_flop():
 def test_builder_rejects_an_unknown_cell_kind():
     b = Builder("bad")
     a = b.port_in("a")
+    y = b.net()
     with pytest.raises(UnknownCellKindError, match="'u1'"):
-        b.cell("FOO", "u1", a=a, y=b.net())
-    assert b.netlist().cells == ()
+        b.cell("FOO", "u1", a=a, y=y)
+    # nothing was added, so y is still undriven
+    assert b.cells == []
 
 
 def test_builder_rejects_a_missing_pin():

@@ -1,12 +1,12 @@
 import random
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.depgraph import (CombinationalCycleError, DependencyError,
-                              extract_dependencies)
+from kecscope.depgraph import CombinationalCycleError, extract_dependencies
 from kecscope import netlist as netlist_module
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, run_pipeline
@@ -30,7 +30,7 @@ endmodule
 
 
 def test_empty_module_with_ports():
-    n = parse_netlist("module m\ninput a\noutput b\nendmodule\n")
+    n = parse_netlist("module m\ninput a\ninput b\nendmodule\n")
     assert n.cell_count() == 0
     assert len(n.ports) == 2
 
@@ -68,13 +68,17 @@ def test_unknown_cell_kind():
 
 def test_undriven_net():
     bad = INV_DFF.replace("cell INV i1 a=a y=n1\n", "")
-    assert validate(parse_netlist(bad)) == [Violation("undriven-net", "n1")]
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(bad)
+    assert str(e.value) == "line 5: net 'n1' driven by nothing"
 
 
 def test_multiply_driven_net():
     bad = INV_DFF.replace("endmodule", "cell BUF b1 a=a y=n1\nendmodule")
-    assert validate(parse_netlist(bad)) == [
-        Violation("multi-driven-net", "n1: ['cell i1', 'cell b1']")]
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(bad)
+    assert str(e.value) == (
+        "line 8: net 'n1' driven twice, by cell 'i1' and cell 'b1'")
 
 
 def test_syntax_error_has_line():
@@ -139,9 +143,9 @@ def test_tags_preserved():
 def test_validate_combinational_cycle():
     text = ("module m\ninput clk\nnet a\nnet b\n"
             "cell INV i1 a=b y=a\ncell INV i2 a=a y=b\nendmodule\n")
-    n = parse_netlist(text)
-    kinds = [v.kind for v in validate(n)]
-    assert "combinational-cycle" in kinds
+    # the one kind of violation left
+    assert validate(parse_netlist(text)) == [
+        Violation("combinational-cycle", "i1,i2")]
 
 
 def test_validate_cycle_exempt_when_tagged():
@@ -152,8 +156,9 @@ def test_validate_cycle_exempt_when_tagged():
 
 
 def test_validate_reports_dangling_output():
-    n = parse_netlist("module m\ninput a\noutput b\nendmodule\n")
-    assert [v.kind for v in validate(n)] == ["undriven-net"]
+    # an output port nothing drives: the netlist cannot be made
+    with pytest.raises(DeclarationError, match="net 'b' driven by nothing"):
+        Netlist("m", ports=[Port("a", "in"), Port("b", "out")])
 
 
 def test_validate_missing_output_pin_is_arity():
@@ -163,36 +168,28 @@ def test_validate_missing_output_pin_is_arity():
 
 
 # a cell appended by hand to INV_DFF, with the nets it needs declared ->
-# the one violation it makes, or the message of the DeclarationError that
-# keeps the netlist from being made; parse_netlist rejects each such netlist
+# the message of the DeclarationError that keeps the netlist from being
+# made; parse_netlist rejects each such netlist
 SPANNING_VIOLATIONS = {
     "duplicate-cell": (Cell("BUF", "i1", {"a": "a", "y": "n2"}), ["n2"],
                        "cell 'i1' declared twice"),
     "undeclared-net": (Cell("BUF", "b1", {"a": "ghost", "y": "n2"}), ["n2"],
                        "cell 'b1' uses undeclared net 'ghost'"),
     "multi-driven-net": (Cell("BUF", "b1", {"a": "a", "y": "n1"}), [],
-                         Violation("multi-driven-net",
-                                   "n1: ['cell i1', 'cell b1']")),
+                         "net 'n1' driven twice, by cell 'i1' and cell 'b1'"),
     "multi-driven-input": (Cell("BUF", "b1", {"a": "clk", "y": "a"}), [],
-                           Violation("multi-driven-net",
-                                     "a: ['input port a', 'cell b1']")),
+                           "net 'a' driven twice, by its input port and "
+                           "cell 'b1'"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SPANNING_VIOLATIONS))
 def test_validate_reports_what_spans_cells(case):
-    cell, nets, violation = SPANNING_VIOLATIONS[case]
+    cell, nets, message = SPANNING_VIOLATIONS[case]
     n = parse_netlist(INV_DFF)
-
-    def extended():
-        return replace(n, nets=n.nets + tuple(nets), cells=n.cells + (cell,))
-
-    if isinstance(violation, str):
-        with pytest.raises(DeclarationError) as e:
-            extended()
-        assert str(e.value) == violation
-    else:
-        assert validate(extended()) == [violation]
+    with pytest.raises(DeclarationError) as e:
+        replace(n, nets=n.nets + tuple(nets), cells=n.cells + (cell,))
+    assert str(e.value) == message
 
 
 # ports, nets and cells of a netlist that cannot be made -> the message of
@@ -213,6 +210,19 @@ CONSTRUCTION_FAULTS = {
                                                 "y": "y"})],
                            "cell 'u1' uses undeclared net 'ghost'",
                            "ghost", "u1"),
+    "two_cells_drive_a_net": ([Port("a", "in"), Port("y", "out")], [],
+                              [Cell("INV", "u1", {"a": "a", "y": "y"}),
+                               Cell("BUF", "u2", {"a": "a", "y": "y"})],
+                              "net 'y' driven twice, by cell 'u1' and "
+                              "cell 'u2'", "y", "u2"),
+    "a_cell_drives_an_input": ([Port("a", "in"), Port("y", "out")], [],
+                               [Cell("INV", "u1", {"a": "a", "y": "y"}),
+                                Cell("TIE0", "u2", {"y": "a"})],
+                               "net 'a' driven twice, by its input port "
+                               "and cell 'u2'", "a", "u2"),
+    "undriven_net": ([Port("a", "in"), Port("y", "out")], ["n"],
+                     [Cell("INV", "u1", {"a": "n", "y": "y"})],
+                     "net 'n' driven by nothing", "n", None),
 }
 
 
@@ -232,6 +242,13 @@ DECLARATION_LINES = {
     "cell_before_cell": ("cell INV f1 a=a y=q", 8,
                          "cell 'f1' declared twice"),
     "undeclared_net": ("cell BUF b1 a=zz y=q", 6, "net 'zz' not declared"),
+    "driver_before_driver": ("cell BUF b1 a=a y=q", 8,
+                             "net 'q' driven twice, by cell 'b1' and "
+                             "cell 'f1'"),
+    "cell_drives_an_input": ("cell TIE1 t1 y=clk", 6,
+                             "net 'clk' driven twice, by its input port and "
+                             "cell 't1'"),
+    "undriven_net": ("net n2", 6, "net 'n2' driven by nothing"),
 }
 
 
@@ -352,16 +369,12 @@ endmodule
 
 
 def test_a_net_driven_twice_is_rejected_without_validation():
-    # validate is the check that reports it; the two stages that skip it
-    # must not keep one of the drivers silently
-    n = parse_netlist(DOUBLE_DRIVEN)
-    assert [v.kind for v in validate(n)] == ["multi-driven-net"]
-    with pytest.raises(DependencyError,
-                       match=r"nets driven more than once: \['y'\]"):
-        extract_dependencies(n)
-    with pytest.raises(SimulationError,
-                       match=r"nets driven more than once: \['y'\]"):
-        simulate(n, [{"clk": 0, "a": 1}], 1, check=False)
+    # no netlist holds it, so no stage that skips validate can keep one
+    # of the drivers silently
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(DOUBLE_DRIVEN)
+    assert str(e.value) == (
+        "line 10: net 'y' driven twice, by cell 'i1' and cell 'b1'")
 
 
 def _random_netlist(rng):
@@ -388,6 +401,65 @@ def _random_netlist(rng):
 def test_round_trip_random_netlists(seed):
     n = _random_netlist(random.Random(seed))
     assert parse_netlist(write_netlist(n)) == n
+
+
+def _driver_faults(rng, n):
+    """The ports, nets and cells of n after zero to three random driver
+    faults: a second driver of one of its nets, a cell driving an input
+    port, or a cell dropped, which leaves its net undriven."""
+    cells = list(n.cells)
+    for k in range(rng.randint(0, 3)):
+        fault = rng.choice(["second", "input", "dropped"])
+        if fault == "dropped" and cells:
+            cells.remove(rng.choice(cells))
+        elif fault != "dropped":
+            net = rng.choice(n.nets if fault == "second" else n.input_ports())
+            extra = (Cell("BUF", f"x{k}", {"a": "pi", "y": net})
+                     if rng.random() < 0.5 else Cell("TIE0", f"x{k}", {"y": net}))
+            cells.insert(rng.randint(0, len(cells)), extra)
+    return n.ports, n.nets, cells
+
+
+def _first_driver_fault(ports, nets, cells):
+    """Reference: the first declared net that is not driven exactly once,
+    and the cell that drives it a second time, counted net by net; None
+    if every net has one driver."""
+    for net in [p.name for p in ports] + list(nets):
+        drivers = [p.name for p in ports if p.name == net and p.direction == "in"]
+        drivers += [c.name for c in cells if c.output_net() == net]
+        if len(drivers) != 1:
+            return net, drivers[1] if drivers else None
+    return None
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_construction_finds_the_driver_faults_a_per_net_loop_finds(seed):
+    rng = random.Random(seed)
+    ports, nets, cells = _driver_faults(rng, _random_netlist(rng))
+    fault = _first_driver_fault(ports, nets, cells)
+    if fault is None:
+        Netlist("rnd", ports=ports, nets=nets, cells=cells)
+        return
+    net, second = fault
+    with pytest.raises(DeclarationError) as e:
+        Netlist("rnd", ports=ports, nets=nets, cells=cells)
+    assert (e.value.net, e.value.cell) == (net, second)
+    # the same netlist as text: write_netlist reads only these fields
+    text = write_netlist(SimpleNamespace(name="rnd", ports=ports, nets=nets,
+                                         cells=cells, attributes={}))
+    if second is None:   # an undriven net: its declaration
+        def at(tok):
+            return tok[0] in ("input", "output", "net") and tok[1] == net
+    else:                # a net driven twice: its second driver
+        def at(tok):
+            return tok[0] == "cell" and tok[2] == second
+    line = next(i for i, raw in enumerate(text.splitlines(), start=1)
+                if at(raw.split()))
+    with pytest.raises(NetlistSyntaxError) as e:
+        parse_netlist(text)
+    assert e.value.line == line
+    assert f"net {net!r} driven" in str(e.value)
 
 
 @given(st.integers(min_value=0, max_value=10_000))

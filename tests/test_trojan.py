@@ -14,14 +14,14 @@ from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        HthSpec(t=128).validate()
+        HthSpec(t=128)
     with pytest.raises(ValueError):
-        HthSpec(l=8).validate()
+        HthSpec(l=8)
     with pytest.raises(ValueError):
-        HthSpec(t=16, trigger=1 << 16).validate()
+        HthSpec(t=16, trigger=1 << 16)
     with pytest.raises(ValueError):
-        HthSpec(capture_delay=-1).validate()
-    HthSpec(t=16, l=16, trigger=0xFFFF).validate()
+        HthSpec(capture_delay=-1)
+    HthSpec(t=16, l=16, trigger=0xFFFF)
 
 
 def test_fragment_counts_t64_l64():
