@@ -165,9 +165,10 @@ def cmd_analyze(args):
     (out / "report.json").write_text(json.dumps(report, indent=1))
     # the CSVs come from the same analysis as the report
     analysis = result.analysis
-    (out / "scores.csv").write_text(scoring.dump_scores(analysis.scores))
-    (out / "degrees.csv").write_text(depgraph.dump_degrees(analysis.graph))
-    (out / "groups.csv").write_text(grouping.dump_groups(analysis.groups))
+    graph = analysis.graph
+    (out / "scores.csv").write_text(scoring.dump_scores(analysis.scores, graph))
+    (out / "degrees.csv").write_text(depgraph.dump_degrees(graph))
+    (out / "groups.csv").write_text(grouping.dump_groups(analysis.groups, graph))
     print(f"wrote {out / 'report.json'} (variant {result.variant}, "
           f"{len(result.input_candidates)} input candidates)")
     if not result.found():

@@ -13,6 +13,13 @@ Tracing rules, fixed here once for every downstream analysis:
   * cells tagged ``analog_island`` are opaque and never entered: island
     outputs cut every path, the one island rule of ``NetlistIndex``.
 
+The flip-flops are numbered once, 0..n-1 in ``netlist.flip_flops()``
+order, and the graph and every analysis after it (scores, levels, groups,
+the bound search, both localizers) run over these ids. A name is read
+only where something is emitted: the localization result, the CSVs and
+the report. Ties that ids would break arbitrarily are broken by name, so
+every output is the one a name-keyed analysis gives.
+
 Each call builds one fanin map from the ordered cells of
 ``netlist.index``, the netlist's one ``NetlistIndex``: every net driven
 by a non-island combinational cell maps to the tuple of that cell's input
@@ -20,14 +27,16 @@ nets. A flip-flop's cone is then a walk of dict lookups from its d net,
 through the fanin map, stopping at flip-flop q nets (sources), at
 primary inputs and at every other net (island outputs). A d net outside
 the fanin map is such a stop itself, so that trivial cone takes its one
-source without a walk. The output-reach pass walks the same map back from
-the primary outputs.
+source without a walk. The walk visits each net once, so each source is
+found once and the id lists need no set. The output-reach pass walks the
+same map back from the primary outputs.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .netlist import CELL_KINDS, Netlist
 
@@ -39,24 +48,27 @@ class CombinationalCycleError(Exception):
 
 @dataclass
 class DependencyGraph:
-    """The flip-flop dependency relation of one netlist, plus one bit per
-    flip-flop at each end: whether a primary input reaches its d pin
-    combinationally, and whether its q output reaches a primary output."""
+    """The flip-flop dependency relation of one netlist over flip-flop
+    ids, plus one bit per flip-flop at each end: whether a primary input
+    reaches its d pin combinationally, and whether its q output reaches a
+    primary output. Flip-flop i is named ``ffs[i]``; every other field is
+    a list indexed by id, and no id appears twice in one list, so the
+    fanin of i is ``len(rdeps[i])`` and its fanout ``len(deps[i])``."""
 
-    ffs: list[str]
-    deps: dict[str, set[str]]       # src ff -> sink ffs
-    rdeps: dict[str, set[str]]      # sink ff -> src ffs
-    input_reach: dict[str, bool]    # ff -> a PI is in its d-cone
-    output_reach: dict[str, bool]   # ff -> drives a PO combinationally
-
-    def fanin(self, ff):
-        return len(self.rdeps[ff])
-
-    def fanout(self, ff):
-        return len(self.deps[ff])
+    ffs: list[str]                  # id -> flip-flop name
+    deps: list[list[int]]           # src id -> sink ids, ascending
+    rdeps: list[list[int]]          # sink id -> src ids
+    input_reach: list[bool]         # id -> a PI is in its d-cone
+    output_reach: list[bool]        # id -> drives a PO combinationally
 
     def edge_count(self):
-        return sum(len(s) for s in self.deps.values())
+        return sum(map(len, self.deps))
+
+    @cached_property
+    def by_name(self) -> list[int]:
+        """The ids in name order: the order of every emitted listing and
+        of every tie broken by name."""
+        return sorted(range(len(self.ffs)), key=self.ffs.__getitem__)
 
 
 def extract_dependencies(netlist: Netlist) -> DependencyGraph:
@@ -78,24 +90,23 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
         out = CELL_KINDS[c.kind].output
         fanin[c.pins[out]] = tuple(n for p, n in c.pins.items() if p != out)
     ff_cells = netlist.flip_flops()
-    ffs = [c.name for c in ff_cells]
-    q_ff = {c.pins["q"]: c.name for c in ff_cells}
+    q_id = {c.pins["q"]: i for i, c in enumerate(ff_cells)}
     # no cell drives a primary input, which has its port as its one driver
     pis = set(netlist.input_ports())
 
-    deps: dict[str, set[str]] = {f: set() for f in ffs}
-    rdeps: dict[str, set[str]] = {}
-    input_reach: dict[str, bool] = {}
-    fanin_of, source_of = fanin.get, q_ff.get
-    for c in ff_cells:
+    deps: list[list[int]] = [[] for _ in ff_cells]
+    rdeps: list[list[int]] = []
+    input_reach: list[bool] = []
+    fanin_of, source_of = fanin.get, q_id.get
+    for i, c in enumerate(ff_cells):
         d = c.pins["d"]
         ins = fanin_of(d)
         if ins is None:   # d is a flip-flop q, a primary input or an island net
             src = source_of(d)
-            srcs = set() if src is None else {src}
+            srcs = [] if src is None else [src]
             reach = d in pis
         else:
-            srcs = set()
+            srcs = []
             reach = False
             seen = {d}
             stack = list(ins)
@@ -110,13 +121,13 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
                     continue
                 src = source_of(net)
                 if src is not None:
-                    srcs.add(src)
+                    srcs.append(src)
                 elif net in pis:
                     reach = True
-        rdeps[c.name] = srcs
-        input_reach[c.name] = reach
+        rdeps.append(srcs)
+        input_reach.append(reach)
         for s in srcs:
-            deps[s].add(c.name)
+            deps[s].append(i)
 
     # one backward pass from all primary outputs
     marked: set[str] = set()
@@ -126,25 +137,27 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
         if net not in marked:
             marked.add(net)
             stack.extend(fanin.get(net, ()))
-    output_reach = {c.name: c.pins["q"] in marked for c in ff_cells}
-    return DependencyGraph(ffs, deps, rdeps, input_reach, output_reach)
+    output_reach = [c.pins["q"] in marked for c in ff_cells]
+    return DependencyGraph([c.name for c in ff_cells], deps, rdeps,
+                           input_reach, output_reach)
 
 
 def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:
     """(fanin, fanout) -> flip-flop count; counts sum to |ffs|."""
-    return dict(Counter((graph.fanin(f), graph.fanout(f)) for f in graph.ffs))
+    return dict(Counter(zip(map(len, graph.rdeps), map(len, graph.deps))))
 
 
 def dump_edges(graph: DependencyGraph) -> str:
     """One ``src dst`` line per dependency edge, sorted."""
-    lines = sorted(f"{src} {dst}"
-                   for src, dsts in graph.deps.items() for dst in dsts)
+    ffs = graph.ffs
+    lines = sorted(f"{ffs[src]} {ffs[dst]}"
+                   for src, dsts in enumerate(graph.deps) for dst in dsts)
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def dump_degrees(graph: DependencyGraph) -> str:
-    """CSV ``ff,fanin,fanout`` ordered by flip-flop id."""
+    """CSV ``ff,fanin,fanout`` ordered by flip-flop name."""
+    ffs, deps, rdeps = graph.ffs, graph.deps, graph.rdeps
     lines = ["ff,fanin,fanout"]
-    for f in sorted(graph.ffs):
-        lines.append(f"{f},{graph.fanin(f)},{graph.fanout(f)}")
+    lines += [f"{ffs[i]},{len(rdeps[i])},{len(deps[i])}" for i in graph.by_name]
     return "\n".join(lines) + "\n"

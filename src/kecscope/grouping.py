@@ -9,11 +9,14 @@ candidate scan downstream never considers.
 
 Levels are shortest-path on purpose: earliest arrival is well defined even
 through feedback loops, where longest path is not.
+
+Levels are lists indexed by flip-flop id, and group members are ids. The
+members of a group are listed in name order, so the groups, their CSV and
+every sum over members are those of a name-keyed grouping.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .depgraph import DependencyGraph
@@ -25,15 +28,16 @@ RESIDUAL_GROUP = "g_residual"
 
 @dataclass
 class LevelTable:
-    input_level: dict[str, int | None]
-    output_level: dict[str, int | None]
+    input_level: list[int | None]    # flip-flop id -> level
+    output_level: list[int | None]
+    order: list[int]                 # the ids in name order
 
 
 @dataclass
 class Group:
     gid: str
     key: tuple[int, int] | None      # None for the residual group
-    members: list[str]               # sorted by id
+    members: list[int]               # flip-flop ids, in name order
 
 
 @dataclass
@@ -45,48 +49,53 @@ class GroupTable:
 
 
 def _bfs_levels(seeds, edges):
-    level = {f: 1 for f in seeds}
-    frontier = deque(seeds)
+    """Multi-source BFS, one frontier per level; seeds are at level 1."""
+    level: list[int | None] = [UNREACHABLE] * len(edges)
+    for f in seeds:
+        level[f] = 1
+    frontier, depth = seeds, 1
     while frontier:
-        f = frontier.popleft()
-        for g in edges.get(f, ()):
-            if g not in level:
-                level[g] = level[f] + 1
-                frontier.append(g)
+        depth += 1
+        reached = []
+        for f in frontier:
+            for g in edges[f]:
+                if level[g] is UNREACHABLE:
+                    level[g] = depth
+                    reached.append(g)
+        frontier = reached
     return level
 
 
 def compute_levels(graph: DependencyGraph) -> LevelTable:
     """Two multi-source BFS passes over the flip-flop graph."""
-    in_seeds = [f for f in graph.ffs if graph.input_reach[f]]
-    out_seeds = [f for f in graph.ffs if graph.output_reach[f]]
-    fwd = _bfs_levels(in_seeds, graph.deps)
-    bwd = _bfs_levels(out_seeds, graph.rdeps)
-    return LevelTable(
-        input_level={f: fwd.get(f, UNREACHABLE) for f in graph.ffs},
-        output_level={f: bwd.get(f, UNREACHABLE) for f in graph.ffs},
-    )
+    in_seeds = [f for f, reach in enumerate(graph.input_reach) if reach]
+    out_seeds = [f for f, reach in enumerate(graph.output_reach) if reach]
+    return LevelTable(_bfs_levels(in_seeds, graph.deps),
+                      _bfs_levels(out_seeds, graph.rdeps), graph.by_name)
 
 
 def group_by_levels(levels: LevelTable) -> GroupTable:
     """One group per distinct finite level pair, plus the residual group."""
-    buckets: dict[tuple[int, int] | None, list[str]] = {}
-    for f, il in levels.input_level.items():
-        ol = levels.output_level[f]
+    buckets: dict[tuple[int, int] | None, list[int]] = {}
+    input_level, output_level = levels.input_level, levels.output_level
+    for f in levels.order:
+        il, ol = input_level[f], output_level[f]
         key = (il, ol) if il is not UNREACHABLE and ol is not UNREACHABLE else None
         buckets.setdefault(key, []).append(f)
     groups = []
     for key in sorted(k for k in buckets if k is not None):
-        groups.append(Group(f"g_in{key[0]}_out{key[1]}", key, sorted(buckets[key])))
+        groups.append(Group(f"g_in{key[0]}_out{key[1]}", key, buckets[key]))
     if None in buckets:
-        groups.append(Group(RESIDUAL_GROUP, None, sorted(buckets[None])))
+        groups.append(Group(RESIDUAL_GROUP, None, buckets[None]))
     return GroupTable(groups)
 
 
-def dump_groups(table: GroupTable) -> str:
+def dump_groups(table: GroupTable, graph: DependencyGraph) -> str:
     """CSV ``group,input_level,output_level,size,members...``"""
+    ffs = graph.ffs
     lines = ["group,input_level,output_level,size,members"]
     for g in table.groups:
         il, ol = g.key if g.key is not None else ("-", "-")
-        lines.append(f"{g.gid},{il},{ol},{len(g.members)},{' '.join(g.members)}")
+        lines.append(f"{g.gid},{il},{ol},{len(g.members)},"
+                     f"{' '.join([ffs[m] for m in g.members])}")
     return "\n".join(lines) + "\n"

@@ -15,7 +15,8 @@ bit, which reaches the state through iota alone, hits a few.
 
 Pipeline order: dependencies -> scores -> levels/groups -> bounds search ->
 grouped localization, falling back to per-flip-flop localization when
-grouping was too fine to produce a full-width register.
+grouping was too fine to produce a full-width register. Every stage works
+on flip-flop ids (``depgraph``); a localizer names its result.
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ class RepqcResult:
         return bool(self.input_candidates)
 
 
-def filter_state_candidates(graph: DependencyGraph, bounds: SearchBounds) -> set[str]:
-    """Exactly the flip-flops whose degrees fall inside both windows."""
-    return {f for f in graph.ffs
-            if bounds.admits(graph.fanin(f), graph.fanout(f))}
+def filter_state_candidates(graph: DependencyGraph, bounds: SearchBounds) -> set[int]:
+    """Exactly the ids of the flip-flops whose degrees fall inside both
+    windows."""
+    admits = bounds.admits
+    return {f for f, (srcs, sinks) in enumerate(zip(graph.rdeps, graph.deps))
+            if admits(len(srcs), len(sinks))}
 
 
 # lane width -> (fanin floor, fanout floor), see derive_bounds
@@ -116,9 +119,10 @@ def naive_bounds(w: int) -> SearchBounds:
 
 
 def clever_search(graph: DependencyGraph, w: int, instances: int = 1,
-                  shares: int = 1) -> tuple[SearchBounds, set[str]]:
+                  shares: int = 1) -> tuple[SearchBounds, set[int]]:
     """The tightest fanout ceiling whose window holds the expected state
-    size 25*w*instances*shares, and the candidates in that window.
+    size 25*w*instances*shares, and the ids of the candidates in that
+    window.
 
     The fanin floor sits one above the naive floor and the fanout floor at
     the naive floor. The ceiling is the expected-th smallest fanout among
@@ -132,72 +136,84 @@ def clever_search(graph: DependencyGraph, w: int, instances: int = 1,
         raise ValueError("expected candidate count below one minimal state")
     nb = naive_bounds(w)
     fif = nb.fif + 1
-    fanout = {f: graph.fanout(f) for f in graph.ffs}
-    floored = {f: fo for f, fo in fanout.items()
-               if fo >= nb.fof and graph.fanin(f) >= fif}
+    fanout = list(map(len, graph.deps))
+    floored = [f for f, (fo, srcs) in enumerate(zip(fanout, graph.rdeps))
+               if fo >= nb.fof and len(srcs) >= fif]
     if len(floored) < expected:
         raise KeccakNotPresentError(
             f"Keccak not present: {len(floored)}/{expected} candidates at "
-            f"exhausted fanout ceiling {max([nb.fof, *fanout.values()])}")
-    foc = sorted(floored.values())[expected - 1]
+            f"exhausted fanout ceiling {max([nb.fof, *fanout])}")
+    foc = sorted([fanout[f] for f in floored])[expected - 1]
     return (SearchBounds(fif, math.inf, nb.fof, foc),
-            {f for f, fo in floored.items() if fo <= foc})
+            {f for f in floored if fanout[f] <= foc})
 
 
 def expected_state_count(w, instances=1, shares=1):
     return 25 * w * instances * shares
 
 
-def _hit_counts(graph: DependencyGraph, ckff: set[str], w: int) -> Counter:
-    """For each flip-flop that at least fof - 1 state candidates (the hit
-    floor) sequentially depend on, the number that do. Candidates are left
-    out: the feedback of the state onto itself says nothing about where
-    its input comes from."""
+def _hit_counts(graph: DependencyGraph, ckff: set[int], w: int) -> Counter:
+    """For each flip-flop id that at least fof - 1 state candidates (the
+    hit floor) sequentially depend on, the number that do. Candidates are
+    left out: the feedback of the state onto itself says nothing about
+    where its input comes from."""
     if not ckff:
         raise ValueError("empty state candidate set")
     floor = derive_bounds(w)[1] - 1
-    hits = Counter(m for f in ckff for m in graph.rdeps[f] if m not in ckff)
+    rdeps = graph.rdeps
+    hits = Counter(m for f in ckff for m in rdeps[f] if m not in ckff)
     return Counter({m: n for m, n in hits.items() if n >= floor})
 
 
+def _result(graph, ckff, members, gid, variant):
+    """The result named: candidate ids become names here, and the located
+    ids ranked by (z, name) before they do."""
+    ffs = graph.ffs
+    return RepqcResult(frozenset([ffs[f] for f in ckff]),
+                       [ffs[m] for m in members], gid, variant)
+
+
 def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
-                          graph: DependencyGraph, ckff: set[str],
+                          graph: DependencyGraph, ckff: set[int],
                           w: int) -> RepqcResult:
     """Grouped localization: keep the register groups whose members take
     at least w candidate hits in total, prune members below the hit floor
     (``_hit_counts``), rank the survivors by ascending mean score of their
     hit members (ties by level key) and return the w lowest-scoring
-    members of the best group.
+    members of the best group (ties by name).
 
     Returns an empty result when no group survives or when the best group
     cannot supply w members (the imprecise-grouping failure mode).
     """
     hits = _hit_counts(graph, ckff, w)
+    z = scores.z
     survivors = []
     for g in groups.regular():
         members = [m for m in g.members if m in hits]
         if sum(hits[m] for m in members) >= w:
-            score = sum(scores.z[m] for m in members) / len(members)
+            score = sum(z[m] for m in members) / len(members)
             survivors.append(((score, g.key), g, members))
     if survivors:
         _, best, members = min(survivors, key=lambda s: s[0])
         if len(members) >= w:
-            members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-            return RepqcResult(frozenset(ckff), members, best.gid, "grouped")
-    return RepqcResult(frozenset(ckff), [], None, "grouped")
+            ffs = graph.ffs
+            members = sorted(members, key=lambda m: (z[m], ffs[m]))[:w]
+            return _result(graph, ckff, members, best.gid, "grouped")
+    return _result(graph, ckff, [], None, "grouped")
 
 
 def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
-                             ckff: set[str], w: int) -> RepqcResult:
+                             ckff: set[int], w: int) -> RepqcResult:
     """Groupless fallback: every flip-flop is its own group of one, the
     group-size filter disappears, and the answer is simply the w
     lowest-scoring flip-flops that reach the hit floor (ties broken by
-    id)."""
+    name)."""
     hits = _hit_counts(graph, ckff, w)
     if len(hits) < w:
-        return RepqcResult(frozenset(ckff), [], None, "individual")
-    members = sorted(hits, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, None, "individual")
+        return _result(graph, ckff, [], None, "individual")
+    z, ffs = scores.z, graph.ffs
+    members = sorted(hits, key=lambda m: (z[m], ffs[m]))[:w]
+    return _result(graph, ckff, members, None, "individual")
 
 
 @dataclass

@@ -149,14 +149,16 @@ class Netlist:
     fault, unless no net is declared twice (ports and nets together), no
     cell name is used twice, every cell pin is on a declared net, and
     every net is driven exactly once: by an input port or by the output
-    pin of one cell. ``index`` is its :class:`NetlistIndex`, built on
-    first use."""
+    pin of one cell. ``driver`` maps each net a cell drives to that cell;
+    ``index`` is its :class:`NetlistIndex`, built on first use from that
+    map."""
 
     name: str
     ports: tuple[Port, ...] = ()
     nets: tuple[str, ...] = ()   # internal nets only
     cells: tuple[Cell, ...] = ()
     attributes: dict[str, str] = field(default_factory=dict)
+    driver: dict[str, Cell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("ports", "nets", "cells"):
@@ -168,7 +170,7 @@ class Netlist:
                 raise DeclarationError(f"net {net!r} declared twice", net=net)
             declared.add(net)
         names: set[str] = set()
-        drivers = self.input_ports()   # the net each driver drives
+        driver: dict[str, Cell] = {}
         for c in self.cells:
             if c.name in names:
                 raise DeclarationError(f"cell {c.name!r} declared twice",
@@ -179,11 +181,16 @@ class Netlist:
                 raise DeclarationError(
                     f"cell {c.name!r} uses undeclared net {net!r}",
                     net=net, cell=c.name)
-            drivers.append(c.output_net())
-        # every driven net is declared, so each net has one driver iff the
-        # driven nets are distinct and as many as the declared ones
-        if not len(set(drivers)) == len(drivers) == len(declared):
+            driver[c.pins[_OUTPUT[c.kind]]] = c
+        # every driven net is declared, so each net has one driver iff no
+        # two cells drive one net, no cell drives an input port, and the
+        # input ports and the cells are as many as the declared nets
+        inputs = self.input_ports()
+        if not (len(driver) == len(self.cells)
+                and len(driver) + len(inputs) == len(declared)
+                and driver.keys().isdisjoint(inputs)):
             raise self._driver_fault()
+        object.__setattr__(self, "driver", driver)
 
     def _driver_fault(self):
         """The DeclarationError of the first declared net not driven
@@ -234,7 +241,9 @@ class Violation:
     detail: str
 
 
-# kind -> (required pins, allowed pins), built once from CELL_KINDS
+# kind -> its output pin, and kind -> (required pins, allowed pins), built
+# once from CELL_KINDS
+_OUTPUT = {kind: spec.output for kind, spec in CELL_KINDS.items()}
 _PIN_SETS = {
     kind: (frozenset((*spec.inputs, spec.output)),
            frozenset((*spec.inputs, *spec.optional, spec.output)))
@@ -261,8 +270,8 @@ def _check_cell(kind, name, pins):
 class NetlistIndex:
     """The structural view of one netlist that validation, dependency
     extraction and simulation share: ``Netlist.index``, built once per
-    netlist by :func:`index_netlist`. The netlist has one driver per net,
-    so ``driver`` maps every net a cell drives to that one cell.
+    netlist by :func:`index_netlist`. ``driver`` is the netlist's own map
+    of every net a cell drives to that one cell.
 
     The one island rule: cells tagged ``analog_island`` are never ordered,
     so their outputs, like flip-flop outputs and primary inputs, cut every
@@ -286,23 +295,22 @@ class NetlistIndex:
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
-    """The driver map, then Kahn elimination over the combinational
-    cells, one frontier (one level) at a time. The index records cycles
-    but raises on none: :func:`validate` reports them."""
-    driver = {c.output_net(): c for c in netlist.cells}
+    """Kahn elimination over the combinational cells, one frontier (one
+    level) at a time, keyed by the net each cell drives. The index adopts
+    the netlist's driver map. It records cycles but raises on none:
+    :func:`validate` reports them."""
     comb = [c for c in netlist.cells
             if CELL_KINDS[c.kind].expr is not None
             and ANALOG_ISLAND_TAG not in c.tags]
-    slot = {id(c): i for i, c in enumerate(comb)}
+    # output net -> slot of its cell; a cell that reads its own output
+    # finds its own slot, so it is its own predecessor and stays cyclic
+    slot = {c.pins[_OUTPUT[c.kind]]: i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
     for i, c in enumerate(comb):
-        out = CELL_KINDS[c.kind].output
+        out = _OUTPUT[c.kind]
         for pin, net in c.pins.items():
-            if pin == out:
-                continue
-            j = slot.get(id(driver.get(net)))   # id(None) is no slot
-            if j is not None:
+            if pin != out and (j := slot.get(net)) is not None:
                 indeg[i] += 1
                 fanout[j].append(i)
     levels = []
@@ -316,7 +324,7 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
                 if indeg[k] == 0:
                     ready.append(k)
         frontier = ready
-    return NetlistIndex(driver, levels,
+    return NetlistIndex(netlist.driver, levels,
                         [c for level in levels for c in level],
                         [c for c, n in zip(comb, indeg) if n])
 

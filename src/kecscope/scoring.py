@@ -9,6 +9,8 @@ clipped population standard score of feature-count rarity:
     z(f)  = max(0, (mean(c) - c(f)) / pstdev(c)),   all zero when pstdev = 0
 
 so z is in [0, inf) and flip-flops with identical fanout get identical z.
+The table is a list indexed by flip-flop id, and the sums run in id
+order; only ``dump_scores`` reads names.
 """
 
 from __future__ import annotations
@@ -22,25 +24,25 @@ from .depgraph import DependencyGraph
 
 @dataclass
 class ScoreTable:
-    z: dict[str, float]
+    z: list[float]                   # flip-flop id -> z
 
 
 def compute_zscores(graph: DependencyGraph) -> ScoreTable:
     if not graph.ffs:
         raise ValueError("empty dependency graph")
-    feature = {f: graph.fanout(f) for f in graph.ffs}
-    counts = Counter(feature.values())
-    c = {f: counts[v] for f, v in feature.items()}
-    mu = statistics.fmean(c.values())
-    sigma = statistics.pstdev(c.values())
+    feature = list(map(len, graph.deps))
+    counts = Counter(feature)
+    c = [counts[v] for v in feature]
+    mu = statistics.fmean(c)
+    sigma = statistics.pstdev(c)
     if sigma == 0.0:
-        return ScoreTable({f: 0.0 for f in graph.ffs})
-    return ScoreTable({f: max(0.0, (mu - c[f]) / sigma) for f in graph.ffs})
+        return ScoreTable([0.0] * len(c))
+    return ScoreTable([max(0.0, (mu - n) / sigma) for n in c])
 
 
-def dump_scores(table: ScoreTable) -> str:
-    """CSV ``ff,z`` ordered by flip-flop id."""
+def dump_scores(table: ScoreTable, graph: DependencyGraph) -> str:
+    """CSV ``ff,z`` ordered by flip-flop name."""
+    ffs, z = graph.ffs, table.z
     lines = ["ff,z"]
-    for f in sorted(table.z):
-        lines.append(f"{f},{table.z[f]:.6f}")
+    lines += [f"{ffs[i]},{z[i]:.6f}" for i in graph.by_name]
     return "\n".join(lines) + "\n"

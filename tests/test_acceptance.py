@@ -18,6 +18,7 @@ from kecscope.sim import equivalence_check, simulate
 from kecscope.trojan import (HthSpec, insert_hth, overhead_report,
                              reconstruct_secret)
 
+from named import Named
 from test_generator import MIN_FANIN_FLOOR, permute_init, read_state
 
 
@@ -38,7 +39,7 @@ def criterion(num, text, budget_s):
 def test_criterion_1_structural_floors():
     with criterion(1, "state fanin exactly 33 at w=64; derived floors (33, 34)", 60):
         core, truth = generate_core(64)
-        graph = extract_dependencies(core)
+        graph = Named(extract_dependencies(core))
         state = truth.all_state_ffs()
         assert len(state) == 1600
         assert all(graph.fanin(f) == 33 for f in state)
@@ -84,10 +85,11 @@ def test_criterion_3_superset_guarantee():
             decoys = 5000 + (15000 * i) // 19
             netlist, truth = generate_accelerator(
                 GenConfig(w=64, decoy_ffs=decoys, seed=100 + i))
-            graph = extract_dependencies(netlist)
+            graph = Named(extract_dependencies(netlist))
             assert max(map(graph.fanin, truth.decoy_ffs)) < MIN_FANIN_FLOOR
             labeled = set(truth.all_state_ffs())
-            naive = filter_state_candidates(graph, naive_bounds(64))
+            naive = graph.names(filter_state_candidates(graph.graph,
+                                                        naive_bounds(64)))
             assert labeled <= naive
             result, _ = run_pipeline(netlist, PipelineConfig(lane_width=64))
             assert labeled <= result.state_candidates

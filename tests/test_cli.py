@@ -130,9 +130,10 @@ def test_analyze_builds_each_structure_once(workdir, tmp_path, monkeypatch):
     graph = depgraph.extract_dependencies(parse_netlist(design.read_text()))
     groups = grouping.group_by_levels(grouping.compute_levels(graph))
     assert (tmp_path / "scores.csv").read_text() == \
-        scoring.dump_scores(scoring.compute_zscores(graph))
+        scoring.dump_scores(scoring.compute_zscores(graph), graph)
     assert (tmp_path / "degrees.csv").read_text() == depgraph.dump_degrees(graph)
-    assert (tmp_path / "groups.csv").read_text() == grouping.dump_groups(groups)
+    assert (tmp_path / "groups.csv").read_text() == \
+        grouping.dump_groups(groups, graph)
 
 
 def test_each_loaded_netlist_is_indexed_once(workdir, injected, tmp_path,

@@ -1,4 +1,6 @@
 import random
+import statistics
+from collections import Counter, deque
 
 import pytest
 from hypothesis import given, settings
@@ -7,15 +9,19 @@ from hypothesis import strategies as st
 from kecscope.depgraph import (CombinationalCycleError, degree_histogram,
                                dump_degrees, dump_edges, extract_dependencies)
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
+from kecscope.grouping import RESIDUAL_GROUP, compute_levels, group_by_levels
 from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
                               Port, anonymize, index_netlist, parse_netlist,
                               write_netlist)
+from kecscope.scoring import compute_zscores
 from kecscope.trojan import HthSpec, insert_hth
+
+from named import Named
 
 
 def test_three_ff_chain_hand_trace(chain3):
-    g = extract_dependencies(chain3)
+    g = Named(extract_dependencies(chain3))
     assert g.deps["ffa"] == {"ffc"}
     assert g.deps["ffb"] == {"ffc"}
     assert g.rdeps["ffc"] == {"ffa", "ffb"}
@@ -36,8 +42,9 @@ def test_no_ffs_empty_graph():
 
 def test_edge_and_degree_sums(chain3):
     g = extract_dependencies(chain3)
-    assert sum(g.fanin(f) for f in g.ffs) == g.edge_count()
-    assert sum(g.fanout(f) for f in g.ffs) == g.edge_count()
+    named = Named(g)
+    assert sum(named.fanin(f) for f in g.ffs) == g.edge_count()
+    assert sum(named.fanout(f) for f in g.ffs) == g.edge_count()
     hist = degree_histogram(g)
     assert sum(hist.values()) == len(g.ffs)
     assert hist[(2, 0)] == 1  # ffc
@@ -58,14 +65,14 @@ def test_analog_island_is_opaque():
         "cell DFF fa d=pi clk=clk q=qa\n"
         "cell NAND2 r1 a=ring b=qa y=ring tag=analog_island\n"
         "cell DFF fb d=ring clk=clk q=qb\nendmodule\n")
-    g = extract_dependencies(n)
+    g = Named(extract_dependencies(n))
     assert g.deps["fa"] == set()
     assert g.fanin("fb") == 0
 
 
 def test_core_w64_uniform_fanin_33():
     netlist, truth = generate_core(64)
-    g = extract_dependencies(netlist)
+    g = Named(extract_dependencies(netlist))
     state = truth.all_state_ffs()
     assert len(state) == 1600
     assert {g.fanin(f) for f in state} == {33}
@@ -74,7 +81,7 @@ def test_core_w64_uniform_fanin_33():
 
 def test_accelerator_floors_with_absorb(oracle_w64, oracle_w64_graph):
     _, truth = oracle_w64
-    g = oracle_w64_graph
+    g = Named(oracle_w64_graph)
     for f in truth.all_state_ffs():
         assert g.fanin(f) >= 33
         assert g.fanout(f) >= 34
@@ -89,9 +96,9 @@ def test_histogram_buckets_cover_state(oracle_w64, oracle_w64_graph):
 
 
 def test_anonymization_commutes(chain3):
-    g = extract_dependencies(chain3)
+    g = Named(extract_dependencies(chain3))
     blind, rename = anonymize(chain3, 5)
-    gb = extract_dependencies(blind)
+    gb = Named(extract_dependencies(blind))
     remapped = {rename[src]: {rename[d] for d in dsts}
                 for src, dsts in g.deps.items()}
     assert remapped == gb.deps
@@ -150,16 +157,79 @@ def _reference(netlist):
     return deps, rdeps, input_reach, output_reach
 
 
+def _reference_levels(deps, rdeps, input_reach, output_reach):
+    """Test-only definition of ``compute_levels``: a deque BFS over the
+    name-keyed relation. Returns (input_level, output_level), name -> level
+    or None."""
+    def bfs(seeds, edges):
+        level = {f: 1 for f in seeds}
+        frontier = deque(seeds)
+        while frontier:
+            f = frontier.popleft()
+            for g in edges[f]:
+                if g not in level:
+                    level[g] = level[f] + 1
+                    frontier.append(g)
+        return level
+
+    fwd = bfs([f for f, reach in input_reach.items() if reach], deps)
+    bwd = bfs([f for f, reach in output_reach.items() if reach], rdeps)
+    return ({f: fwd.get(f) for f in deps}, {f: bwd.get(f) for f in deps})
+
+
+def _reference_groups(input_level, output_level):
+    """Test-only definition of ``group_by_levels``: (gid, key, members)
+    rows, members sorted by name, the residual group last."""
+    buckets = {}
+    for f, il in input_level.items():
+        ol = output_level[f]
+        key = (il, ol) if il is not None and ol is not None else None
+        buckets.setdefault(key, []).append(f)
+    rows = [(f"g_in{key[0]}_out{key[1]}", key, sorted(buckets[key]))
+            for key in sorted(k for k in buckets if k is not None)]
+    if None in buckets:
+        rows.append((RESIDUAL_GROUP, None, sorted(buckets[None])))
+    return rows
+
+
+def _reference_zscores(deps):
+    """Test-only definition of ``compute_zscores`` over the name-keyed
+    relation, in flip-flop order: name -> z."""
+    feature = {f: len(sinks) for f, sinks in deps.items()}
+    counts = Counter(feature.values())
+    c = {f: counts[v] for f, v in feature.items()}
+    mu = statistics.fmean(c.values())
+    sigma = statistics.pstdev(c.values())
+    if sigma == 0.0:
+        return {f: 0.0 for f in c}
+    return {f: max(0.0, (mu - c[f]) / sigma) for f in c}
+
+
 def _assert_matches_reference(netlist):
     """Extraction agrees with the reference, both the call that builds the
-    netlist's index and the call that reads it again."""
+    netlist's index and the call that reads it again, and so do the
+    levels, groups and scores derived from it, compared through names."""
     deps, rdeps, input_reach, output_reach = _reference(netlist)
     for g in (extract_dependencies(netlist), extract_dependencies(netlist)):
+        named = Named(g)
         assert g.ffs == [c.name for c in netlist.cells if c.is_seq()]
-        assert g.deps == deps
-        assert g.rdeps == rdeps
-        assert g.input_reach == input_reach
-        assert g.output_reach == output_reach
+        # no id twice in one list, so a list's length is a degree
+        for ids in (*g.deps, *g.rdeps):
+            assert len(set(ids)) == len(ids)
+        assert named.deps == deps
+        assert named.rdeps == rdeps
+        assert named.input_reach == input_reach
+        assert named.output_reach == output_reach
+    input_level, output_level = _reference_levels(deps, rdeps, input_reach,
+                                                  output_reach)
+    levels = compute_levels(g)
+    assert named.of(levels.input_level) == input_level
+    assert named.of(levels.output_level) == output_level
+    assert [(grp.gid, grp.key, named.members(grp))
+            for grp in group_by_levels(levels).groups] \
+        == _reference_groups(input_level, output_level)
+    if g.ffs:
+        assert named.of(compute_zscores(g).z) == _reference_zscores(deps)
 
 
 COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr is not None)

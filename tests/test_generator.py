@@ -16,6 +16,8 @@ from kecscope.netlist import (ArityMismatchError, UnknownCellKindError,
                               validate, write_netlist)
 from kecscope.sim import simulate
 
+from named import Named
+
 MIN_FANIN_FLOOR = min(derive_bounds(w)[0] for w in keccak.LANE_WIDTHS)
 
 
@@ -129,7 +131,7 @@ def test_seed_changes_decoys():
 
 def test_oracle_counts_and_validity(oracle_w64, oracle_w64_graph):
     netlist, truth = oracle_w64
-    graph = oracle_w64_graph
+    graph = Named(oracle_w64_graph)
     assert validate(netlist) == []
     assert len(truth.all_state_ffs()) == 1600
     assert len(truth.all_input_ffs()) == 64
@@ -269,7 +271,7 @@ def test_core_netlist(oracle_w8):
     core, truth = generate_core(8)
     assert validate(core) == []
     assert len(truth.all_state_ffs()) == 200
-    g = extract_dependencies(core)
+    g = Named(extract_dependencies(core))
     fif, _ = (min(len(s) for s in keccak.round_dependency_sets(8)[0].values()),
               None)
     assert min(g.fanin(f) for f in truth.all_state_ffs()) == fif
@@ -277,7 +279,7 @@ def test_core_netlist(oracle_w8):
 
 def test_decoys_stay_out_of_the_window(oracle_w64, oracle_w64_graph):
     _, truth = oracle_w64
-    g = oracle_w64_graph
+    g = Named(oracle_w64_graph)
     for f in truth.decoy_ffs:
         assert not (g.fanin(f) >= 33 and g.fanout(f) >= 34)
 
@@ -285,7 +287,7 @@ def test_decoys_stay_out_of_the_window(oracle_w64, oracle_w64_graph):
 def test_state_degrees_respect_derived_floors(oracle_w8, oracle_w8_graph):
     from kecscope.locate import derive_bounds
     _, truth = oracle_w8
-    g = oracle_w8_graph
+    g = Named(oracle_w8_graph)
     fif, fof = derive_bounds(8)
     for f in truth.all_state_ffs():
         assert g.fanin(f) >= fif

@@ -7,6 +7,7 @@ trace and report of a small attack simulated through the CLI, so a
 rewrite of the simulator must reproduce them byte for byte."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -108,3 +109,53 @@ def test_simulation_trace_is_pinned(tmp_path, monkeypatch):
         "sim_report.json":
             "2aa6c8e2b817d9431f8eb46ee471ca7a51ce2262d5a6e9ae683a2b85bbc0d3cf",
     }
+
+
+def _analyze_digests(root, **kw):
+    """sha256 of the three CSVs of ``analyze`` and of its report without
+    ``stage_ms`` and ``total_ms``, on ``GenConfig(w=8, decoy_ffs=150,
+    seed=4, **kw)`` anonymized with seed 5. Paths are relative to
+    ``root``, since the report records the netlist path."""
+    netlist, _ = generate_accelerator(GenConfig(w=8, decoy_ffs=150, seed=4,
+                                                **kw))
+    blind, _ = anonymize(netlist, 5)
+    (root / "design.nl").write_text(write_netlist(blind))
+    assert main(["analyze", "--netlist", "design.nl", "--lane-width", "8",
+                 "--out-dir", "a"]) == 0
+    digests = {name: hashlib.sha256((root / "a" / name).read_bytes()).hexdigest()
+               for name in ("scores.csv", "degrees.csv", "groups.csv")}
+    report = json.loads((root / "a" / "report.json").read_text())
+    del report["stage_ms"], report["total_ms"]
+    digests["report.json"] = hashlib.sha256(
+        json.dumps(report, indent=1).encode()).hexdigest()
+    return report["variant"], digests
+
+
+ANALYZE_GOLDEN = {
+    "absorb": ("grouped", {
+        "scores.csv":
+            "e15b349d13b41e180d2967adc4f3e124301e66fe94da62ba9e15827e1210ad42",
+        "degrees.csv":
+            "7ab230a193f497329e2880c275c635a8b36f94c01e8adeaac428e56274f72a31",
+        "groups.csv":
+            "b34bd81ba8ef702c8a04b1622b4b29707564a54d36e12a9113c02d365200e4c1",
+        "report.json":
+            "860ab237577716d8a34a111e8a418902f984b2d5128645dcfe3e856bc809fdea",
+    }),
+    "split": ("individual", {
+        "scores.csv":
+            "337a100eceefd001f5270b9c7c471f030c3a96ac953f50d7dcffc610cd511fa5",
+        "degrees.csv":
+            "36f2650fe91167511ab8f7c728157e01c0f8946d2cfc37b67226dd404a6a3e14",
+        "groups.csv":
+            "b4b26577dc5a793ed37c022739dbb7824ffcc61860266e63bf890ad6e0ac3d85",
+        "report.json":
+            "b9631ea061502ef31afcd935fb865767cba87bd69a89599de58dfa59099fd6a2",
+    }),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(ANALYZE_GOLDEN))
+def test_analysis_outputs_are_pinned(loader, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _analyze_digests(tmp_path, loader=loader) == ANALYZE_GOLDEN[loader]

@@ -2,36 +2,32 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.depgraph import DependencyGraph, extract_dependencies
+from kecscope.depgraph import extract_dependencies
 from kecscope.generator import GenConfig, generate_accelerator
-from kecscope.grouping import Group, GroupTable, compute_levels, group_by_levels
+from kecscope.grouping import compute_levels, group_by_levels
 from kecscope.keccak import LANE_WIDTHS, round_dependency_sets
 from kecscope.locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
-                             SearchBounds, clever_search, derive_bounds,
-                             expected_state_count, filter_state_candidates,
-                             locate_inputs_grouped, locate_inputs_individual,
-                             naive_bounds, remap_result, results_equivalent,
-                             run_pipeline)
+                             SearchBounds, _hit_counts, clever_search,
+                             derive_bounds, expected_state_count,
+                             filter_state_candidates, locate_inputs_grouped,
+                             locate_inputs_individual, naive_bounds,
+                             remap_result, results_equivalent, run_pipeline)
 from kecscope.netlist import anonymize
-from kecscope.scoring import ScoreTable, compute_zscores
+from kecscope.scoring import compute_zscores
+
+from named import Named, graph
 
 
 def random_graph(rng, n=50):
     ffs = [f"f{i}" for i in range(n)]
-    deps = {f: set() for f in ffs}
-    rdeps = {f: set() for f in ffs}
-    for f in ffs:
-        for g in rng.sample(ffs, rng.randint(0, n // 2)):
-            deps[f].add(g)
-            rdeps[g].add(f)
-    return DependencyGraph(ffs, deps, rdeps,
-                           {f: frozenset() for f in ffs},
-                           {f: False for f in ffs})
+    return graph(ffs, [(f, g) for f in ffs
+                       for g in rng.sample(ffs, rng.randint(0, n // 2))])
 
 
 def test_bounds_validate():
@@ -48,12 +44,13 @@ def test_filter_matches_brute_force(seed):
     lo1, lo2 = rng.randint(0, 10), rng.randint(0, 10)
     b = SearchBounds(lo1, lo1 + rng.randint(0, 15),
                      lo2, lo2 + rng.randint(0, 15))
-    got = filter_state_candidates(g, b)
+    got = Named(g).names(filter_state_candidates(g, b))
     # independent scan straight off the adjacency maps
+    deps = Named(g).deps
     want = set()
     for f in g.ffs:
-        fi = sum(1 for other in g.ffs if f in g.deps[other])
-        fo = len(g.deps[f])
+        fi = sum(1 for other in g.ffs if f in deps[other])
+        fo = len(deps[f])
         if b.fif <= fi <= b.fic and b.fof <= fo <= b.foc:
             want.add(f)
     assert got == want
@@ -101,7 +98,7 @@ def test_widening_never_shrinks(oracle_w8_graph):
 def test_clever_search_oracle_w8(oracle_w8, oracle_w8_graph):
     _, truth = oracle_w8
     bounds, ckff = clever_search(oracle_w8_graph, 8)
-    assert set(truth.all_state_ffs()) <= ckff
+    assert set(truth.all_state_ffs()) <= Named(oracle_w8_graph).names(ckff)
     assert len(ckff) >= 200
     assert bounds.fif == naive_bounds(8).fif + 1
     assert bounds.foc >= bounds.fof
@@ -118,19 +115,22 @@ def test_clever_search_expected_floor(oracle_w8_graph):
         clever_search(oracle_w8_graph, 8, instances=0)
 
 
-def _stub_scores(zmap):
-    return ScoreTable(dict(zmap))
+class Case(NamedTuple):
+    """A localizer input by name: the flip-flops, (src, dst) dependency
+    edges, group rows (gid, key, members), each flip-flop's z and the
+    state candidates."""
+    ffs: list
+    edges: list
+    rows: list
+    z: dict
+    ckff: set
 
-
-def _stub_graph(edges, ffs):
-    deps = {f: set() for f in ffs}
-    rdeps = {f: set() for f in ffs}
-    for src, dst in edges:
-        deps[src].add(dst)
-        rdeps[dst].add(src)
-    return DependencyGraph(list(ffs), deps, rdeps,
-                           {f: frozenset() for f in ffs},
-                           {f: False for f in ffs})
+    def build(self):
+        """(graph, groups, scores, candidate ids): the localizers' input."""
+        g = graph(self.ffs, self.edges)
+        named = Named(g)
+        return (g, named.groups(self.rows), named.scores(self.z),
+                named.ids(self.ckff))
 
 
 def _hit_floor(w):
@@ -138,28 +138,27 @@ def _hit_floor(w):
     return derive_bounds(w)[1] - 1
 
 
-def _three_group_fixture(w=4):
+def _three_group_case(w=4):
     """Only group A is fully hit; B never hit; C hit but too small. The
     state has exactly as many candidates as the hit floor, so each member
-    that feeds all of them just counts."""
+    that feeds all of them just counts. Returns the case and A."""
     state = [f"s{i:02d}" for i in range(_hit_floor(w))]
     a = [f"a{i}" for i in range(w)]
     b = [f"b{i}" for i in range(w)]
     c = ["c0"]
     edges = [(m, s) for m in a for s in state]
     edges += [(c[0], s) for s in state]
-    ffs = state + a + b + c
-    graph = _stub_graph(edges, ffs)
-    groups = GroupTable([
-        Group("ga", (1, 3), sorted(a)),
-        Group("gb", (1, 4), sorted(b)),
-        Group("gc", (2, 3), c),
-    ])
+    rows = [("ga", (1, 3), a), ("gb", (1, 4), b), ("gc", (2, 3), c)]
     z = {f: 0.1 for f in a}
     z.update({f: 0.05 for f in b})   # lower z but never hit
     z.update({c[0]: 5.0})
     z.update({f: 0.0 for f in state})
-    return graph, groups, _stub_scores(z), set(state), a
+    return Case(state + a + b + c, edges, rows, z, set(state)), a
+
+
+def _three_group_fixture(w=4):
+    case, a = _three_group_case(w)
+    return (*case.build(), a)
 
 
 def test_grouped_returns_hit_group():
@@ -172,24 +171,24 @@ def test_grouped_returns_hit_group():
 
 
 def test_grouped_prunes_unhit_members():
-    graph, groups, scores, ckff, a = _three_group_fixture()
+    case, a = _three_group_case()
     # add one never-hit member to the winning group: it must not be returned
-    groups.groups[0].members = sorted(groups.groups[0].members + ["a_dead"])
-    scores.z["a_dead"] = 0.0
-    graph.deps["a_dead"] = set()
-    graph.rdeps["a_dead"] = set()
-    graph.ffs.append("a_dead")
+    case.rows[0] = ("ga", (1, 3), a + ["a_dead"])
+    case.z["a_dead"] = 0.0
+    case.ffs.append("a_dead")
+    graph, groups, scores, ckff = case.build()
     res = locate_inputs_grouped(scores, groups, graph, ckff, 4)
     assert "a_dead" not in res.input_candidates
     assert sorted(res.input_candidates) == sorted(a)
 
 
 def test_grouped_empty_when_winner_too_small():
-    graph, groups, scores, ckff, a = _three_group_fixture()
+    case, a = _three_group_case()
     # split the winning group in half: neither half can supply w members
     half1, half2 = a[:2], a[2:]
-    groups.groups[0] = Group("ga1", (1, 3), half1)
-    groups.groups.insert(1, Group("ga2", (1, 5), half2))
+    case.rows[0] = ("ga1", (1, 3), half1)
+    case.rows.insert(1, ("ga2", (1, 5), half2))
+    graph, groups, scores, ckff = case.build()
     res = locate_inputs_grouped(scores, groups, graph, ckff, 4)
     assert not res.found()
     assert res.input_candidates == []
@@ -202,19 +201,17 @@ def test_grouped_requires_candidates():
 
 
 def test_members_below_the_hit_floor_do_not_count():
-    graph, groups, scores, ckff, a = _three_group_fixture()
+    case, a = _three_group_case()
     # a round-counter-like group: lower scores than a, but each member
     # hits one candidate fewer than the floor
     r = [f"r{i}" for i in range(4)]
-    below = sorted(ckff)[:_hit_floor(4) - 1]
+    below = sorted(case.ckff)[:_hit_floor(4) - 1]
     for m in r:
-        graph.ffs.append(m)
-        graph.deps[m] = set(below)
-        graph.rdeps[m] = set()
-        for s in below:
-            graph.rdeps[s].add(m)
-        scores.z[m] = 0.0
-    groups.groups.insert(0, Group("gr", (1, 2), r))
+        case.ffs.append(m)
+        case.edges.extend((m, s) for s in below)
+        case.z[m] = 0.0
+    case.rows.insert(0, ("gr", (1, 2), r))
+    graph, groups, scores, ckff = case.build()
     res = locate_inputs_grouped(scores, groups, graph, ckff, 4)
     assert res.winning_group == "ga"
     assert sorted(res.input_candidates) == sorted(a)
@@ -238,10 +235,10 @@ def test_input_register_located_at_small_widths(w, decoys, blind):
 
 
 def test_individual_no_hits_is_empty():
-    ffs = ["s0", "s1", "x0"]
-    graph = _stub_graph([], ffs)
-    res = locate_inputs_individual(_stub_scores({f: 0.0 for f in ffs}),
-                                   graph, {"s0", "s1"}, 4)
+    g, _, scores, ckff = Case(["s0", "s1", "x0"], [], [],
+                              dict.fromkeys(["s0", "s1", "x0"], 0.0),
+                              {"s0", "s1"}).build()
+    res = locate_inputs_individual(scores, g, ckff, 4)
     assert not res.found()
 
 
@@ -269,8 +266,9 @@ def test_result_invariants(oracle_w8, oracle_w8_graph):
     g = oracle_w8_graph
     res, _ = run_pipeline_cached(oracle_w8[0])
     assert len(res.input_candidates) == 8
+    deps = Named(g).deps
     for m in res.input_candidates:
-        assert g.deps[m] & res.state_candidates
+        assert deps[m] & res.state_candidates
 
 
 _cache = {}
@@ -293,7 +291,8 @@ def test_pipeline_stages_and_timings(oracle_w8, oracle_w8_graph):
     assert res.analysis.graph.ffs == oracle_w8_graph.ffs
     assert res.analysis.graph.rdeps == oracle_w8_graph.rdeps
     assert res.analysis.groups.regular()
-    assert set(res.analysis.scores.z) == set(oracle_w8_graph.ffs)
+    assert set(Named(res.analysis.graph).of(res.analysis.scores.z)) \
+        == set(oracle_w8_graph.ffs)
     assert "analysis" not in repr(res)
     assert replace(res, analysis=None) == res
 
@@ -328,25 +327,32 @@ def test_only_the_pipeline_sets_the_expected_state_count():
     res, _ = run_pipeline(netlist, config)
     assert res.expected_state_count == len(res.state_candidates) == 400
     graph, scores, groups = res.analysis
-    ckff = set(res.state_candidates)
+    ckff = Named(graph).ids(res.state_candidates)
     for direct in (locate_inputs_grouped(scores, groups, graph, ckff, 8),
                    locate_inputs_individual(scores, graph, ckff, 8)):
         assert direct.expected_state_count is None
 
 
-# Reference definitions the search and the localizers are checked against:
-# the fanout ceiling widened one step at a time with a full rescan per
-# step, and hit marking per (candidate, member) pair.
+# Reference definitions the search and the localizers are checked against,
+# over names: the fanout ceiling widened one step at a time with a full
+# rescan per step, and hit marking per (candidate, member) pair.
+
+def _named_search(graph, w, instances=1, shares=1):
+    """``clever_search``, its candidates named."""
+    bounds, ckff = clever_search(graph, w, instances, shares)
+    return bounds, Named(graph).names(ckff)
+
 
 def _widening_search(graph, w, instances=1, shares=1):
     expected = expected_state_count(w, instances, shares)
     nb = naive_bounds(w)
     fif = nb.fif + 1
     foc = nb.fof
-    max_fanout = max((graph.fanout(f) for f in graph.ffs), default=0)
+    named = Named(graph)
+    max_fanout = max((named.fanout(f) for f in graph.ffs), default=0)
     while True:
         bounds = SearchBounds(fif, math.inf, nb.fof, foc)
-        candidates = filter_state_candidates(graph, bounds)
+        candidates = named.names(filter_state_candidates(graph, bounds))
         if len(candidates) >= expected:
             return bounds, candidates
         if foc >= max_fanout:
@@ -356,55 +362,74 @@ def _widening_search(graph, w, instances=1, shares=1):
         foc += 1
 
 
-def _mark_hits(groups, graph, ckff):
+def _rdeps(case):
+    """sink name -> source names"""
+    rdeps = {f: set() for f in case.ffs}
+    for src, dst in case.edges:
+        rdeps[dst].add(src)
+    return rdeps
+
+
+def _mark_hits(case):
     """gid -> member -> number of (candidate, member) hit pairs"""
-    marks = {g.gid: dict.fromkeys(g.members, 0) for g in groups.groups}
-    member_group = {m: g.gid for g in groups.groups for m in g.members}
-    for f in ckff:
-        for m in graph.rdeps[f]:
-            if m in ckff or m not in member_group:
+    rdeps = _rdeps(case)
+    marks = {gid: dict.fromkeys(members, 0) for gid, _, members in case.rows}
+    member_group = {m: gid for gid, _, members in case.rows for m in members}
+    for f in case.ckff:
+        for m in rdeps[f]:
+            if m in case.ckff or m not in member_group:
                 continue
             marks[member_group[m]][m] += 1
     return marks
 
 
-def _reference_grouped(scores, groups, graph, ckff, w):
-    if not ckff:
+def _reference_hit_counts(case, w):
+    """member -> (candidate, member) hit pairs, for the members at or
+    above the hit floor"""
+    if not case.ckff:
         raise ValueError("empty state candidate set")
-    marks = _mark_hits(groups, graph, ckff)
+    rdeps = _rdeps(case)
+    pairs = {}
+    for f in case.ckff:
+        for m in rdeps[f]:
+            if m not in case.ckff:
+                pairs[m] = pairs.get(m, 0) + 1
+    return {m: n for m, n in pairs.items() if n >= _hit_floor(w)}
+
+
+def _reference_grouped(case, w):
+    if not case.ckff:
+        raise ValueError("empty state candidate set")
+    marks = _mark_hits(case)
     survivors = []
-    for g in groups.regular():
-        hit = {m: n for m, n in marks[g.gid].items() if n >= _hit_floor(w)}
+    for gid, key, members in case.rows:
+        if key is None:
+            continue
+        hit = {m: n for m, n in marks[gid].items() if n >= _hit_floor(w)}
         if sum(hit.values()) >= w:
-            survivors.append((g, [m for m in g.members if m in hit]))
-    empty = RepqcResult(frozenset(ckff), [], None, "grouped")
+            survivors.append(((gid, key), [m for m in sorted(members)
+                                           if m in hit]))
+    empty = RepqcResult(frozenset(case.ckff), [], None, "grouped")
     if not survivors:
         return empty
 
     def score(gm):
-        return sum(scores.z[m] for m in gm[1]) / len(gm[1])
+        return sum(case.z[m] for m in gm[1]) / len(gm[1])
 
-    survivors.sort(key=lambda gm: (score(gm), gm[0].key))
-    best, members = survivors[0]
+    survivors.sort(key=lambda gm: (score(gm), gm[0][1]))
+    (gid, _), members = survivors[0]
     if len(members) < w:
         return empty
-    members = sorted(members, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, best.gid, "grouped")
+    members = sorted(members, key=lambda m: (case.z[m], m))[:w]
+    return RepqcResult(frozenset(case.ckff), members, gid, "grouped")
 
 
-def _reference_individual(scores, graph, ckff, w):
-    if not ckff:
-        raise ValueError("empty state candidate set")
-    pairs = {}
-    for f in ckff:
-        for m in graph.rdeps[f]:
-            if m not in ckff:
-                pairs[m] = pairs.get(m, 0) + 1
-    hit = {m for m, n in pairs.items() if n >= _hit_floor(w)}
+def _reference_individual(case, w):
+    hit = _reference_hit_counts(case, w)
     if len(hit) < w:
-        return RepqcResult(frozenset(ckff), [], None, "individual")
-    members = sorted(hit, key=lambda m: (scores.z[m], m))[:w]
-    return RepqcResult(frozenset(ckff), members, None, "individual")
+        return RepqcResult(frozenset(case.ckff), [], None, "individual")
+    members = sorted(hit, key=lambda m: (case.z[m], m))[:w]
+    return RepqcResult(frozenset(case.ckff), members, None, "individual")
 
 
 def _outcome(fn, *args):
@@ -414,15 +439,19 @@ def _outcome(fn, *args):
         return type(e), str(e)
 
 
-def _dense_graph(rng, n):
-    """Random graph whose degrees straddle the w = 1 floors (26, 26): each
+def _dense_edges(rng, ffs):
+    """Edges whose degrees straddle the w = 1 floors (26, 26): each
     flip-flop draws its own edge density, so some clear both floors."""
-    ffs = [f"f{i:02d}" for i in range(n)]
     edges = []
     for f in ffs:
         p = rng.choice((0.1, 0.5, 0.8, 0.95))
         edges += [(f, g) for g in ffs if rng.random() < p]
-    return _stub_graph(edges, ffs)
+    return edges
+
+
+def _dense_graph(rng, n):
+    ffs = [f"f{i:02d}" for i in range(n)]
+    return graph(ffs, _dense_edges(rng, ffs))
 
 
 @settings(max_examples=150, deadline=None)
@@ -430,7 +459,7 @@ def _dense_graph(rng, n):
        instances=st.integers(1, 2))
 def test_clever_search_matches_widening(seed, n, instances):
     graph = _dense_graph(random.Random(seed), n)
-    assert (_outcome(clever_search, graph, 1, instances)
+    assert (_outcome(_named_search, graph, 1, instances)
             == _outcome(_widening_search, graph, 1, instances))
 
 
@@ -439,30 +468,38 @@ def _localizer_case(rng, n):
     flip-flops as candidates, so member hit counts straddle the hit
     floors of small widths; few distinct scores, so ties in both rankings
     are common; and random groups over all flip-flops."""
-    graph = _dense_graph(rng, n)
-    ffs = graph.ffs
+    ffs = [f"f{i:02d}" for i in range(n)]
+    edges = _dense_edges(rng, ffs)
     ckff = set(rng.sample(ffs, rng.randint(0, 2 * n // 3)))
-    scores = _stub_scores({f: rng.choice((0.0, 0.25, 0.5, 1.5)) for f in ffs})
+    z = {f: rng.choice((0.0, 0.25, 0.5, 1.5)) for f in ffs}
     buckets = {}
     for f in ffs:
         buckets.setdefault(rng.randint(0, 5), []).append(f)
-    groups = [Group(f"g{k}", (k % 3, k // 3) if k else None, sorted(m))
-              for k, m in sorted(buckets.items(), reverse=True)]
-    return graph, ckff, scores, GroupTable(groups)
+    rows = [(f"g{k}", (k % 3, k // 3) if k else None, sorted(m))
+            for k, m in sorted(buckets.items(), reverse=True)]
+    return Case(ffs, edges, rows, z, ckff)
 
 
 SMALL_WIDTHS = (1, 2, 4, 8)
+
+
+def _named_hit_counts(graph, ckff, w):
+    """``_hit_counts``, its members named."""
+    return {graph.ffs[m]: n for m, n in _hit_counts(graph, ckff, w).items()}
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 80),
        w=st.sampled_from(SMALL_WIDTHS))
 def test_localizers_match_hit_marking(seed, n, w):
-    graph, ckff, scores, table = _localizer_case(random.Random(seed), n)
+    case = _localizer_case(random.Random(seed), n)
+    graph, table, scores, ckff = case.build()
+    assert (_outcome(_named_hit_counts, graph, ckff, w)
+            == _outcome(_reference_hit_counts, case, w))
     assert (_outcome(locate_inputs_grouped, scores, table, graph, ckff, w)
-            == _outcome(_reference_grouped, scores, table, graph, ckff, w))
+            == _outcome(_reference_grouped, case, w))
     assert (_outcome(locate_inputs_individual, scores, graph, ckff, w)
-            == _outcome(_reference_individual, scores, graph, ckff, w))
+            == _outcome(_reference_individual, case, w))
 
 
 def test_localizer_cases_straddle_the_hit_floor():
@@ -474,13 +511,15 @@ def test_localizer_cases_straddle_the_hit_floor():
     for seed in range(60):
         rng = random.Random(seed)
         n, w = rng.randint(2, 80), rng.choice(SMALL_WIDTHS)
-        graph, ckff, scores, table = _localizer_case(rng, n)
-        if not ckff:
+        case = _localizer_case(rng, n)
+        if not case.ckff:
             continue
-        pairs = Counter(m for f in ckff for m in graph.rdeps[f]
-                        if m not in ckff)
+        rdeps = _rdeps(case)
+        pairs = Counter(m for f in case.ckff for m in rdeps[f]
+                        if m not in case.ckff)
         below += sum(0 < k < _hit_floor(w) for k in pairs.values())
         above += sum(k >= _hit_floor(w) for k in pairs.values())
+        graph, table, scores, ckff = case.build()
         found["grouped"].add(locate_inputs_grouped(
             scores, table, graph, ckff, w).found())
         found["individual"].add(locate_inputs_individual(
@@ -489,17 +528,23 @@ def test_localizer_cases_straddle_the_hit_floor():
     assert found == {"grouped": {False, True}, "individual": {False, True}}
 
 
-class _CountingGraph(DependencyGraph):
-    fanout_calls = 0
+class _CountingList(list):
+    """A list that counts the items read from it."""
+    reads = 0
 
-    def fanout(self, ff):
-        self.fanout_calls += 1
-        return super().fanout(ff)
+    def __iter__(self):
+        for item in super().__iter__():
+            self.reads += 1
+            yield item
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
 
 
 def _counting(graph):
-    return _CountingGraph(graph.ffs, graph.deps, graph.rdeps,
-                          graph.input_reach, graph.output_reach)
+    """The graph, its fanout lists read through a _CountingList."""
+    return replace(graph, deps=_CountingList(graph.deps))
 
 
 def _high_ceiling_graph(n_state):
@@ -513,7 +558,7 @@ def _high_ceiling_graph(n_state):
         sinks = [f"{s}_k{j:03d}" for j in range(100 + i)]
         ffs += sinks
         edges += [(s, k) for k in sinks]
-    return _stub_graph(edges, ffs)
+    return graph(ffs, edges)
 
 
 @pytest.mark.parametrize("n_state, found", [(30, True), (20, False)])
@@ -521,6 +566,6 @@ def test_clever_search_reads_each_fanout_a_bounded_number_of_times(
         n_state, found):
     graph = _counting(_high_ceiling_graph(n_state))
     want = _outcome(_widening_search, _high_ceiling_graph(n_state), 1)
-    assert _outcome(clever_search, graph, 1) == want
+    assert _outcome(_named_search, graph, 1) == want
     assert (want[0] is KeccakNotPresentError) != found
-    assert graph.fanout_calls <= 3 * len(graph.ffs)
+    assert graph.deps.reads <= 3 * len(graph.ffs)

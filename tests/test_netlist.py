@@ -332,6 +332,16 @@ cell INV i2 a=a y=b
 cell DFF f1 d=b clk=clk q=q
 endmodule
 """),
+    # one cell that reads its own output: its own predecessor
+    "untagged_self_loop": (False, """\
+module m
+input clk
+net n
+net q
+cell INV i1 a=n y=n
+cell DFF f1 d=n clk=clk q=q
+endmodule
+"""),
 }
 
 

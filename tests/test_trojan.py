@@ -11,6 +11,8 @@ from kecscope.sim import equivalence_check, extends, simulate
 from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
                              overhead_report, reconstruct_secret)
 
+from named import Named
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -167,12 +169,13 @@ def test_trojan_ffs_land_in_residual_group(victim16):
     spec = HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1)
     trojaned, edit = insert_hth(netlist, result, spec)
     from kecscope.grouping import compute_levels
-    levels = compute_levels(extract_dependencies(trojaned))
+    graph = extract_dependencies(trojaned)
+    output_level = Named(graph).of(compute_levels(graph).output_level)
     added_ffs = [c.name for c in trojaned.cells
                  if c.is_seq() and c.name in set(edit.added_cells)]
     assert added_ffs
     # nothing downstream of the trojan reaches a primary output
-    assert all(levels.output_level[f] is None for f in added_ffs)
+    assert all(output_level[f] is None for f in added_ffs)
 
 
 def test_overhead_report_identity(victim16):
