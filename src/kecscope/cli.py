@@ -15,6 +15,7 @@ import json
 import math
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import depgraph, grouping, scoring, sim
@@ -267,6 +268,7 @@ def cmd_simulate(args):
     return EXIT_OK
 
 
+@cache  # one tree per process: its objects refer to each other in cycles
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="kecscope",

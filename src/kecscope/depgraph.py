@@ -22,14 +22,14 @@ every output is the one a name-keyed analysis gives.
 
 Each call builds one fanin map from the ordered cells of
 ``netlist.index``, the netlist's one ``NetlistIndex``: every net driven
-by a non-island combinational cell maps to the tuple of that cell's input
-nets. A flip-flop's cone is then a walk of dict lookups from its d net,
-through the fanin map, stopping at flip-flop q nets (sources), at
-primary inputs and at every other net (island outputs). A d net outside
-the fanin map is such a stop itself, so that trivial cone takes its one
-source without a walk. The walk visits each net once, so each source is
-found once and the id lists need no set. The output-reach pass walks the
-same map back from the primary outputs.
+by a non-island combinational cell maps to that cell's input nets, the
+tuple ``nets[:-1]``. A flip-flop's cone is then a walk of dict lookups
+from its d net, through the fanin map, stopping at flip-flop q nets
+(sources), at primary inputs and at every other net (island outputs). A
+d net outside the fanin map is such a stop itself, so that trivial cone
+takes its one source without a walk. The walk visits each net once, so
+each source is found once and the id lists need no set. The output-reach
+pass walks the same map back from the primary outputs.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .netlist import CELL_KINDS, Netlist
+from .netlist import Netlist
 
 
 class CombinationalCycleError(Exception):
@@ -85,12 +85,10 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
             f"combinational cycle outside analog island: {bad[:8]}")
     # net -> input nets of its combinational driver; a net absent here
     # ends the walk: a flip-flop output, a primary input or an island net
-    fanin: dict[str, tuple[str, ...]] = {}
-    for c in index.order:
-        out = CELL_KINDS[c.kind].output
-        fanin[c.pins[out]] = tuple(n for p, n in c.pins.items() if p != out)
+    fanin = {c.nets[-1]: c.nets[:-1] for c in index.order}
+    # a flip-flop's nets are d, clk, its rst if bound, then q
     ff_cells = netlist.flip_flops()
-    q_id = {c.pins["q"]: i for i, c in enumerate(ff_cells)}
+    q_id = {c.nets[-1]: i for i, c in enumerate(ff_cells)}
     # no cell drives a primary input, which has its port as its one driver
     pis = set(netlist.input_ports())
 
@@ -99,7 +97,7 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     input_reach: list[bool] = []
     fanin_of, source_of = fanin.get, q_id.get
     for i, c in enumerate(ff_cells):
-        d = c.pins["d"]
+        d = c.nets[0]
         ins = fanin_of(d)
         if ins is None:   # d is a flip-flop q, a primary input or an island net
             src = source_of(d)
@@ -137,7 +135,7 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
         if net not in marked:
             marked.add(net)
             stack.extend(fanin.get(net, ()))
-    output_reach = [c.pins["q"] in marked for c in ff_cells]
+    output_reach = [c.nets[-1] in marked for c in ff_cells]
     return DependencyGraph([c.name for c in ff_cells], deps, rdeps,
                            input_reach, output_reach)
 

@@ -156,7 +156,9 @@ class Builder:
         return name
 
     def _append(self, kind, name, pins, tags=frozenset()):
-        # untagged cells share tags: each frozenset(()) is a new object
+        # untagged cells share tags: each frozenset(()) is a new object;
+        # every caller passes pins in table order, which Cell checks in one
+        # lookup
         if name in self._used_cells:
             raise ValueError(f"cell {name!r} already exists")
         self.cells.append(Cell(kind, name, pins, tags))
@@ -172,7 +174,7 @@ class Builder:
             self._auto += 1
         name = f"{prefix}g{self._auto}"
         self._auto += 1
-        self._append(kind, name, {"y": out, **pins})
+        self._append(kind, name, {**pins, "y": out})
         return out
 
     def inv(self, a, prefix=""):
@@ -231,10 +233,8 @@ class Builder:
 
     def dff(self, name, d, q=None, clk="clk", rst=None):
         q = q if q is not None else self.net(f"{name}_q")
-        pins = {"d": d, "clk": clk, "q": q}
-        if rst is not None:
-            pins["rst"] = rst
-        self._append("DFF", name, pins)
+        self._append("DFF", name, {"d": d, "clk": clk, "q": q} if rst is None
+                     else {"d": d, "clk": clk, "rst": rst, "q": q})
         return q
 
     def const_mux(self, values, sel, prefix=""):

@@ -22,7 +22,9 @@ A :class:`Cell` checks its own kind and pins when it is made, and a
 :class:`Netlist` its declarations and drivers, so every later stage trusts
 both. A netlist is a frozen value: nothing edits it after it is made, so
 the one :class:`NetlistIndex` it caches is never stale. :func:`validate`
-checks what is left, combinational cycles.
+checks what is left, combinational cycles. A cell holds its nets as one
+tuple in its kind's ``CELL_KINDS`` pin order, which every stage reads by
+position and the writer emits, so the parser takes its lines in one match.
 """
 
 from __future__ import annotations
@@ -31,9 +33,11 @@ import random
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import NamedTuple
 
-ID_RE = re.compile(r"^[A-Za-z0-9_\[\]]+$")
+IDENTIFIER = r"[A-Za-z0-9_\[\]]+"
+ID_RE = re.compile(f"^{IDENTIFIER}$")
 
 ANALOG_ISLAND_TAG = "analog_island"
 
@@ -46,7 +50,7 @@ class CellKind(NamedTuple):
     combinational value of that output as a Python expression over the
     input pin names and the lane mask m, every value a bit-parallel int
     over the lanes, or None for a sequential kind, and the input pins a
-    cell may leave unbound."""
+    cell may leave unbound (no kind has more than one)."""
 
     inputs: tuple[str, ...]
     output: str
@@ -115,31 +119,43 @@ class Port:
     direction: str  # "in" | "out"
 
 
-@dataclass
+@dataclass(init=False, slots=True)
 class Cell:
-    """One cell instance. Making one raises UnknownCellKindError for a
-    kind outside ``CELL_KINDS`` and ArityMismatchError unless its pins are
-    exactly that kind's, optional ones aside. Nothing re-checks them, and
-    netlists share their cells, so code must not edit a cell."""
+    """One cell. ``Cell(kind, name, pins, tags)`` takes ``pins`` as pin ->
+    net in any order and raises UnknownCellKindError for a kind outside
+    ``CELL_KINDS`` and ArityMismatchError unless the pins are that kind's,
+    optional ones aside. ``nets`` holds the nets in the kind's table order:
+    the inputs, the optional pins bound, then the output (``nets[-1]``);
+    ``pins`` is a read-only view of it. Nothing re-checks a cell, and
+    netlists share their cells, so code must not edit one."""
 
     kind: str
     name: str
-    pins: dict[str, str]            # pin -> net
-    tags: frozenset[str] = NO_TAGS
+    nets: tuple[str, ...]
+    tags: frozenset[str]
 
-    def __post_init__(self):
-        _check_cell(self.kind, self.name, self.pins)
+    def __init__(self, kind, name, pins, tags=NO_TAGS):
+        self.kind, self.name, self.tags = kind, name, tags
+        self.nets = (tuple(pins.values()) if (kind, *pins) in _LAYOUTS
+                     else tuple([pins[p] for p in _pin_order(kind, name, pins)]))
+
+    @property
+    def pins(self):
+        return MappingProxyType(dict(zip(_LAYOUTS[self.kind, len(self.nets)],
+                                         self.nets)))
 
     def is_seq(self):
         return CELL_KINDS[self.kind].expr is None
 
     def output_net(self):
-        return self.pins[CELL_KINDS[self.kind].output]
+        return self.nets[-1]
 
-    def input_pins(self):
-        """(pin, net) pairs for every bound input pin, optional ones included."""
-        out = CELL_KINDS[self.kind].output
-        return [(p, n) for p, n in self.pins.items() if p != out]
+
+def _cell(kind, name, nets, tags):
+    """The cell :class:`Cell` makes, from nets known to fit ``kind``."""
+    cell = object.__new__(Cell)
+    cell.kind, cell.name, cell.nets, cell.tags = kind, name, nets, tags
+    return cell
 
 
 @dataclass(frozen=True)
@@ -147,9 +163,9 @@ class Netlist:
     """A frozen netlist; ``ports``, ``nets`` and ``cells`` are stored as
     tuples. Making one raises DeclarationError, naming the net or cell at
     fault, unless no net is declared twice (ports and nets together), no
-    cell name is used twice, every cell pin is on a declared net, and
-    every net is driven exactly once: by an input port or by the output
-    pin of one cell. ``driver`` maps each net a cell drives to that cell;
+    cell name is used twice, every net of a cell is declared, and every
+    net is driven exactly once: by an input port or by one cell's output,
+    ``nets[-1]``. ``driver`` maps each net a cell drives to that cell;
     ``index`` is its :class:`NetlistIndex`, built on first use from that
     map."""
 
@@ -176,12 +192,12 @@ class Netlist:
                 raise DeclarationError(f"cell {c.name!r} declared twice",
                                        cell=c.name)
             names.add(c.name)
-            if not declared.issuperset(c.pins.values()):
-                net = next(n for n in c.pins.values() if n not in declared)
+            if not declared.issuperset(c.nets):
+                net = next(n for n in c.nets if n not in declared)
                 raise DeclarationError(
                     f"cell {c.name!r} uses undeclared net {net!r}",
                     net=net, cell=c.name)
-            driver[c.pins[_OUTPUT[c.kind]]] = c
+            driver[c.nets[-1]] = c
         # every driven net is declared, so each net has one driver iff no
         # two cells drive one net, no cell drives an input port, and the
         # input ports and the cells are as many as the declared nets
@@ -241,29 +257,37 @@ class Violation:
     detail: str
 
 
-# kind -> its output pin, and kind -> (required pins, allowed pins), built
-# once from CELL_KINDS
-_OUTPUT = {kind: spec.output for kind, spec in CELL_KINDS.items()}
-_PIN_SETS = {
-    kind: (frozenset((*spec.inputs, spec.output)),
-           frozenset((*spec.inputs, *spec.optional, spec.output)))
-    for kind, spec in CELL_KINDS.items()}
+# Every pin order a cell may have: its kind's inputs, the optional pins it
+# binds, its output. _LAYOUTS holds each under (kind, *pins), which checks
+# kind and pins in one lookup, and under (kind, pin count), which tells the
+# bound optional pins since no kind has two. By (kind, pin count), _LINES
+# holds the line write_netlist writes (%s for the name and each net) and
+# _LINE_MATCH a fullmatch of exactly those lines that parse_netlist accepts.
+_ORDERS = [(kind, (*spec.inputs, *spec.optional[:bound], spec.output))
+           for kind, spec in CELL_KINDS.items()
+           for bound in range(len(spec.optional) + 1)]
+_LAYOUTS = {key: order for kind, order in _ORDERS
+            for key in [(kind, *order), (kind, len(order))]}
+_LINES = {(k, len(order)): " ".join([f"cell {k} %s", *map("{}=%s".format, order)])
+          for k, order in _ORDERS}
+_LINE_MATCH = {key: re.compile(line.replace("%s", f"({IDENTIFIER})", 1)
+                               .replace("%s", r"([^\s=]+)")).fullmatch
+               for key, line in _LINES.items()}
 
 
-def _check_cell(kind, name, pins):
-    if kind not in _PIN_SETS:
+def _pin_order(kind, name, pins):
+    """The table order of ``pins`` if they fit ``kind``, else its error."""
+    if kind not in CELL_KINDS:
         raise UnknownCellKindError(f"unknown cell kind {kind!r} for cell {name!r}")
-    required, allowed = _PIN_SETS[kind]
-    bound = pins.keys()
-    if required <= bound and bound <= allowed:
-        return
-    missing = required - bound
-    extra = bound - allowed
-    raise ArityMismatchError(
-        f"cell {name!r} ({kind}): "
-        + (f"missing pins {sorted(missing)} " if missing else "")
-        + (f"unexpected pins {sorted(extra)}" if extra else "")
-    )
+    spec = CELL_KINDS[kind]
+    missing = {*spec.inputs, spec.output} - pins.keys()
+    extra = pins.keys() - {*spec.inputs, *spec.optional, spec.output}
+    if missing or extra:
+        raise ArityMismatchError(
+            f"cell {name!r} ({kind}): "
+            + (f"missing pins {sorted(missing)} " if missing else "")
+            + (f"unexpected pins {sorted(extra)}" if extra else ""))
+    return _LAYOUTS[kind, len(pins)]
 
 
 @dataclass
@@ -296,21 +320,20 @@ class NetlistIndex:
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
     """Kahn elimination over the combinational cells, one frontier (one
-    level) at a time, keyed by the net each cell drives. The index adopts
-    the netlist's driver map. It records cycles but raises on none:
-    :func:`validate` reports them."""
+    level) at a time, keyed by the net each cell drives, ``nets[-1]``. The
+    index adopts the netlist's driver map. It records cycles but raises on
+    none: :func:`validate` reports them."""
     comb = [c for c in netlist.cells
             if CELL_KINDS[c.kind].expr is not None
             and ANALOG_ISLAND_TAG not in c.tags]
     # output net -> slot of its cell; a cell that reads its own output
     # finds its own slot, so it is its own predecessor and stays cyclic
-    slot = {c.pins[_OUTPUT[c.kind]]: i for i, c in enumerate(comb)}
+    slot = {c.nets[-1]: i for i, c in enumerate(comb)}
     indeg = [0] * len(comb)
     fanout: list[list[int]] = [[] for _ in comb]
     for i, c in enumerate(comb):
-        out = _OUTPUT[c.kind]
-        for pin, net in c.pins.items():
-            if pin != out and (j := slot.get(net)) is not None:
+        for net in c.nets[:-1]:
+            if (j := slot.get(net)) is not None:
                 indeg[i] += 1
                 fanout[j].append(i)
     levels = []
@@ -340,7 +363,9 @@ def parse_netlist(text: str) -> Netlist:
     a net driven by nothing (its declaration); UnknownCellKindError and
     ArityMismatchError come from :class:`Cell`. A net may be declared
     after a cell uses it. Combinational cycles parse, and :func:`validate`
-    reports them.
+    reports them. A cell line as :func:`write_netlist` writes it, untagged,
+    is one match; any other (tags, another pin order or spacing) is split
+    pin by pin and made by :class:`Cell`, with the same result or error.
     """
     name = None
     closed = False
@@ -356,6 +381,13 @@ def parse_netlist(text: str) -> Netlist:
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
+        if line[:5] == "cell " and name is not None and not closed:
+            # fast path: an untagged line as write_netlist writes it
+            kind = line[5:line.find(" ", 5)]
+            match = _LINE_MATCH.get((kind, line.count("=")))
+            if match is not None and (m := match(line)) is not None:
+                cells.append(_cell(kind, m[1], m.groups()[1:], NO_TAGS))
+                continue
         if not line:
             continue
         tok = line.split()
@@ -452,12 +484,8 @@ def write_netlist(netlist: Netlist) -> str:
     for k in sorted(netlist.attributes):
         out.append(f"attr {k} {netlist.attributes[k]}")
     for c in netlist.cells:
-        spec = CELL_KINDS[c.kind]
-        order = [*spec.inputs, *(p for p in spec.optional if p in c.pins),
-                 spec.output]
-        pins = " ".join(f"{p}={c.pins[p]}" for p in order)
-        tags = "".join(f" tag={t}" for t in sorted(c.tags))
-        out.append(f"cell {c.kind} {c.name}{' ' + pins if pins else ''}{tags}")
+        tags = "".join([f" tag={t}" for t in sorted(c.tags)]) if c.tags else ""
+        out.append(_LINES[c.kind, len(c.nets)] % (c.name, *c.nets) + tags)
     out.append("endmodule")
     return "\n".join(out) + "\n"
 
@@ -500,11 +528,9 @@ def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:
     rng.shuffle(ports)
     nets = [net_map[n] for n in netlist.nets]
     rng.shuffle(nets)
-    cells = [
-        Cell(c.kind, cell_map[c.name],
-             {pin: net_map[net] for pin, net in c.pins.items()}, c.tags)
-        for c in netlist.cells
-    ]
+    cells = [_cell(c.kind, cell_map[c.name],
+                   tuple([net_map[net] for net in c.nets]), c.tags)
+             for c in netlist.cells]
     rng.shuffle(cells)
     blind = Netlist(name="anon", ports=ports, nets=nets, cells=cells,
                     attributes=netlist.attributes)

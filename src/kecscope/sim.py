@@ -112,10 +112,12 @@ class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
     value slots, the compiled function ``f(v, m)`` (values, lane mask),
     slot lists for ports, flip-flop pins and watches, and a getter of the
-    island's control nets. Only slots, gather names and table expressions
-    reach the generated source, never a net or cell name. Every pin is on
-    a declared net driven once, which the netlist checked when it was
-    made, so every pin has one slot."""
+    island's control nets. Pins are read by position in ``Cell.nets``: a
+    flip-flop's d, clk, rst if bound, then q, and a group's gathers one
+    input position at a time. Only slots, gather names and table
+    expressions reach the generated source, never a net or cell name.
+    Every pin is on a declared net driven once, which the netlist checked
+    when it was made, so every pin has one slot."""
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
@@ -126,7 +128,7 @@ class _Compiled:
                   for _, cells in groupby(sorted(level, key=kind), kind)]
         # each group's outputs first, in contiguous slots, then every
         # other net; no net is driven twice, so none takes two slots
-        self.slot = dict(zip((c.output_net() for group in groups
+        self.slot = dict(zip((c.nets[-1] for group in groups
                               for c in group), count()))
         for net in netlist.all_nets():
             self.slot.setdefault(net, len(self.slot))
@@ -139,10 +141,10 @@ class _Compiled:
             self.watch.append((net, self.slot[net]))
         ffs = netlist.flip_flops()
         self.ff_names = [c.name for c in ffs]
-        self.q = [self.slot[c.pins["q"]] for c in ffs]
-        self.d = [self.slot[c.pins["d"]] for c in ffs]
-        self.rst = [(i, self.slot[c.pins["rst"]])
-                    for i, c in enumerate(ffs) if "rst" in c.pins]
+        self.q = [self.slot[c.nets[-1]] for c in ffs]
+        self.d = [self.slot[c.nets[0]] for c in ffs]
+        self.rst = [(i, self.slot[c.nets[2]])
+                    for i, c in enumerate(ffs) if len(c.nets) == 4]
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else itemgetter(
             *(self.slot[n] for n in controls))
@@ -164,13 +166,13 @@ class _Compiled:
         a one-cell group reads its one slot as a 1-tuple instead, since a
         one-slot itemgetter returns no tuple."""
         spec = CELL_KINDS[cells[0].kind]
-        start = self.slot[cells[0].output_net()]
+        start = self.slot[cells[0].nets[-1]]
         target = f"v[{start}:{start + len(cells)}]"
         if not spec.inputs:
             return f"{target} = [{spec.expr}] * {len(cells)}"
         sources = []
-        for pin in spec.inputs:
-            slots = [self.slot[c.pins[pin]] for c in cells]
+        for i in range(len(spec.inputs)):
+            slots = [self.slot[c.nets[i]] for c in cells]
             if len(slots) == 1:
                 sources.append(f"(v[{slots[0]}],)")
             else:
@@ -185,19 +187,16 @@ class _Compiled:
 
 def _island_controls(netlist):
     """(enable, leak[1], leak[0]) nets of the analog island, or None: the
-    outside net read by the first island NAND2 that reads one, and the
-    outside select nets of the first island MUX4 whose selects are both
-    outside, in cell order. Outside means driven by no island cell."""
+    first outside input of an island NAND2 and the selects (nets 4 and 5)
+    of the first island MUX4 whose selects are both outside, in cell
+    order. Outside means driven by no island cell."""
     island = [c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags]
-    inside = {c.output_net() for c in island}
-    enable = leak = None
-    for c in island:
-        ext = {pin: net for pin, net in c.input_pins() if net not in inside}
-        if c.kind == "NAND2" and ext and enable is None:
-            enable = next(iter(ext.values()))
-        if c.kind == "MUX4" and "s0" in ext and "s1" in ext and leak is None:
-            leak = (ext["s1"], ext["s0"])
-    return None if enable is None or leak is None else (enable, *leak)
+    inside = {c.nets[-1] for c in island}
+    enables = [net for c in island if c.kind == "NAND2"
+               for net in c.nets[:-1] if net not in inside]
+    leaks = [(c.nets[5], c.nets[4]) for c in island
+             if c.kind == "MUX4" and inside.isdisjoint(c.nets[4:6])]
+    return (enables[0], *leaks[0]) if enables and leaks else None
 
 
 def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,

@@ -186,8 +186,8 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
         cell = cells.get(ff)
         if cell is None or not cell.is_seq():
             raise InsertionError(f"attach point {ff!r} is not a victim flip-flop")
-        taps.append(cell.pins["q"])
-        clocks.add(cell.pins["clk"])
+        taps.append(cell.nets[-1])   # d, clk, [rst,] q
+        clocks.add(cell.nets[1])
     if len(clocks) != 1:
         raise InsertionError(f"tapped flip-flops span clocks {sorted(clocks)}")
     clk = clocks.pop()

@@ -568,3 +568,26 @@ def test_no_stage_leaves_a_reference_cycle(small_attack, stage):
     finally:
         if before:
             gc.enable()
+
+
+def test_main_leaves_no_argparse_object_in_a_cycle(tmp_path):
+    # the argparse tree is a web of reference cycles: built once per
+    # process and kept, none of it is left for the cyclic collector (its
+    # construction leaves a few dozen formatters, once)
+    (tmp_path / "inv.nl").write_text(NO_FFS)
+    cli.build_parser()
+    before = gc.isenabled()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for _ in range(2):
+            assert run("analyze", "--netlist", str(tmp_path / "inv.nl"),
+                       "--out-dir", str(tmp_path)) == 3
+        gc.collect()
+        left = [o for o in gc.garbage if type(o).__module__ == "argparse"]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if before:
+            gc.enable()
+    assert left == []

@@ -116,7 +116,7 @@ def test_dumps(chain3):
 
 def _reference(netlist):
     """Test-only definition of ``extract_dependencies``: a cone walk over
-    the driver map that rebuilds each visited cell's ``input_pins()``.
+    the driver map that reads each visited cell's input pins by name.
     Returns (deps, rdeps, input_reach, output_reach)."""
     driver = index_netlist(netlist).driver
     pis = set(netlist.input_ports())
@@ -141,7 +141,8 @@ def _reference(netlist):
             elif drv.is_seq():
                 srcs.add(drv.name)
             elif ANALOG_ISLAND_TAG not in drv.tags:
-                stack.extend(n for _, n in drv.input_pins())
+                out = CELL_KINDS[drv.kind].output
+                stack.extend(n for p, n in drv.pins.items() if p != out)
         return srcs, reached, seen
 
     for c in netlist.cells:

@@ -10,11 +10,12 @@ from kecscope.depgraph import CombinationalCycleError, extract_dependencies
 from kecscope import netlist as netlist_module
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, run_pipeline
-from kecscope.netlist import (ANALOG_ISLAND_TAG, ArityMismatchError, Cell,
-                              DeclarationError, Netlist, NetlistSyntaxError,
+from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ID_RE, NO_TAGS,
+                              ArityMismatchError, Cell, DeclarationError,
+                              Netlist, NetlistError, NetlistSyntaxError,
                               Port, UnknownCellKindError, Violation,
-                              anonymize, index_netlist, parse_netlist,
-                              validate, write_netlist)
+                              _declaration_line, anonymize, index_netlist,
+                              parse_netlist, validate, write_netlist)
 from kecscope.sim import SimulationError, simulate
 
 INV_DFF = """\
@@ -387,19 +388,28 @@ def test_a_net_driven_twice_is_rejected_without_validation():
         "line 10: net 'y' driven twice, by cell 'i1' and cell 'b1'")
 
 
+COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr)
+
+
 def _random_netlist(rng):
+    """A valid netlist of up to 8 cells, each reading earlier nets or a
+    port: DFFs with and without rst, and every combinational kind, now
+    and then tagged as an island."""
     b_nets = [f"n{i}" for i in range(rng.randint(1, 8))]
     cells = []
     driven = []
     for i, net in enumerate(b_nets):
-        src = rng.choice(driven + ["pi"])
+        def src():
+            return rng.choice(driven + ["pi"])
         if rng.random() < 0.4:
-            cells.append(Cell("DFF", f"f{i}", {"d": src, "clk": "clk", "q": net}))
-        elif rng.random() < 0.5:
-            cells.append(Cell("INV", f"g{i}", {"a": src, "y": net}))
+            pins = {"d": src(), "clk": "clk", "q": net}
+            if rng.random() < 0.5:
+                pins["rst"] = src()
+            cells.append(Cell("DFF", f"f{i}", pins))
         else:
-            other = rng.choice(driven + ["pi"])
-            cells.append(Cell("XOR2", f"g{i}", {"a": src, "b": other, "y": net},
+            kind = rng.choice(COMB_KINDS)
+            pins = {pin: src() for pin in CELL_KINDS[kind].inputs}
+            cells.append(Cell(kind, f"g{i}", {**pins, "y": net},
                               frozenset(["analog_island"] if rng.random() < 0.1 else [])))
         driven.append(net)
     return Netlist("rnd", ports=[Port("clk", "in"), Port("pi", "in")],
@@ -411,6 +421,196 @@ def _random_netlist(rng):
 def test_round_trip_random_netlists(seed):
     n = _random_netlist(random.Random(seed))
     assert parse_netlist(write_netlist(n)) == n
+
+
+def _reference_parse(text):
+    """The slow definition of parse_netlist, kept as it was before the
+    parser's fast path: every cell line split pin by pin into a dict, and
+    every cell made and checked by the Cell constructor."""
+    name = None
+    closed = False
+    ports: list[Port] = []
+    nets: list[str] = []
+    cells: list[Cell] = []
+    attributes: dict[str, str] = {}
+
+    def identifier(token, lineno):
+        if not ID_RE.match(token):
+            raise NetlistSyntaxError(f"bad identifier {token!r}", lineno)
+        return token
+
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        kw = tok[0]
+        if kw == "module":
+            if name is not None:
+                raise NetlistSyntaxError("duplicate module line", lineno)
+            if len(tok) != 2 or not ID_RE.match(tok[1]):
+                raise NetlistSyntaxError("expected: module NAME", lineno)
+            name = tok[1]
+            continue
+        if name is None:
+            raise NetlistSyntaxError("statement before module line", lineno)
+        if closed:
+            raise NetlistSyntaxError("statement after endmodule", lineno)
+        if kw in ("input", "output", "net"):
+            if len(tok) != 2:
+                raise NetlistSyntaxError(f"expected: {kw} NET", lineno)
+            net = identifier(tok[1], lineno)
+            if kw == "net":
+                nets.append(net)
+            else:
+                ports.append(Port(net, "in" if kw == "input" else "out"))
+        elif kw == "attr":
+            if len(tok) != 3:
+                raise NetlistSyntaxError("expected: attr KEY VALUE", lineno)
+            attributes[tok[1]] = tok[2]
+        elif kw == "cell":
+            if len(tok) < 3:
+                raise NetlistSyntaxError("expected: cell KIND ID PIN=NET ...", lineno)
+            cell = identifier(tok[2], lineno)
+            pins: dict[str, str] = {}
+            tags = set()
+            for item in tok[3:]:
+                if "=" not in item:
+                    raise NetlistSyntaxError(f"expected PIN=NET, got {item!r}", lineno)
+                pin, net = item.split("=", 1)
+                if pin == "tag":
+                    tags.add(net)
+                elif pin in pins:
+                    raise NetlistSyntaxError(f"pin {pin!r} bound twice", lineno)
+                else:
+                    pins[pin] = net
+            cells.append(Cell(tok[1], cell, pins,
+                              frozenset(tags) if tags else NO_TAGS))
+        elif kw == "endmodule":
+            closed = True
+        else:
+            raise NetlistSyntaxError(f"unknown keyword {kw!r}", lineno)
+
+    if name is None:
+        raise NetlistSyntaxError("no module found")
+    if not closed:
+        raise NetlistSyntaxError("missing endmodule")
+    try:
+        return Netlist(name, ports, nets, cells, attributes)
+    except DeclarationError as e:
+        raise _declaration_line(text, e) from None
+
+
+def _outcome(parse, text):
+    """The netlist, or the type, message and line of the error."""
+    try:
+        return parse(text)
+    except NetlistError as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+def _cell_lines(n, rng, scramble):
+    """Each cell line of n: the one write_netlist writes, or, with
+    ``scramble``, its pins in random order with the tags among them, split
+    by runs of spaces and tabs, and now and then a trailing comment."""
+    written = [line for line in write_netlist(n).splitlines()
+               if line.startswith("cell ")]
+    if not scramble:
+        return written
+    lines = []
+    for c, line in zip(n.cells, written):
+        if rng.random() < 0.3:
+            lines.append(line)
+            continue
+        items = [f"{p}={net}" for p, net in c.pins.items()]
+        items += [f"tag={t}" for t in sorted(c.tags)]
+        rng.shuffle(items)
+        gaps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(len(items) + 3)]
+        line = "".join(g + t for g, t in zip(gaps, ["cell", c.kind, c.name, *items]))
+        lines.append(line + rng.choice(["", " ", "  # note", "# a=b"]))
+    return lines
+
+
+def _text(n, cell_lines, rng):
+    """n's text with the given cell lines, blank and comment lines
+    scattered among its lines."""
+    head = write_netlist(n).partition("\ncell ")[0]
+    lines = head.splitlines() + cell_lines + ["endmodule"]
+    for _ in range(rng.randint(0, 3)):
+        lines.insert(rng.randint(1, len(lines) - 1), rng.choice(["", "  ", "# x"]))
+    return "\n".join(lines) + "\n"
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=100, deadline=None)
+def test_parse_matches_the_reference(seed):
+    rng = random.Random(seed)
+    n = _random_netlist(rng)
+    text = _text(n, _cell_lines(n, rng, scramble=True), rng)
+    assert parse_netlist(text) == _reference_parse(text) == n
+
+
+def _replaced(tok, i, item):
+    return [*tok[:i], item, *tok[i + 1:]]
+
+
+def _inserted(tok, rng, item):
+    at = rng.randint(3, len(tok))
+    return [*tok[:at], item, *tok[at:]]
+
+
+# cell line tokens (cell, kind, name, pins...), i the index of one pin ->
+# the tokens of a line the parser must reject as the reference does
+CELL_LINE_MUTATIONS = {
+    "double_equals": lambda tok, i, rng: _replaced(tok, i, tok[i].replace("=", "==")),
+    "no_net": lambda tok, i, rng: _replaced(tok, i, tok[i].split("=")[0] + "="),
+    "no_pin": lambda tok, i, rng: _replaced(tok, i, "=" + tok[i].split("=")[1]),
+    "two_equals": lambda tok, i, rng: _replaced(tok, i, tok[i] + "=x"),
+    "no_equals": lambda tok, i, rng: _replaced(tok, i, tok[i].replace("=", "")),
+    "pin_bound_twice": lambda tok, i, rng: _inserted(tok, rng, tok[i]),
+    "unknown_kind": lambda tok, i, rng: _replaced(tok, 1, "FOO2"),
+    "missing_pin": lambda tok, i, rng: tok[:i] + tok[i + 1:],
+    "extra_pin": lambda tok, i, rng: _inserted(tok, rng, "zz=pi"),
+    "bad_cell_name": lambda tok, i, rng: _replaced(tok, 2, tok[2] + "$"),
+    "bad_net": lambda tok, i, rng: _replaced(tok, i, tok[i] + "$"),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(CELL_LINE_MUTATIONS))
+@given(seed=st.integers(min_value=0, max_value=10_000), scramble=st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_parse_errors_match_the_reference(mutation, seed, scramble):
+    rng = random.Random(seed)
+    n = _random_netlist(rng)
+    lines = _cell_lines(n, rng, scramble)
+    at = rng.randrange(len(lines))
+    tok = lines[at].split("#")[0].split()
+    pins = [i for i, t in enumerate(tok) if i >= 3 and not t.startswith("tag=")]
+    if mutation == "missing_pin":   # a DFF without its rst is whole
+        pins = [i for i in pins if not tok[i].startswith("rst=")]
+    lines[at] = " ".join(CELL_LINE_MUTATIONS[mutation](tok, rng.choice(pins), rng))
+    text = _text(n, lines, rng)
+    outcome = _outcome(parse_netlist, text)
+    assert isinstance(outcome, tuple), lines[at]
+    assert outcome == _outcome(_reference_parse, text)
+
+
+@pytest.mark.parametrize("kind, bound", [
+    pytest.param(kind, optional, id="+".join((kind, *optional)))
+    for kind, spec in CELL_KINDS.items()
+    for optional in [(), *[(pin,) for pin in spec.optional]]])
+def test_cell_nets_follow_the_table(kind, bound):
+    spec = CELL_KINDS[kind]
+    order = (*spec.inputs, *bound, spec.output)
+    pins = {pin: f"n_{pin}" for pin in reversed(order)}
+    cell = Cell(kind, "u", pins)
+    assert cell.nets == tuple(f"n_{pin}" for pin in order)
+    assert dict(cell.pins) == pins and tuple(cell.pins) == order
+    assert cell.output_net() == cell.nets[-1]
+    assert not hasattr(cell, "__dict__")
+    with pytest.raises(TypeError):
+        cell.pins[spec.output] = "n"
+    assert cell == Cell(kind, "u", dict(zip(order, cell.nets)))
 
 
 def _driver_faults(rng, n):
@@ -491,7 +691,7 @@ def _check_order_and_levels(n):
     assert len(index.order) == len(position) == len(comb)
     assert set(position) == {c.name for c in comb}
     for c in index.order:
-        for _, net in c.input_pins():
+        for net in c.nets[:-1]:
             d = index.driver.get(net)
             if d is not None and d.name in position:
                 assert position[d.name] < position[c.name]
@@ -500,7 +700,7 @@ def _check_order_and_levels(n):
              for c in cells}
     for level, cells in enumerate(index.levels):
         for c in cells:
-            read = {depth[d.name] for _, net in c.input_pins()
+            read = {depth[d.name] for net in c.nets[:-1]
                     if (d := index.driver.get(net)) is not None
                     and d.name in depth}
             assert all(r < level for r in read)

@@ -526,8 +526,8 @@ def _other_kind(rng, n):
 
 
 def _other_pin(rng, n):
-    cell = rng.choice([c for c in n.cells if c.input_pins()])
-    pin, net = rng.choice(cell.input_pins())
+    cell = rng.choice([c for c in n.cells if len(c.nets) > 1])
+    pin, net = rng.choice(list(cell.pins.items())[:-1])
     # an input port never closes a cycle
     new = rng.choice([p for p in n.input_ports() if p != net])
     return _replaced(n, cell, Cell(cell.kind, cell.name,
