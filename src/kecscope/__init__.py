@@ -12,9 +12,9 @@ from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      filter_state_candidates, locate_inputs_grouped,
                      locate_inputs_individual, naive_bounds, run_pipeline)
 from .netlist import Netlist, anonymize, parse_netlist, validate, write_netlist
-from .scoring import ScoreTable, compute_zscores, dump_scores
+from .scoring import compute_zscores, dump_scores
 from .sim import SimTrace, equivalence_check, simulate
-from .trojan import (EcoEdit, HthSpec, build_hth, insert_hth, overhead_report,
+from .trojan import (EcoEdit, HthSpec, insert_hth, overhead_report,
                      reconstruct_secret)
 
 __version__ = "0.1.0"

@@ -40,18 +40,13 @@ def _outdir(args):
     return out
 
 
-def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
-
-
 def _read(path, what, parse=str):
     """parse(text of the file); one that cannot be read or parsed is a
     usage error."""
     try:
         return parse(Path(path).read_text())
     except (OSError, ValueError, KeyError, TypeError) as e:
-        _usage_error(f"cannot read {what} file {path}: {e}")
+        raise ValueError(f"cannot read {what} file {path}: {e}")
 
 
 def _load_netlist(path):
@@ -61,13 +56,12 @@ def _load_netlist(path):
 
 
 def _validated(netlist):
-    """The netlist, if :func:`validate` finds nothing; else its first
-    violations on stderr and exit 4."""
+    """The netlist, if :func:`validate` finds nothing; else the
+    CombinationalCycleError of its one violation."""
     problems = validate(netlist)
     if problems:
-        for v in problems[:10]:
-            print(f"violation: {v.kind}: {v.detail}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+        v = problems[0]
+        raise depgraph.CombinationalCycleError(f"{v.kind}: {v.detail}")
     return netlist
 
 
@@ -103,6 +97,8 @@ def _bounds_to_json(b):
 
 
 def cmd_gen(args):
+    if args.seed is None:
+        raise ValueError("gen needs --seed (or a seed in --config)")
     cfg = GenConfig(w=args.w, instances=args.instances, shares=args.shares,
                     decoy_ffs=args.decoys, seed=args.seed, loader=args.loader)
     netlist, truth = generate_accelerator(cfg)
@@ -127,7 +123,7 @@ def cmd_analyze(args):
     override = None
     if any(v is not None for v in (args.fif, args.fic, args.fof, args.foc)):
         if args.fif is None or args.fof is None:
-            _usage_error("bound overrides need at least --fif and --fof")
+            raise ValueError("bound overrides need at least --fif and --fof")
         override = SearchBounds(
             args.fif, args.fic if args.fic is not None else math.inf,
             args.fof, args.foc if args.foc is not None else math.inf)
@@ -227,7 +223,7 @@ def cmd_inject(args):
 
 def cmd_simulate(args):
     if args.expect_secret_hex is not None and args.secret_width is None:
-        _usage_error("--expect-secret-hex needs --secret-width")
+        raise ValueError("--expect-secret-hex needs --secret-width")
     netlist = _load_netlist(args.netlist)
     stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
     cycles = args.cycles if args.cycles is not None else len(stimulus)
@@ -338,13 +334,14 @@ def _apply_config(parser, argv, args):
     for key in overrides:
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("fn", "command", "config"):
-            _usage_error(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
     args = parser.parse_args(
         argv + [f"--{key.replace('_', '-')}={v}" for key, v in overrides.items()])
     for key, value in overrides.items():
         # a value of the wrong JSON type does not parse back to itself
         if getattr(args, key.replace("-", "_")) != value:
-            _usage_error(f"config value {value!r} for {key!r} has the wrong type")
+            raise ValueError(
+                f"config value {value!r} for {key!r} has the wrong type")
     return args
 
 
@@ -352,6 +349,7 @@ def _apply_config(parser, argv, args):
 # message prefix). Nothing else is caught, so a defect keeps its traceback.
 FAILURES = {
     NetlistError: (EXIT_INVALID, "error"),
+    depgraph.CombinationalCycleError: (EXIT_INVALID, "violation"),
     KeccakNotPresentError: (EXIT_NOT_FOUND, "not found"),
     InsertionError: (EXIT_NOT_FOUND, "not found"),
     ValueError: (EXIT_USAGE, "error"),
@@ -361,8 +359,8 @@ FAILURES = {
 
 
 def main(argv=None):
-    """Run one command; return its exit code (``SystemExit`` for a usage
-    error found while parsing or reading input).
+    """Run one command; return its exit code (argparse raises
+    ``SystemExit`` for a flag it rejects).
 
     The command runs with the cyclic garbage collector off, and the
     caller's setting comes back when it ends, however it ends. Its stages
@@ -374,13 +372,11 @@ def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config:
-        args = _apply_config(parser, argv, args)
-    if args.command == "gen" and args.seed is None:
-        _usage_error("gen needs --seed (or a seed in --config)")
     collecting = gc.isenabled()
     gc.disable()
     try:
+        if args.config:
+            args = _apply_config(parser, argv, args)
         return args.fn(args)
     except tuple(FAILURES) as e:
         code, prefix = next(v for t, v in FAILURES.items() if isinstance(e, t))

@@ -20,10 +20,10 @@ only where something is emitted: the localization result, the CSVs and
 the report. Ties that ids would break arbitrarily are broken by name, so
 every output is the one a name-keyed analysis gives.
 
-Each call builds one fanin map from the ordered cells of
-``netlist.index``, the netlist's one ``NetlistIndex``: every net driven
-by a non-island combinational cell maps to that cell's input nets, the
-tuple ``nets[:-1]``. A flip-flop's cone is then a walk of dict lookups
+Each call builds one fanin map from the levels of ``netlist.index``, the
+netlist's one ``NetlistIndex``: every net driven by a non-island
+combinational cell maps to that cell's input nets, the tuple
+``nets[:-1]``. A flip-flop's cone is then a walk of dict lookups
 from its d net, through the fanin map, stopping at flip-flop q nets
 (sources), at primary inputs and at every other net (island outputs). A
 d net outside the fanin map is such a stop itself, so that trivial cone
@@ -85,7 +85,7 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
             f"combinational cycle outside analog island: {bad[:8]}")
     # net -> input nets of its combinational driver; a net absent here
     # ends the walk: a flip-flop output, a primary input or an island net
-    fanin = {c.nets[-1]: c.nets[:-1] for c in index.order}
+    fanin = {c.nets[-1]: c.nets[:-1] for level in index.levels for c in level}
     # a flip-flop's nets are d, clk, its rst if bound, then q
     ff_cells = netlist.flip_flops()
     q_id = {c.nets[-1]: i for i, c in enumerate(ff_cells)}
@@ -143,14 +143,6 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
 def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:
     """(fanin, fanout) -> flip-flop count; counts sum to |ffs|."""
     return dict(Counter(zip(map(len, graph.rdeps), map(len, graph.deps))))
-
-
-def dump_edges(graph: DependencyGraph) -> str:
-    """One ``src dst`` line per dependency edge, sorted."""
-    ffs = graph.ffs
-    lines = sorted(f"{ffs[src]} {ffs[dst]}"
-                   for src, dsts in enumerate(graph.deps) for dst in dsts)
-    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def dump_degrees(graph: DependencyGraph) -> str:

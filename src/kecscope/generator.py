@@ -115,6 +115,9 @@ class Builder:
     ``base`` is the name of a new netlist, or a netlist to add to, whose
     cells the result shares; generated names are uniquified against
     everything already present. :meth:`netlist` hands over what is built.
+    A call that raises keeps what its arguments allocated before it: in
+    ``b.cell("FOO", "u", y=b.net())`` the net stays, with no driver, so
+    :meth:`netlist` then raises DeclarationError.
     """
 
     def __init__(self, base, auto_prefix=""):
@@ -277,7 +280,7 @@ class Builder:
 
 
 def _incrementer(b, bits, prefix):
-    """(next-value nets, carry chain) for value+1 over q nets LSB first."""
+    """The next-value nets of value+1 over q nets, LSB first."""
     out = []
     carry = None
     for i, q in enumerate(bits):

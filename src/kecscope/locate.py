@@ -30,7 +30,7 @@ from typing import NamedTuple
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
 from .netlist import Netlist
-from .scoring import ScoreTable, compute_zscores
+from .scoring import compute_zscores
 
 
 class KeccakNotPresentError(Exception):
@@ -55,7 +55,7 @@ class SearchBounds:
 class Analysis(NamedTuple):
     """The structures one ``run_pipeline`` call derived its result from."""
     graph: DependencyGraph
-    scores: ScoreTable
+    scores: list[float]              # flip-flop id -> z
     groups: GroupTable
 
 
@@ -173,7 +173,7 @@ def _result(graph, ckff, members, gid, variant):
                        [ffs[m] for m in members], gid, variant)
 
 
-def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
+def locate_inputs_grouped(z: list[float], groups: GroupTable,
                           graph: DependencyGraph, ckff: set[int],
                           w: int) -> RepqcResult:
     """Grouped localization: keep the register groups whose members take
@@ -186,7 +186,6 @@ def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
     cannot supply w members (the imprecise-grouping failure mode).
     """
     hits = _hit_counts(graph, ckff, w)
-    z = scores.z
     survivors = []
     for g in groups.regular():
         members = [m for m in g.members if m in hits]
@@ -202,7 +201,7 @@ def locate_inputs_grouped(scores: ScoreTable, groups: GroupTable,
     return _result(graph, ckff, [], None, "grouped")
 
 
-def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
+def locate_inputs_individual(z: list[float], graph: DependencyGraph,
                              ckff: set[int], w: int) -> RepqcResult:
     """Groupless fallback: every flip-flop is its own group of one, the
     group-size filter disappears, and the answer is simply the w
@@ -211,7 +210,7 @@ def locate_inputs_individual(scores: ScoreTable, graph: DependencyGraph,
     hits = _hit_counts(graph, ckff, w)
     if len(hits) < w:
         return _result(graph, ckff, [], None, "individual")
-    z, ffs = scores.z, graph.ffs
+    ffs = graph.ffs
     members = sorted(hits, key=lambda m: (z[m], ffs[m]))[:w]
     return _result(graph, ckff, members, None, "individual")
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
@@ -147,9 +148,6 @@ class Cell:
     def is_seq(self):
         return CELL_KINDS[self.kind].expr is None
 
-    def output_net(self):
-        return self.nets[-1]
-
 
 def _cell(kind, name, nets, tags):
     """The cell :class:`Cell` makes, from nets known to fit ``kind``."""
@@ -161,24 +159,26 @@ def _cell(kind, name, nets, tags):
 @dataclass(frozen=True)
 class Netlist:
     """A frozen netlist; ``ports``, ``nets`` and ``cells`` are stored as
-    tuples. Making one raises DeclarationError, naming the net or cell at
-    fault, unless no net is declared twice (ports and nets together), no
-    cell name is used twice, every net of a cell is declared, and every
-    net is driven exactly once: by an input port or by one cell's output,
-    ``nets[-1]``. ``driver`` maps each net a cell drives to that cell;
-    ``index`` is its :class:`NetlistIndex`, built on first use from that
-    map."""
+    tuples and ``attributes`` as a read-only copy. Making one raises
+    DeclarationError, naming the net or cell at fault, unless no net is
+    declared twice (ports and nets together), no cell name is used twice,
+    every net of a cell is declared, and every net is driven exactly
+    once: by an input port or by one cell's output, ``nets[-1]``.
+    ``driver`` maps each net a cell drives to that cell; ``index`` is its
+    :class:`NetlistIndex`, built on first use."""
 
     name: str
     ports: tuple[Port, ...] = ()
     nets: tuple[str, ...] = ()   # internal nets only
     cells: tuple[Cell, ...] = ()
-    attributes: dict[str, str] = field(default_factory=dict)
+    attributes: Mapping[str, str] = field(default_factory=dict)
     driver: dict[str, Cell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("ports", "nets", "cells"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "attributes",
+                           MappingProxyType(dict(self.attributes)))
         # transient: a parsed 51k-cell netlist would carry them for good
         declared: set[str] = set()
         for net in self.all_nets():
@@ -214,7 +214,7 @@ class Netlist:
         drivers: dict[str, list] = {net: ["its input port"]
                                     for net in self.input_ports()}
         for c in self.cells:
-            drivers.setdefault(c.output_net(), []).append(c)
+            drivers.setdefault(c.nets[-1], []).append(c)
         for net in self.all_nets():
             found = drivers.get(net, [])
             if len(found) != 1:
@@ -294,8 +294,7 @@ def _pin_order(kind, name, pins):
 class NetlistIndex:
     """The structural view of one netlist that validation, dependency
     extraction and simulation share: ``Netlist.index``, built once per
-    netlist by :func:`index_netlist`. ``driver`` is the netlist's own map
-    of every net a cell drives to that one cell.
+    netlist by :func:`index_netlist`.
 
     The one island rule: cells tagged ``analog_island`` are never ordered,
     so their outputs, like flip-flop outputs and primary inputs, cut every
@@ -307,22 +306,18 @@ class NetlistIndex:
     cells that ends at each: a level-0 cell reads only flip-flop, port or
     island nets (or nothing, as TIE0 and TIE1 do), and a cell at level
     L >= 1 reads only cells of lower levels, at least one at L - 1. So the
-    cells of one level never read each other, and ``order``, the levels
-    concatenated, is a topological order.
+    cells of one level never read each other, and the levels concatenated
+    are a topological order.
     """
 
-    driver: dict[str, Cell]          # net -> driving cell; input ports absent
     levels: list[list[Cell]]         # non-island combinational cells by level
-    order: list[Cell]                # the levels concatenated: each cell
-                                     # after the drivers of its inputs
     cyclic: list[Cell]               # non-island combinational cells left over
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
     """Kahn elimination over the combinational cells, one frontier (one
-    level) at a time, keyed by the net each cell drives, ``nets[-1]``. The
-    index adopts the netlist's driver map. It records cycles but raises on
-    none: :func:`validate` reports them."""
+    level) at a time, keyed by the net each cell drives, ``nets[-1]``. It
+    records cycles but raises on none: :func:`validate` reports them."""
     comb = [c for c in netlist.cells
             if CELL_KINDS[c.kind].expr is not None
             and ANALOG_ISLAND_TAG not in c.tags]
@@ -347,9 +342,7 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
                 if indeg[k] == 0:
                     ready.append(k)
         frontier = ready
-    return NetlistIndex(netlist.driver, levels,
-                        [c for level in levels for c in level],
-                        [c for c, n in zip(comb, indeg) if n])
+    return NetlistIndex(levels, [c for c, n in zip(comb, indeg) if n])
 
 
 def parse_netlist(text: str) -> Netlist:

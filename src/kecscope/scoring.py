@@ -9,7 +9,7 @@ clipped population standard score of feature-count rarity:
     z(f)  = max(0, (mean(c) - c(f)) / pstdev(c)),   all zero when pstdev = 0
 
 so z is in [0, inf) and flip-flops with identical fanout get identical z.
-The table is a list indexed by flip-flop id, and the sums run in id
+The scores are a list indexed by flip-flop id, and the sums run in id
 order; only ``dump_scores`` reads names.
 """
 
@@ -17,17 +17,12 @@ from __future__ import annotations
 
 import statistics
 from collections import Counter
-from dataclasses import dataclass
 
 from .depgraph import DependencyGraph
 
 
-@dataclass
-class ScoreTable:
-    z: list[float]                   # flip-flop id -> z
-
-
-def compute_zscores(graph: DependencyGraph) -> ScoreTable:
+def compute_zscores(graph: DependencyGraph) -> list[float]:
+    """Flip-flop id -> z."""
     if not graph.ffs:
         raise ValueError("empty dependency graph")
     feature = list(map(len, graph.deps))
@@ -36,13 +31,13 @@ def compute_zscores(graph: DependencyGraph) -> ScoreTable:
     mu = statistics.fmean(c)
     sigma = statistics.pstdev(c)
     if sigma == 0.0:
-        return ScoreTable([0.0] * len(c))
-    return ScoreTable([max(0.0, (mu - n) / sigma) for n in c])
+        return [0.0] * len(c)
+    return [max(0.0, (mu - n) / sigma) for n in c]
 
 
-def dump_scores(table: ScoreTable, graph: DependencyGraph) -> str:
+def dump_scores(z: list[float], graph: DependencyGraph) -> str:
     """CSV ``ff,z`` ordered by flip-flop name."""
-    ffs, z = graph.ffs, table.z
+    ffs = graph.ffs
     lines = ["ff,z"]
     lines += [f"{ffs[i]},{z[i]:.6f}" for i in graph.by_name]
     return "\n".join(lines) + "\n"

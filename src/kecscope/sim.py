@@ -63,7 +63,6 @@ class SimTrace:
     island's control lane masks (enable, leak[1], leak[0]), None without
     an island. ``leak`` and ``power_uw`` derive from them: the symbol and
     its power while enabled at batch 1, else None and 0.0."""
-    cycles: int
     batch: int
     outputs: list[dict[str, int]]
     watches: list[dict[str, int]]
@@ -237,7 +236,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
             q_state[ff_pos[ff]] = val & mask
 
     v = [0] * len(plan.slot)
-    trace = SimTrace(cycles, batch, [], [], [])
+    trace = SimTrace(batch, [], [], [])
     carried: dict[str, int] = {}
     for cycle in range(cycles):
         for slot, q in zip(plan.q, q_state):
@@ -288,13 +287,13 @@ def extends(netlist: Netlist, baseline: Netlist) -> bool:
     designs in every cycle of every stimulus, as long as the flip-flops
     they share start alike (as they do without ``init``). That verdict is
     stronger than the one :func:`equivalence_check` gives on one
-    stimulus, and it reads ``netlist.index`` alone, with no index, plan
-    or run of the baseline.
+    stimulus, and it reads ``netlist.driver`` alone, with no index, plan
+    or run of either design.
     """
     if set(netlist.ports) != set(baseline.ports):
         return False
-    driver = netlist.index.driver
-    return all(c == driver.get(c.output_net()) for c in baseline.cells)
+    driver = netlist.driver
+    return all(c == driver.get(c.nets[-1]) for c in baseline.cells)
 
 
 def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:

@@ -1,4 +1,4 @@
-"""Parameterized information-leaking trojan: build and additive insertion.
+"""Parameterized information-leaking trojan and its additive insertion.
 
 The trojan watches the victim's recovered hash input register through
 read-only taps. A T-bit comparator against the constant trigger word
@@ -72,19 +72,9 @@ class EcoEdit:
         return json.dumps(asdict(self), indent=1)
 
 
-def build_hth(spec: HthSpec) -> Netlist:
-    """Standalone trojan fragment with tap_m/tap_k/clk/rst_global inputs."""
-    b = Builder(f"hth_t{spec.t}_l{spec.l}")
-    clk = b.port_in("clk")
-    rst = b.port_in("rst_global")
-    tap_m = [b.port_in(f"tap_m[{i}]") for i in range(spec.t)]
-    tap_k = [b.port_in(f"tap_k[{i}]") for i in range(spec.l)]
-    _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix="")
-    return b.netlist()
-
-
-def _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix):
-    p = prefix
+def _emit_hth(b, spec, tap_m, tap_k, clk, rst):
+    """Add the trojan to ``b``; every name it adds starts with PREFIX."""
+    p = PREFIX
 
     def dff(name, d, q=None):
         return b.dff(f"{p}{name}", d, q=q, clk=clk, rst=rst)
@@ -160,7 +150,6 @@ def _emit_hth(b, spec, tap_m, tap_k, clk, rst, prefix):
     b.cell("MUX4", f"{p}ro_mux", tags=tag,
            a=branches[0], b=branches[1], c=branches[2], d=branches[3],
            s0=leak0, s1=leak1, y=fb)
-    return rst_local
 
 
 def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
@@ -201,7 +190,7 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
             raise InsertionError(f"reset net {reset_net!r} not in victim")
         rst = reset_net
     k_taps = taps[spec.k_offset:spec.k_offset + spec.l]
-    _emit_hth(b, spec, taps[:spec.t], k_taps, clk, rst, PREFIX)
+    _emit_hth(b, spec, taps[:spec.t], k_taps, clk, rst)
     out = b.netlist()
 
     # the builder only appends, so the additions are the tails

@@ -10,7 +10,6 @@ from it, by name.
 
 from kecscope.depgraph import DependencyGraph
 from kecscope.grouping import Group, GroupTable
-from kecscope.scoring import ScoreTable
 
 
 def graph(ffs, edges):
@@ -79,8 +78,8 @@ class Named:
         return self.of(self.graph.output_reach)
 
     def scores(self, z):
-        """The ScoreTable of a name -> z map over every flip-flop."""
-        return ScoreTable([z[f] for f in self.graph.ffs])
+        """The scores (id -> z) of a name -> z map over every flip-flop."""
+        return [z[f] for f in self.graph.ffs]
 
     def groups(self, rows):
         """The GroupTable of (gid, key, member names) rows, members listed

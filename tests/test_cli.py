@@ -408,6 +408,17 @@ INVALID_NETLISTS = {
     (["analyze", "--netlist", "{d}/twice.nl"], 4),
     (["analyze", "--netlist", "{d}/undriven.nl"], 4),
     (["analyze", "--netlist", "{d}/cycle.nl"], 4),
+    (["gen", "--w", "8"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--cycles", "2"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus",
+      "{d}/unknown_port.stim"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus",
+      "{d}/missing_port.stim"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/bit_two.stim"],
+     2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/no_equals.stim"],
+     2),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -419,13 +430,21 @@ INVALID_NETLISTS = {
         "result-ids-a-string", "sidecar-ids-not-a-list", "negative-budget",
         "nan-budget", "result-no-input-register", "expect-secret-without-width",
         "syntax-error", "net-driven-twice", "undriven-net",
-        "combinational-cycle"])
+        "combinational-cycle", "gen-without-seed", "cycles-beyond-stimulus",
+        "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
+        "stimulus-item-without-equals"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
     (tmp_path / "w8.nl").write_text(write_netlist(netlist))
-    (tmp_path / "w8.stim").write_text(
-        write_stimulus([{p: 0 for p in netlist.input_ports()}]))
+    quiet = {p: 0 for p in netlist.input_ports()}
+    (tmp_path / "w8.stim").write_text(write_stimulus([quiet]))
+    (tmp_path / "unknown_port.stim").write_text(
+        write_stimulus([{**quiet, "nope": 0}]))
+    first = next(iter(quiet))
+    (tmp_path / "missing_port.stim").write_text(f"{first}=0\n")
+    (tmp_path / "bit_two.stim").write_text(f"{first}=2\n")
+    (tmp_path / "no_equals.stim").write_text(f"{first}\n")
     (tmp_path / "decoys_str.json").write_text(json.dumps({"decoys": "5"}))
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")
@@ -455,6 +474,24 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
         assert INVALID_NETLISTS[netlist_file][1] in err.splitlines()
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["gen", "--w", "8"], 2),
+    (["gen", "--seed", "1", "--config", "{d}/missing.json"], 2),
+    (["gen", "--seed", "1", "--config", "{d}/unknown_key.json"], 2),
+    (["analyze", "--netlist", "{d}/noff.nl", "--fif", "1"], 2),
+    (["analyze", "--netlist", "{d}/cycle.nl"], 4),
+], ids=["gen-without-seed", "missing-config", "unknown-config-key",
+        "fif-without-fof", "combinational-cycle"])
+def test_main_returns_the_codes_it_chooses(tmp_path, argv, code):
+    # only argparse raises SystemExit, for a flag it rejects; main returns
+    # every code its failure table chooses
+    (tmp_path / "noff.nl").write_text(NO_FFS)
+    (tmp_path / "cycle.nl").write_text(INVALID_NETLISTS["cycle.nl"][0])
+    (tmp_path / "unknown_key.json").write_text(json.dumps({"bogus": 1}))
+    assert main([a.format(d=tmp_path) for a in argv]
+                + ["--out-dir", str(tmp_path)]) == code
+
+
 # baseline -> (its text, the exit code, and stealth_equal or what stderr
 # prints) of simulate --netlist NO_FFS (an INV from a to b) --baseline it
 BASELINES = {
@@ -472,6 +509,10 @@ BASELINES = {
               INVALID_NETLISTS["twice.nl"][1]),
     "syntax": (INVALID_NETLISTS["syntax.nl"][0], 4,
                "error: line 2: unknown keyword 'bogus'"),
+    # the same ports, but a loop: structure cannot decide, and the
+    # baseline's validation fails
+    "cycle": (INVALID_NETLISTS["cycle.nl"][0], 4,
+              INVALID_NETLISTS["cycle.nl"][1]),
 }
 
 

@@ -7,13 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecscope.depgraph import (CombinationalCycleError, degree_histogram,
-                               dump_degrees, dump_edges, extract_dependencies)
+                               dump_degrees, extract_dependencies)
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
 from kecscope.grouping import RESIDUAL_GROUP, compute_levels, group_by_levels
 from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
-                              Port, anonymize, index_netlist, parse_netlist,
-                              write_netlist)
+                              Port, anonymize, parse_netlist, write_netlist)
 from kecscope.scoring import compute_zscores
 from kecscope.trojan import HthSpec, insert_hth
 
@@ -108,7 +107,6 @@ def test_anonymization_commutes(chain3):
 
 def test_dumps(chain3):
     g = extract_dependencies(chain3)
-    assert dump_edges(g) == "ffa ffc\nffb ffc\n"
     lines = dump_degrees(g).splitlines()
     assert lines[0] == "ff,fanin,fanout"
     assert "ffc,2,0" in lines
@@ -118,7 +116,7 @@ def _reference(netlist):
     """Test-only definition of ``extract_dependencies``: a cone walk over
     the driver map that reads each visited cell's input pins by name.
     Returns (deps, rdeps, input_reach, output_reach)."""
-    driver = index_netlist(netlist).driver
+    driver = {c.pins[CELL_KINDS[c.kind].output]: c for c in netlist.cells}
     pis = set(netlist.input_ports())
     ffs = [c.name for c in netlist.cells if c.is_seq()]
     deps = {f: set() for f in ffs}
@@ -230,7 +228,7 @@ def _assert_matches_reference(netlist):
             for grp in group_by_levels(levels).groups] \
         == _reference_groups(input_level, output_level)
     if g.ffs:
-        assert named.of(compute_zscores(g).z) == _reference_zscores(deps)
+        assert named.of(compute_zscores(g)) == _reference_zscores(deps)
 
 
 COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr is not None)

@@ -291,7 +291,7 @@ def test_pipeline_stages_and_timings(oracle_w8, oracle_w8_graph):
     assert res.analysis.graph.ffs == oracle_w8_graph.ffs
     assert res.analysis.graph.rdeps == oracle_w8_graph.rdeps
     assert res.analysis.groups.regular()
-    assert set(Named(res.analysis.graph).of(res.analysis.scores.z)) \
+    assert set(Named(res.analysis.graph).of(res.analysis.scores)) \
         == set(oracle_w8_graph.ffs)
     assert "analysis" not in repr(res)
     assert replace(res, analysis=None) == res

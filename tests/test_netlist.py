@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from kecscope.depgraph import CombinationalCycleError, extract_dependencies
 from kecscope import netlist as netlist_module
-from kecscope.generator import GenConfig, generate_accelerator
-from kecscope.locate import PipelineConfig, run_pipeline
+from kecscope.generator import Builder, GenConfig, generate_accelerator
+from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ID_RE, NO_TAGS,
                               ArityMismatchError, Cell, DeclarationError,
                               Netlist, NetlistError, NetlistSyntaxError,
@@ -17,6 +17,7 @@ from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ID_RE, NO_TAGS,
                               _declaration_line, anonymize, index_netlist,
                               parse_netlist, validate, write_netlist)
 from kecscope.sim import SimulationError, simulate
+from kecscope.trojan import HthSpec, insert_hth
 
 INV_DFF = """\
 module tiny
@@ -274,6 +275,30 @@ def test_a_netlist_is_frozen():
         with pytest.raises(FrozenInstanceError):
             setattr(n, field, getattr(n, field))
     assert type(n.cells) is tuple
+
+
+def test_no_derived_netlist_shares_writable_attributes():
+    # a chain of 16 flip-flops, enough for a 16-bit trojan
+    text = "\n".join(
+        ["module m", "input clk", "input a", "attr k original"]
+        + [f"net q{i}" for i in range(16)]
+        + [f"cell DFF f{i} d={f'q{i - 1}' if i else 'a'} clk=clk q=q{i}"
+           for i in range(16)]
+        + ["endmodule"]) + "\n"
+    source = parse_netlist(text)
+    written = write_netlist(source)
+    b = Builder(source)
+    b.cell("BUF", "extra", a="a", y=b.net())
+    result = RepqcResult(frozenset(), [f"f{i}" for i in range(16)], None,
+                         "grouped")
+    derived = [source, anonymize(source, 1)[0], b.netlist(),
+               insert_hth(source, result, HthSpec(t=16, l=16))[0]]
+    for n in derived:
+        assert dict(n.attributes) == {"k": "original"}
+        with pytest.raises(TypeError):
+            n.attributes["k"] = "changed"
+    assert write_netlist(source) == written
+    assert parse_netlist(written) == source
 
 
 def test_every_stage_reads_one_index(monkeypatch):
@@ -606,7 +631,6 @@ def test_cell_nets_follow_the_table(kind, bound):
     cell = Cell(kind, "u", pins)
     assert cell.nets == tuple(f"n_{pin}" for pin in order)
     assert dict(cell.pins) == pins and tuple(cell.pins) == order
-    assert cell.output_net() == cell.nets[-1]
     assert not hasattr(cell, "__dict__")
     with pytest.raises(TypeError):
         cell.pins[spec.output] = "n"
@@ -636,7 +660,7 @@ def _first_driver_fault(ports, nets, cells):
     if every net has one driver."""
     for net in [p.name for p in ports] + list(nets):
         drivers = [p.name for p in ports if p.name == net and p.direction == "in"]
-        drivers += [c.name for c in cells if c.output_net() == net]
+        drivers += [c.name for c in cells if c.nets[-1] == net]
         if len(drivers) != 1:
             return net, drivers[1] if drivers else None
     return None
@@ -679,29 +703,29 @@ def test_index_orders_every_comb_cell_after_its_drivers(seed):
 
 
 def _check_order_and_levels(n):
-    """``order`` holds every non-island combinational cell once, after the
-    drivers of its inputs; ``levels`` concatenate to it, each input of a
-    level-L cell is driven by a lower level or by no ordered cell, and
-    each cell at L >= 1 reads a level-(L - 1) cell. Returns the index."""
+    """The ``levels``, concatenated, hold every non-island combinational
+    cell once, after the drivers of its inputs; each input of a level-L
+    cell is driven by a lower level or by no ordered cell, and each cell
+    at L >= 1 reads a level-(L - 1) cell. Returns the index."""
     index = index_netlist(n)
     assert index.cyclic == []
-    position = {c.name: i for i, c in enumerate(index.order)}
+    order = [c for level in index.levels for c in level]
+    position = {c.name: i for i, c in enumerate(order)}
     comb = [c for c in n.cells
             if not c.is_seq() and ANALOG_ISLAND_TAG not in c.tags]
-    assert len(index.order) == len(position) == len(comb)
+    assert len(order) == len(position) == len(comb)
     assert set(position) == {c.name for c in comb}
-    for c in index.order:
+    for c in order:
         for net in c.nets[:-1]:
-            d = index.driver.get(net)
+            d = n.driver.get(net)
             if d is not None and d.name in position:
                 assert position[d.name] < position[c.name]
-    assert [c for level in index.levels for c in level] == index.order
     depth = {c.name: level for level, cells in enumerate(index.levels)
              for c in cells}
     for level, cells in enumerate(index.levels):
         for c in cells:
             read = {depth[d.name] for net in c.nets[:-1]
-                    if (d := index.driver.get(net)) is not None
+                    if (d := n.driver.get(net)) is not None
                     and d.name in depth}
             assert all(r < level for r in read)
             assert level == 0 or level - 1 in read

@@ -21,7 +21,7 @@ def graph_with_fanouts(fanouts):
 
 def zscores(g):
     """The scores of a graph, by name."""
-    return Named(g).of(compute_zscores(g).z)
+    return Named(g).of(compute_zscores(g))
 
 
 def test_hand_computed_example():

@@ -321,11 +321,11 @@ def test_unknown_watch_net_rejected_before_first_cycle():
 
 
 def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
-    """Test-only definition of ``simulate``: each cell of the index order
-    evaluated on its own by ``eval`` of its CELL_KINDS expression over a
-    net-name dict."""
+    """Test-only definition of ``simulate``: each cell of the index's
+    levels, in order, evaluated on its own by ``eval`` of its CELL_KINDS
+    expression over a net-name dict."""
     mask = (1 << batch) - 1
-    order = index_netlist(netlist).order
+    order = [c for level in index_netlist(netlist).levels for c in level]
     ffs = netlist.flip_flops()
     state = {c.name: 0 for c in ffs}
     for name, val in (init or {}).items():
@@ -333,7 +333,7 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
     probe = _island_controls(netlist)
     values = dict.fromkeys(netlist.all_nets(), 0)
     carried = {}
-    trace = SimTrace(cycles, batch, [], [], [])
+    trace = SimTrace(batch, [], [], [])
     for cycle in range(cycles):
         for c in ffs:
             values[c.pins["q"]] = state[c.name]
@@ -591,6 +591,23 @@ def test_an_additive_edit_extends_and_keeps_the_outputs(seed):
     assert equivalence_check(edited, n, stim, cycles)
 
 
+def test_extends_builds_no_index(monkeypatch):
+    # the verdict reads the netlist's driver map, which it has from being
+    # made; neither design is indexed
+    from kecscope import netlist as netlist_module
+
+    def no_index(n):
+        raise AssertionError("extends built an index")
+
+    rng = random.Random(7)
+    n = _random_design(rng)
+    edited = _additive_edit(rng, n)
+    text, edited_text = write_netlist(n), write_netlist(edited)
+    monkeypatch.setattr(netlist_module, "index_netlist", no_index)
+    assert extends(parse_netlist(edited_text), parse_netlist(text))
+    assert not extends(parse_netlist(text), parse_netlist(edited_text))
+
+
 @pytest.mark.parametrize("edit", sorted(NON_ADDITIVE))
 @given(seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=15, deadline=None)
@@ -609,7 +626,7 @@ def test_a_baseline_without_a_driver_cannot_be_made(seed):
     n = _random_design(rng)
     cell = rng.choice(n.cells)
     with pytest.raises(DeclarationError,
-                       match=f"net '{cell.output_net()}' driven by nothing"):
+                       match=f"net '{cell.nets[-1]}' driven by nothing"):
         replace(n, cells=[c for c in n.cells if c is not cell])
 
 

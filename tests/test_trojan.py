@@ -8,7 +8,7 @@ from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, parse_netlist, validate,
                               write_netlist)
 from kecscope.sim import equivalence_check, extends, simulate
-from kecscope.trojan import (HthSpec, InsertionError, build_hth, insert_hth,
+from kecscope.trojan import (PREFIX, HthSpec, InsertionError, insert_hth,
                              overhead_report, reconstruct_secret)
 
 from named import Named
@@ -26,19 +26,34 @@ def test_spec_validation():
     HthSpec(t=16, l=16, trigger=0xFFFF)
 
 
+def _inserted(spec):
+    """The trojaned netlist and the cells the insertion added, on a victim
+    of 64 chained flip-flops, all of them located."""
+    b = Builder("chain")
+    q = b.port_in("d_in")
+    b.port_in("clk")
+    for i in range(64):
+        q = b.dff(f"f{i}", q)
+    victim = b.netlist()
+    result = RepqcResult(frozenset(), [f"f{i}" for i in range(64)], None,
+                         "grouped")
+    trojaned, _ = insert_hth(victim, result, spec)
+    return trojaned, trojaned.cells[len(victim.cells):]
+
+
 def test_fragment_counts_t64_l64():
-    frag = build_hth(HthSpec(t=64, l=64, trigger=0))
-    kinds = Counter(c.kind for c in frag.cells)
+    trojaned, frag = _inserted(HthSpec(t=64, l=64, trigger=0))
+    kinds = Counter(c.kind for c in frag)
     assert kinds["XNOR2"] == 64          # comparator bit compares
     # comparator reduction tree: 63 of the AND2s
     assert kinds["AND2"] >= 63
-    sr_ffs = [c for c in frag.cells if c.kind == "DFF"
-              and c.name.startswith("sr")]
+    sr_ffs = [c for c in frag if c.kind == "DFF"
+              and c.name.startswith(f"{PREFIX}sr")]
     assert len(sr_ffs) == 64
     assert kinds["MUX2"] == 128          # load + shift mux per bit
-    island = [c for c in frag.cells if ANALOG_ISLAND_TAG in c.tags]
+    island = [c for c in frag if ANALOG_ISLAND_TAG in c.tags]
     assert len(island) == 10             # NAND + 4 INV + 4 BUF + MUX4
-    assert validate(frag) == []
+    assert validate(trojaned) == []
 
 
 def test_leak_duration_is_half_l():
@@ -48,8 +63,8 @@ def test_leak_duration_is_half_l():
 
 def test_leak_bus_is_two_bits():
     for t in (16, 32, 64):
-        frag = build_hth(HthSpec(t=t, l=t, trigger=0))
-        mux = next(c for c in frag.cells if c.kind == "MUX4")
+        _, frag = _inserted(HthSpec(t=t, l=t, trigger=0))
+        mux = next(c for c in frag if c.kind == "MUX4")
         assert {"s0", "s1"} <= set(mux.pins)
 
 
