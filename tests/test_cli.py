@@ -1,6 +1,8 @@
 import gc
 import json
+import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -632,3 +634,91 @@ def test_main_leaves_no_argparse_object_in_a_cycle(tmp_path):
         if before:
             gc.enable()
     assert left == []
+
+
+# the edits of the mutation fuzzer: any line, then cell lines only
+FUZZ_EDITS = ("delete", "duplicate", "truncate", "swap-tokens")
+FUZZ_CELL_EDITS = ("kind", "rewire", "swap-pins", "append")
+
+
+def _mutant(text, rng):
+    """``text`` with one seeded edit: a line deleted, duplicated or cut
+    short, or two of its tokens swapped; or a cell line's kind changed,
+    an input pin rewired to a cell output, two of its pins swapped, or a
+    tag or a repeated pin appended. A rewired pin reads, one time in two,
+    the output of a cell that reads this one, which closes a loop."""
+    lines = text.splitlines()
+    edit = rng.choice(FUZZ_EDITS + FUZZ_CELL_EDITS)
+    if edit in FUZZ_EDITS:
+        i = rng.randrange(len(lines))
+    else:
+        # the writer puts a cell's output pin last, after its inputs
+        i = rng.choice([i for i, line in enumerate(lines)
+                        if line.startswith("cell ") and line.count("=") > 1])
+    tok = lines[i].split()
+    if edit == "delete":
+        del lines[i]
+    elif edit == "duplicate":
+        lines.insert(i, lines[i])
+    elif edit == "truncate":
+        lines[i] = lines[i][:rng.randrange(len(lines[i]))]
+    elif edit == "kind":
+        tok[1] = rng.choice(sorted(netlist.CELL_KINDS))
+    elif edit == "rewire":
+        out = tok[-1].split("=")[1]
+        readers = [line.split()[-1] for line in lines
+                   if line.startswith("cell ") and f"={out} " in line]
+        outputs = [line.split()[-1] for line in lines
+                   if line.startswith("cell ")]
+        pin = rng.randrange(3, len(tok) - 1)
+        net = rng.choice(readers if readers and rng.random() < 0.5
+                         else outputs).split("=")[1]
+        tok[pin] = tok[pin].split("=")[0] + "=" + net
+    elif edit == "append":
+        tok.append(rng.choice(["tag=" + netlist.ANALOG_ISLAND_TAG, tok[3]]))
+    elif len(tok) > 1:   # swap-tokens anywhere, swap-pins after the name
+        a, b = rng.sample(range(3 if edit == "swap-pins" else 0, len(tok)), 2)
+        tok[a], tok[b] = tok[b], tok[a]
+    if edit not in ("delete", "duplicate", "truncate"):
+        lines[i] = " ".join(tok)
+    return "\n".join(lines) + "\n"
+
+
+def test_mutated_netlists_end_in_documented_exit_codes(tmp_path, capsys):
+    # seeded edits of a generated design and of its trojaned form, each
+    # through analyze, inject and simulate --baseline: every run returns
+    # 0, 2, 3 or 4 and none raises (run() catches SystemExit only)
+    assert run("gen", "--w", "16", "--seed", "5",
+               "--out-dir", str(tmp_path / "g")) == 0
+    victim = tmp_path / "g" / "design.nl"
+    assert run("inject", "--netlist", str(victim), "--lane-width", "16",
+               "--t", "16", "--l", "16", "--trigger-hex", "beef",
+               "--capture-delay", "1", "--out-dir", str(tmp_path / "i")) == 0
+    ports = parse_netlist(victim.read_text()).input_ports()
+    (tmp_path / "quiet.stim").write_text(
+        write_stimulus([dict.fromkeys(ports, 0)] * 3))
+    rng = random.Random(19)
+    seen = Counter()
+    capsys.readouterr()
+    for source in (victim, tmp_path / "i" / "trojaned.nl"):
+        text = source.read_text()
+        for _ in range(30):
+            mutant = tmp_path / "mutant.nl"
+            mutant.write_text(_mutant(text, rng))
+            design = ["--netlist", str(mutant), "--lane-width", "16",
+                      "--out-dir", str(tmp_path / "out")]
+            for argv in (["analyze", *design],
+                         ["inject", *design, "--t", "16", "--l", "16",
+                          "--trigger-hex", "beef", "--capture-delay", "1"],
+                         ["simulate", "--netlist", str(mutant),
+                          "--stimulus", str(tmp_path / "quiet.stim"),
+                          "--baseline", str(victim),
+                          "--out-dir", str(tmp_path / "out")]):
+                code = run(*argv)
+                assert code in (0, 2, 3, 4), argv[0]
+                seen[code] += 1
+                err = capsys.readouterr().err
+                if err.startswith("violation: combinational-cycle: "):
+                    seen["cycle"] += 1
+    # more than the parser: some mutants run, some are refused as cyclic
+    assert seen[0] and seen[3] and seen["cycle"], seen
