@@ -4,7 +4,8 @@ Exit codes, chosen in ``main`` from one table (``FAILURES``): 0 success;
 2 usage error (bad flag or config value, a file that cannot be read or
 written, a stimulus the design cannot run); 3 not found (no Keccak state or
 input register, a trojan that does not fit the register or the budget); 4
-a netlist that does not parse or validate. Other exceptions are defects.
+a netlist that does not parse, or whose index refuses a combinational
+cycle. Other exceptions are defects.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from .generator import GenConfig, GroundTruth, generate_accelerator, id_list
 from .keccak import LANE_WIDTHS
 from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
                      SearchBounds, run_pipeline)
-from .netlist import (NetlistError, anonymize, parse_netlist, validate,
-                      write_netlist)
+from .netlist import (CombinationalCycleError, NetlistError, anonymize,
+                      parse_netlist, write_netlist)
 from .trojan import (ALLOWED_L, HthSpec, InsertionError, insert_hth,
                      overhead_report, reconstruct_secret)
 
@@ -50,18 +51,11 @@ def _read(path, what, parse=str):
 
 
 def _load_netlist(path):
-    """The parsed and validated netlist; validation builds the one index
-    every later stage reads."""
-    return _validated(parse_netlist(_read(path, "netlist")))
-
-
-def _validated(netlist):
-    """The netlist, if :func:`validate` finds nothing; else the
-    CombinationalCycleError of its one violation."""
-    problems = validate(netlist)
-    if problems:
-        v = problems[0]
-        raise depgraph.CombinationalCycleError(f"{v.kind}: {v.detail}")
+    """The parsed netlist, its index built: the one index every later
+    stage reads, which raises CombinationalCycleError for a cycle before
+    any stage runs."""
+    netlist = parse_netlist(_read(path, "netlist"))
+    netlist.index
     return netlist
 
 
@@ -227,20 +221,21 @@ def cmd_simulate(args):
     netlist = _load_netlist(args.netlist)
     stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
     cycles = args.cycles if args.cycles is not None else len(stimulus)
-    # _load_netlist has just validated this netlist
-    trace = sim.simulate(netlist, stimulus, cycles, check=False)
+    trace = sim.simulate(netlist, stimulus, cycles)
     stealth = None
     if args.baseline:
         baseline = parse_netlist(_read(args.baseline, "netlist"))
         if sim.extends(netlist, baseline):
-            # valid and output-equal on every stimulus: the baseline needs
-            # no index, validation or run of its own
+            # acyclic and output-equal on every stimulus: the baseline
+            # needs no index or run of its own
             stealth = True
         else:
-            # the stealth check of equivalence_check, against the trace above
-            sim.check_ports(_validated(baseline), netlist)
+            # the stealth check of equivalence_check, against the trace
+            # above; a cyclic baseline exits 4 before a port mismatch
+            baseline.index
+            sim.check_ports(baseline, netlist)
             stealth = sim.outputs_equal(
-                sim.simulate(baseline, stimulus, cycles, check=False), trace)
+                sim.simulate(baseline, stimulus, cycles), trace)
     secret = recovered = None
     if args.secret_width:
         secret = reconstruct_secret(trace, args.secret_width)
@@ -347,9 +342,10 @@ def _apply_config(parser, argv, args):
 
 # Every failure a command may end in: exception type -> (exit code,
 # message prefix). Nothing else is caught, so a defect keeps its traceback.
+# The first match wins, so a subclass comes before its base.
 FAILURES = {
+    CombinationalCycleError: (EXIT_INVALID, "violation"),
     NetlistError: (EXIT_INVALID, "error"),
-    depgraph.CombinationalCycleError: (EXIT_INVALID, "violation"),
     KeccakNotPresentError: (EXIT_NOT_FOUND, "not found"),
     InsertionError: (EXIT_NOT_FOUND, "not found"),
     ValueError: (EXIT_USAGE, "error"),

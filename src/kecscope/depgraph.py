@@ -21,7 +21,8 @@ the report. Ties that ids would break arbitrarily are broken by name, so
 every output is the one a name-keyed analysis gives.
 
 Each call builds one fanin map from the levels of ``netlist.index``, the
-netlist's one ``NetlistIndex``: every net driven by a non-island
+netlist's one ``NetlistIndex``, which refuses a combinational cycle, so
+this module checks for none: every net driven by a non-island
 combinational cell maps to that cell's input nets, the tuple
 ``nets[:-1]``. A flip-flop's cone is then a walk of dict lookups
 from its d net, through the fanin map, stopping at flip-flop q nets
@@ -39,11 +40,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .netlist import Netlist
-
-
-class CombinationalCycleError(Exception):
-    """A netlist whose dependencies are undefined: one with a
-    combinational cycle."""
 
 
 @dataclass
@@ -74,15 +70,12 @@ class DependencyGraph:
 def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     """Backward cone walk from every flip-flop's d pin over the fanin map.
 
-    Raises CombinationalCycleError on a combinational loop that no
-    ``analog_island`` cell cuts (the island rule of ``NetlistIndex``).
-    The netlist has checked that every net has one driver.
+    Reading ``netlist.index`` raises CombinationalCycleError on a
+    combinational loop that no ``analog_island`` cell cuts (the island
+    rule of ``NetlistIndex``). The netlist has checked that every net has
+    one driver.
     """
     index = netlist.index
-    if index.cyclic:
-        bad = sorted(c.name for c in index.cyclic)
-        raise CombinationalCycleError(
-            f"combinational cycle outside analog island: {bad[:8]}")
     # net -> input nets of its combinational driver; a net absent here
     # ends the walk: a flip-flop output, a primary input or an island net
     fanin = {c.nets[-1]: c.nets[:-1] for level in index.levels for c in level}

@@ -21,10 +21,14 @@ once, either by an input port or by the one output pin of a cell.
 A :class:`Cell` checks its own kind and pins when it is made, and a
 :class:`Netlist` its declarations and drivers, so every later stage trusts
 both. A netlist is a frozen value: nothing edits it after it is made, so
-the one :class:`NetlistIndex` it caches is never stale. :func:`validate`
-checks what is left, combinational cycles. A cell holds its nets as one
-tuple in its kind's ``CELL_KINDS`` pin order, which every stage reads by
-position and the writer emits, so the parser takes its lines in one match.
+the one :class:`NetlistIndex` it caches is never stale. Building that index
+checks what is left: it raises CombinationalCycleError for a combinational
+cycle, so ``netlist.index`` exists only for an acyclic netlist, and every
+stage that reads it refuses a cycle with that one error. A cyclic netlist
+still parses, writes and anonymizes, since none of them builds the index.
+A cell holds its nets as one tuple in its kind's ``CELL_KINDS`` pin order,
+which every stage reads by position and the writer emits, so the parser
+takes its lines in one match.
 """
 
 from __future__ import annotations
@@ -114,6 +118,12 @@ class DeclarationError(NetlistError):
         super().__init__(message)
 
 
+class CombinationalCycleError(NetlistError):
+    """A combinational cycle, which :func:`index_netlist` refuses; the
+    message is ``combinational-cycle: `` and the names of the cells left
+    over, sorted and comma separated."""
+
+
 @dataclass(frozen=True)
 class Port:
     name: str
@@ -165,7 +175,8 @@ class Netlist:
     every net of a cell is declared, and every net is driven exactly
     once: by an input port or by one cell's output, ``nets[-1]``.
     ``driver`` maps each net a cell drives to that cell; ``index`` is its
-    :class:`NetlistIndex`, built on first use."""
+    :class:`NetlistIndex`, built on first use, which raises
+    CombinationalCycleError for a cyclic netlist."""
 
     name: str
     ports: tuple[Port, ...] = ()
@@ -251,12 +262,6 @@ class Netlist:
         return len(self.cells)
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    detail: str
-
-
 # Every pin order a cell may have: its kind's inputs, the optional pins it
 # binds, its output. _LAYOUTS holds each under (kind, *pins), which checks
 # kind and pins in one lookup, and under (kind, pin count), which tells the
@@ -292,15 +297,14 @@ def _pin_order(kind, name, pins):
 
 @dataclass
 class NetlistIndex:
-    """The structural view of one netlist that validation, dependency
+    """The structural view of one acyclic netlist that dependency
     extraction and simulation share: ``Netlist.index``, built once per
     netlist by :func:`index_netlist`.
 
     The one island rule: cells tagged ``analog_island`` are never ordered,
     so their outputs, like flip-flop outputs and primary inputs, cut every
     combinational path. A loop through at least one island cell is
-    therefore no cycle; a loop with none leaves its cells, and every cell
-    downstream of it, in ``cyclic``.
+    therefore no cycle; a loop with none is, and the netlist has no index.
 
     ``levels`` splits the ordered cells by the longest path of ordered
     cells that ends at each: a level-0 cell reads only flip-flop, port or
@@ -311,13 +315,13 @@ class NetlistIndex:
     """
 
     levels: list[list[Cell]]         # non-island combinational cells by level
-    cyclic: list[Cell]               # non-island combinational cells left over
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:
     """Kahn elimination over the combinational cells, one frontier (one
     level) at a time, keyed by the net each cell drives, ``nets[-1]``. It
-    records cycles but raises on none: :func:`validate` reports them."""
+    raises CombinationalCycleError if cells are left over: those on a loop
+    that no island cell cuts, and every cell downstream of one."""
     comb = [c for c in netlist.cells
             if CELL_KINDS[c.kind].expr is not None
             and ANALOG_ISLAND_TAG not in c.tags]
@@ -342,7 +346,10 @@ def index_netlist(netlist: Netlist) -> NetlistIndex:
                 if indeg[k] == 0:
                     ready.append(k)
         frontier = ready
-    return NetlistIndex(levels, [c for c, n in zip(comb, indeg) if n])
+    if any(indeg):
+        raise CombinationalCycleError("combinational-cycle: " + ",".join(
+            sorted(c.name for c, n in zip(comb, indeg) if n)))
+    return NetlistIndex(levels)
 
 
 def parse_netlist(text: str) -> Netlist:
@@ -355,8 +362,8 @@ def parse_netlist(text: str) -> Netlist:
     that reads it), a net driven twice (the second driver's cell line) and
     a net driven by nothing (its declaration); UnknownCellKindError and
     ArityMismatchError come from :class:`Cell`. A net may be declared
-    after a cell uses it. Combinational cycles parse, and :func:`validate`
-    reports them. A cell line as :func:`write_netlist` writes it, untagged,
+    after a cell uses it. Combinational cycles parse; the index refuses
+    them. A cell line as :func:`write_netlist` writes it, untagged,
     is one match; any other (tags, another pin order or spacing) is split
     pin by pin and made by :class:`Cell`, with the same result or error.
     """
@@ -483,19 +490,15 @@ def write_netlist(netlist: Netlist) -> str:
     return "\n".join(out) + "\n"
 
 
-def validate(netlist: Netlist) -> list[Violation]:
-    """Structural check; returns violations as data (empty list = valid).
-
-    A :class:`Cell` checks its own kind and pins and a :class:`Netlist`
-    its declarations and drivers, so one kind is left, read from
-    ``netlist.index``: ``combinational-cycle``. A cycle counts under the
-    one island rule of :class:`NetlistIndex`: island outputs cut every
-    path, so only a loop without an ``analog_island`` cell on it is
-    reported.
-    """
-    cyclic = netlist.index.cyclic
-    return [Violation("combinational-cycle",
-                      ",".join(sorted(c.name for c in cyclic)))] if cyclic else []
+def validate(netlist: Netlist) -> list[CombinationalCycleError]:
+    """``[error]`` if building ``netlist.index`` raises that
+    CombinationalCycleError, else ``[]``. Nothing in this package calls
+    it: the benchmark's replay times it as its own layer."""
+    try:
+        netlist.index
+    except CombinationalCycleError as e:
+        return [e]
+    return []
 
 
 def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:

@@ -17,7 +17,9 @@ and writes its outputs as one slice. The statements form one compiled
 function; a cycle loads the flip-flop outputs and inputs into their
 slots, calls it and latches the flip-flop inputs. The plan is a fixed
 cost per call, before the first cycle; the index it is built from is
-the netlist's own, built once per netlist.
+the netlist's own, built once per netlist, and that index refuses a
+combinational cycle (CombinationalCycleError), so the plan checks for
+none.
 
 Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
@@ -120,8 +122,6 @@ class _Compiled:
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
-        if index.cyclic:
-            raise SimulationError("combinational cycle outside analog island")
         kind = attrgetter("kind")
         groups = [list(cells) for level in index.levels
                   for _, cells in groupby(sorted(level, key=kind), kind)]
@@ -206,25 +206,26 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     input port, later cycles carry unmentioned ports forward. With
     batch > 1 each value is a bit-parallel mask over the batch lanes.
     init presets flip-flop outputs (ff id -> value) before the first cycle.
-    Island cells are not evaluated and their outputs read 0; a
-    combinational loop that no island cell cuts raises SimulationError
-    (the island rule of ``NetlistIndex``), as do a watch net that does
-    not exist and a negative cycle count, with ``check`` or without;
-    ``check`` runs :func:`validate` first, which finds only such a loop,
-    since the netlist checked its drivers when it was made. The check and
-    the plan read the one ``netlist.index``, and every call builds its own
-    plan once, before the first cycle (``SimTrace`` says what the trace
-    records).
+    Island cells are not evaluated and their outputs read 0. A watch net
+    that does not exist and a negative cycle count raise SimulationError;
+    a combinational loop that no island cell cuts raises the
+    CombinationalCycleError of ``netlist.index`` (the island rule of
+    ``NetlistIndex``), which the plan reads. Every call builds its own plan
+    once, before the first cycle (``SimTrace`` says what the trace
+    records). ``check`` changes nothing but the order of work: it raises
+    the error :func:`validate` returns, the plan's own, before the plan is
+    built. Nothing in this package passes it; it stays because the
+    benchmark's simulator split passes it to time the check apart.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
     if len(stimulus) < cycles:
         raise StimulusError(
             f"stimulus covers {len(stimulus)} cycles, need {cycles}")
-    if check:
-        problems = validate(netlist)
-        if problems:
-            raise SimulationError(f"invalid netlist: {problems[:3]}")
+    if check and (problems := validate(netlist)):
+        # popped: a list that still held the error would be a reference
+        # cycle through its traceback and this frame
+        raise problems.pop()
     plan = _Compiled(netlist, watch)
     mask = (1 << batch) - 1
     q_state = [0] * len(plan.q)
@@ -278,11 +279,11 @@ def extends(netlist: Netlist, baseline: Netlist) -> bool:
     ports (name and direction), and every baseline cell equals the cell
     that drives its output net in ``netlist``.
 
-    ``netlist`` must be valid (:func:`validate` finds nothing). Each
+    ``netlist.index`` must exist, so ``netlist`` is acyclic. Each
     baseline net is driven once, by a baseline input port or cell, as
     the baseline checked when it was made; so it is driven in both
     designs by the same port or cell. The baseline's cells are then a
-    subset of an acyclic netlist, so the baseline is valid too, and every
+    subset of an acyclic netlist, so the baseline is acyclic too, and every
     baseline net, its outputs among them, takes the same value in both
     designs in every cycle of every stimulus, as long as the flip-flops
     they share start alike (as they do without ``init``). That verdict is

@@ -14,7 +14,7 @@ from kecscope.cli import main
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import anonymize, parse_netlist, validate, write_netlist
-from kecscope.sim import simulate, write_stimulus
+from kecscope.sim import equivalence_check, simulate, write_stimulus
 from kecscope.trojan import HthSpec, insert_hth
 
 SCHEMA = json.loads(
@@ -162,7 +162,7 @@ def test_each_loaded_netlist_is_indexed_once(workdir, injected, tmp_path,
     (tmp_path / "quiet.stim").write_text(
         write_stimulus([{p: 0 for p in base.input_ports()}] * 3))
     # the trojaned design extends the victim: the victim is never indexed;
-    # the other way round it is indexed, validated and simulated
+    # the other way round it is indexed and simulated
     for design, baseline, indexes in ((trojaned, victim, 1),
                                       (victim, trojaned, 2)):
         calls.clear()
@@ -421,6 +421,11 @@ INVALID_NETLISTS = {
      2),
     (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/no_equals.stim"],
      2),
+    # the netlist is refused before the result is read
+    (["inject", "--netlist", "{d}/cycle.nl", "--result", "{d}/no_inputs.json",
+      "--trigger-hex", "0"], 4),
+    (["simulate", "--netlist", "{d}/cycle.nl", "--stimulus", "{d}/w8.stim"],
+     4),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -434,7 +439,8 @@ INVALID_NETLISTS = {
         "syntax-error", "net-driven-twice", "undriven-net",
         "combinational-cycle", "gen-without-seed", "cycles-beyond-stimulus",
         "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
-        "stimulus-item-without-equals"])
+        "stimulus-item-without-equals", "inject-combinational-cycle",
+        "simulate-combinational-cycle"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     netlist, _ = oracle_w8
@@ -474,6 +480,31 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     if code == 4:
         netlist_file = Path(argv[argv.index("--netlist") + 1]).name
         assert INVALID_NETLISTS[netlist_file][1] in err.splitlines()
+
+
+def test_one_cycle_is_one_error_with_one_text():
+    # the index refuses the loop, and every stage that reads it raises
+    # that error; validate returns it; the CLI prints it after "violation"
+    n = parse_netlist(INVALID_NETLISTS["cycle.nl"][0])
+    stimulus = [{"a": 0}]
+    stages = {
+        "index": lambda: n.index,
+        "extract_dependencies": lambda: depgraph.extract_dependencies(n),
+        "simulate": lambda: simulate(n, stimulus, 1, check=False),
+        "checked_simulate": lambda: simulate(n, stimulus, 1, check=True),
+        "equivalence_check": lambda: equivalence_check(n, n, stimulus, 1),
+    }
+    text = "combinational-cycle: b1,x1"
+    assert INVALID_NETLISTS["cycle.nl"][1] == "violation: " + text
+    for stage, call in stages.items():
+        with pytest.raises(netlist.CombinationalCycleError) as e:
+            call()
+        assert isinstance(e.value, netlist.NetlistError), stage
+        assert e.value.__context__ is None, stage
+        assert str(e.value) == text, stage
+    [error] = validate(n)
+    assert type(error) is netlist.CombinationalCycleError
+    assert str(error) == text
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.depgraph import (CombinationalCycleError, degree_histogram,
-                               dump_degrees, extract_dependencies)
+from kecscope.depgraph import (degree_histogram, dump_degrees,
+                               extract_dependencies)
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
 from kecscope.grouping import RESIDUAL_GROUP, compute_levels, group_by_levels
 from kecscope.locate import PipelineConfig, run_pipeline
-from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell, Netlist,
-                              Port, anonymize, parse_netlist, write_netlist)
+from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell,
+                              CombinationalCycleError, Netlist, Port,
+                              anonymize, parse_netlist, write_netlist)
 from kecscope.scoring import compute_zscores
 from kecscope.trojan import HthSpec, insert_hth
 
