@@ -252,7 +252,8 @@ def cmd_simulate(args):
         "stealth_equal": stealth,
     }
     out = _outdir(args)
-    (out / "trace.csv").write_text(sim.dump_trace(trace))
+    (out / "trace.csv").write_text(
+        sim.dump_trace(trace, sorted(netlist.output_ports())))
     (out / "sim_report.json").write_text(json.dumps(report, indent=1))
     print(f"wrote {out / 'trace.csv'} ({cycles} cycles, "
           f"{report['leak_cycles']} leak cycles)")

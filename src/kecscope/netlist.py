@@ -67,21 +67,26 @@ class CellKind(NamedTuple):
 # code generation and by any reference evaluator. DFF is the only
 # sequential kind; its rst pin is optional and sampled synchronously
 # (active high, clears to 0).
+# Every input value lies within the lane mask m (no bit set outside the
+# lanes), and every expression keeps its value there. So x ^ m is the
+# lane-wise NOT of x, and no expression needs ~ or a final & m. A MUX2
+# select that is 0 or m is the same in every lane, so the cell picks one
+# input whole; that is every select at batch 1.
 CELL_KINDS: dict[str, CellKind] = {
-    "INV": CellKind(("a",), "y", "~a & m"),
+    "INV": CellKind(("a",), "y", "a ^ m"),
     "BUF": CellKind(("a",), "y", "a"),
     "AND2": CellKind(("a", "b"), "y", "a & b"),
     "OR2": CellKind(("a", "b"), "y", "a | b"),
     "XOR2": CellKind(("a", "b"), "y", "a ^ b"),
-    "XNOR2": CellKind(("a", "b"), "y", "~(a ^ b) & m"),
-    "NAND2": CellKind(("a", "b"), "y", "~(a & b) & m"),
-    "NOR2": CellKind(("a", "b"), "y", "~(a | b) & m"),
+    "XNOR2": CellKind(("a", "b"), "y", "a ^ b ^ m"),
+    "NAND2": CellKind(("a", "b"), "y", "a & b ^ m"),
+    "NOR2": CellKind(("a", "b"), "y", "(a | b) ^ m"),
     # y = s ? b : a
-    "MUX2": CellKind(("a", "b", "s"), "y", "(a & ~s | b & s) & m"),
-    # sel = s1s0
+    "MUX2": CellKind(("a", "b", "s"), "y",
+                     "a if not s else b if s == m else a ^ (a ^ b) & s"),
+    # sel = s1s0: the MUX2 of s0 over (a, b) and over (c, d), then of s1
     "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), "y",
-                     "((a & ~s1 & ~s0) | (b & ~s1 & s0)"
-                     " | (c & s1 & ~s0) | (d & s1 & s0)) & m"),
+                     "a ^ (a ^ b) & s0 ^ (a ^ c ^ (a ^ b ^ c ^ d) & s0) & s1"),
     "DFF": CellKind(("d", "clk"), "q", None, ("rst",)),
     "TIE0": CellKind((), "y", "0"),
     "TIE1": CellKind((), "y", "m"),
@@ -256,7 +261,8 @@ class Netlist:
         return {c.name: c for c in self.cells}
 
     def flip_flops(self):
-        return [c for c in self.cells if c.is_seq()]
+        # DFF is the only sequential kind
+        return [c for c in self.cells if c.kind == "DFF"]
 
     def cell_count(self):
         return len(self.cells)

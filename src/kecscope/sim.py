@@ -11,11 +11,13 @@ Wang and Maurer's LECSIM): the cells of one level never read each other,
 so the plan groups them by kind, and each (level, kind) group becomes one
 generated statement that evaluates the kind's ``CELL_KINDS`` expression
 over the whole group at once. Every net gets an integer slot in one
-values list, each group's outputs in contiguous slots, so a statement
+values list: first each group's outputs, contiguous per group, then the
+flip-flop outputs, contiguous, then every other net. So a statement
 reads the group's inputs with one ``operator.itemgetter`` per input pin
 and writes its outputs as one slice. The statements form one compiled
-function; a cycle loads the flip-flop outputs and inputs into their
-slots, calls it and latches the flip-flop inputs. The plan is a fixed
+function. A cycle loads the flip-flop state as one slice and the inputs
+into their slots, calls the function, and reads the flip-flop inputs,
+the outputs and the watched nets with one getter each. The plan is a fixed
 cost per call, before the first cycle; the index it is built from is
 the netlist's own, built once per netlist, and that index refuses a
 combinational cycle (CombinationalCycleError), so the plan checks for
@@ -112,8 +114,13 @@ def write_stimulus(vectors) -> str:
 class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
     value slots, the compiled function ``f(v, m)`` (values, lane mask),
-    slot lists for ports, flip-flop pins and watches, and a getter of the
-    island's control nets. Pins are read by position in ``Cell.nets``: a
+    the slice of the flip-flop outputs (``q``), the input port slots, and
+    getters that each return a tuple: of the flip-flop d inputs, the
+    output ports, the watched nets and the island's control nets. Slots
+    run group outputs first, then flip-flop outputs (in
+    ``Netlist.flip_flops`` order), then the nets left: input ports and
+    island outputs. So a cycle loads the state as one slice and reads
+    each getter once. Pins are read by position in ``Cell.nets``: a
     flip-flop's d, clk, rst if bound, then q, and a group's gathers one
     input position at a time. Only slots, gather names and table
     expressions reach the generated source, never a net or cell name.
@@ -125,25 +132,28 @@ class _Compiled:
         kind = attrgetter("kind")
         groups = [list(cells) for level in index.levels
                   for _, cells in groupby(sorted(level, key=kind), kind)]
-        # each group's outputs first, in contiguous slots, then every
-        # other net; no net is driven twice, so none takes two slots
-        self.slot = dict(zip((c.nets[-1] for group in groups
-                              for c in group), count()))
-        for net in netlist.all_nets():
-            self.slot.setdefault(net, len(self.slot))
-        self.pis = {p: self.slot[p] for p in netlist.input_ports()}
-        self.pos = [(p, self.slot[p]) for p in netlist.output_ports()]
-        self.watch = []
-        for net in watch:
-            if net not in self.slot:
-                raise SimulationError(f"watch names unknown net {net!r}")
-            self.watch.append((net, self.slot[net]))
         ffs = netlist.flip_flops()
+        # the group outputs, then the flip-flop outputs, then the nets
+        # left (ports and island outputs); no net is driven twice, so no
+        # output takes two slots
+        outputs = [c.nets[-1] for group in groups for c in group]
+        self.q = slice(len(outputs), len(outputs) + len(ffs))
+        outputs += [c.nets[-1] for c in ffs]
+        self.slot = dict(zip(outputs, count()))
+        self.slot.update(zip([n for n in netlist.all_nets()
+                              if n not in self.slot], count(len(outputs))))
         self.ff_names = [c.name for c in ffs]
-        self.q = [self.slot[c.nets[-1]] for c in ffs]
-        self.d = [self.slot[c.nets[0]] for c in ffs]
+        self.d = _getter([self.slot[c.nets[0]] for c in ffs])
         self.rst = [(i, self.slot[c.nets[2]])
                     for i, c in enumerate(ffs) if len(c.nets) == 4]
+        self.pis = {p: self.slot[p] for p in netlist.input_ports()}
+        self.po_names = netlist.output_ports()
+        self.po = _getter([self.slot[p] for p in self.po_names])
+        self.watch_names = list(watch)
+        for net in self.watch_names:
+            if net not in self.slot:
+                raise SimulationError(f"watch names unknown net {net!r}")
+        self.watch = _getter([self.slot[n] for n in self.watch_names])
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else itemgetter(
             *(self.slot[n] for n in controls))
@@ -182,6 +192,18 @@ class _Compiled:
                   else f"zip({', '.join(sources)})")
         return (f"{target} = [{spec.expr} for {', '.join(spec.inputs)}"
                 f" in {source}]")
+
+
+def _getter(slots):
+    """``itemgetter(*slots)``, but a tuple for any number of slots: a
+    one-slot itemgetter returns the value alone, and one of no slots
+    cannot be made."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    if slots:
+        slot, = slots
+        return lambda v: (v[slot],)
+    return lambda v: ()
 
 
 def _island_controls(netlist):
@@ -228,7 +250,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
         raise problems.pop()
     plan = _Compiled(netlist, watch)
     mask = (1 << batch) - 1
-    q_state = [0] * len(plan.q)
+    q_state = [0] * len(plan.ff_names)
     if init:
         ff_pos = {name: i for i, name in enumerate(plan.ff_names)}
         for ff, val in init.items():
@@ -240,8 +262,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     trace = SimTrace(batch, [], [], [])
     carried: dict[str, int] = {}
     for cycle in range(cycles):
-        for slot, q in zip(plan.q, q_state):
-            v[slot] = q
+        v[plan.q] = q_state
         for port, bits in stimulus[cycle].items():
             if port not in plan.pis:
                 raise StimulusError(f"cycle {cycle}: unknown input port {port!r}")
@@ -251,13 +272,16 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
                 raise StimulusError(f"cycle 0: stimulus missing input port {port!r}")
             v[slot] = carried[port]
         plan.evaluate(v, mask)
-        trace.outputs.append({p: v[slot] for p, slot in plan.pos})
-        trace.watches.append({n: v[slot] for n, slot in plan.watch})
+        trace.outputs.append(dict(zip(plan.po_names, plan.po(v))))
+        trace.watches.append(dict(zip(plan.watch_names, plan.watch(v))))
         trace.island_raw.append(None if plan.island is None
                                 else plan.island(v))
-        q_state = [v[slot] for slot in plan.d]
-        for i, slot in plan.rst:
-            q_state[i] &= ~v[slot] & mask
+        q_state = plan.d(v)
+        if plan.rst:
+            # every value lies within the mask, so ^ mask is NOT
+            q_state = list(q_state)
+            for i, slot in plan.rst:
+                q_state[i] &= v[slot] ^ mask
     return trace
 
 
@@ -307,10 +331,11 @@ def equivalence_check(n1: Netlist, n2: Netlist, stimulus, cycles: int) -> bool:
                          simulate(n2, stimulus, cycles))
 
 
-def dump_trace(trace: SimTrace) -> str:
-    """CSV: cycle, each output port, leak symbol, power."""
-    ports = sorted(trace.outputs[0]) if trace.outputs else []
-    lines = ["cycle," + ",".join(ports) + ",leak,power_uW"]
+def dump_trace(trace: SimTrace, ports) -> str:
+    """CSV: cycle, each output port in ``ports`` (in that order), leak
+    symbol, power. The header comes from ``ports``, not from the trace,
+    so it names every output port even for a run of no cycles."""
+    lines = [",".join(["cycle", *ports, "leak", "power_uW"])]
     for i, (out, leak, power) in enumerate(
             zip(trace.outputs, trace.leak, trace.power_uw)):
         row = [str(i)] + [str(out[p]) for p in ports]

@@ -287,6 +287,18 @@ def test_simulate_without_leak_is_not_recovered(oracle_w8, tmp_path):
     assert report["k_recovered"] is False
 
 
+def test_simulate_no_cycles_writes_the_output_header(workdir, tmp_path):
+    design = workdir / "g" / "design.nl"
+    (tmp_path / "one.stim").write_text("clk=0\n")
+    assert run("simulate", "--netlist", str(design), "--stimulus",
+               str(tmp_path / "one.stim"), "--cycles", "0",
+               "--out-dir", str(tmp_path)) == 0
+    ports = sorted(parse_netlist(design.read_text()).output_ports())
+    assert ports
+    assert (tmp_path / "trace.csv").read_text() == ",".join(
+        ["cycle", *ports, "leak", "power_uW"]) + "\n"
+
+
 def test_simulate_stimulus_too_short(workdir, tmp_path):
     (tmp_path / "short.stim").write_text("clk=0\n")
     code = run("simulate", "--netlist", str(workdir / "g" / "design.nl"),

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -92,6 +93,28 @@ def test_cell_truth_table(kind):
     want = sum(TRUTH[kind](*((i >> j) & 1 for j in range(len(pins)))) << i
                for i in range(lanes))
     assert tr.outputs[0]["y"] == want
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64])
+@pytest.mark.parametrize("kind", sorted(TRUTH))
+def test_cell_truth_table_on_uniform_and_mixed_lanes(kind, batch):
+    # one cycle per combination of inputs that are 0 or m in every lane
+    # or, beyond batch 1, a mixed value of their own; so a MUX2 takes
+    # its two picks and its bitwise form, and every ^ m form meets inputs
+    # at both ends of the lane mask
+    rng = random.Random(batch)
+    m = (1 << batch) - 1
+    pins = CELL_KINDS[kind].inputs
+    n = Netlist(name="tt", ports=[Port(p, "in") for p in pins] + [Port("y", "out")],
+                cells=[Cell(kind, "u", {**{p: p for p in pins}, "y": "y"})])
+    values = [[0, m] + ([rng.randrange(1, m)] if batch > 1 else [])
+              for _ in pins]
+    combos = list(product(*values))
+    tr = simulate(n, [dict(zip(pins, c)) for c in combos], len(combos),
+                  batch=batch)
+    want = [sum(TRUTH[kind](*((x >> i) & 1 for x in c)) << i
+                for i in range(batch)) for c in combos]
+    assert [o["y"] for o in tr.outputs] == want
 
 
 def test_toggle_flip_flop():
@@ -276,10 +299,20 @@ def test_stimulus_parse_errors():
 def test_trace_dump():
     n = parse_netlist(TOGGLE)
     tr = simulate(n, _stim(n, 2), 2)
-    lines = dump_trace(tr).splitlines()
+    lines = dump_trace(tr, ["q"]).splitlines()
     assert lines[0] == "cycle,q,leak,power_uW"
     assert lines[1] == "0,0,,0.0"
     assert lines[2] == "1,1,,0.0"
+
+
+def test_trace_dump_header_names_the_given_ports():
+    # no output ports: three fields in the header as in every row
+    n = parse_netlist(TOGGLE.replace("output q", "net q"))
+    assert dump_trace(simulate(n, _stim(n, 1), 1), []) == (
+        "cycle,leak,power_uW\n0,,0.0\n")
+    # no cycles: the header still names the outputs
+    n = parse_netlist(TOGGLE)
+    assert dump_trace(simulate(n, [], 0), ["q"]) == "cycle,q,leak,power_uW\n"
 
 
 def test_unknown_cell_kind_rejected_without_validation():
@@ -479,6 +512,47 @@ def test_compiled_simulator_matches_reference_on_small_groups(batch):
         (0, "TIE0"): 1, (0, "TIE1"): 2, (1, "XOR2"): 1, (1, "AND2"): 2,
         (2, "INV"): 1, (2, "MUX2"): 1}
     _compare_every_net(netlist, batch, 4, batch)
+
+
+def _io_design(ffs, outputs):
+    """``ffs`` flip-flops in a ring through XOR2s from port a, the first
+    one cleared by port r, and ``outputs`` output ports, each an INV of a
+    flip-flop output (of a without one)."""
+    qs = [f"q{j}" for j in range(ffs)]
+    cells = []
+    for j, q in enumerate(qs):
+        cells.append(Cell("XOR2", f"x{j}", {"a": qs[j - 1] if j else "a",
+                                            "b": q, "y": f"d{j}"}))
+        rst = {"rst": "r"} if j == 0 else {}
+        cells.append(Cell("DFF", f"f{j}", {"d": f"d{j}", "clk": "clk",
+                                           **rst, "q": q}))
+    for k in range(outputs):
+        cells.append(Cell("INV", f"i{k}", {"a": qs[k % ffs] if ffs else "a",
+                                           "y": f"o{k}"}))
+    return Netlist("io", ports=[Port(p, "in") for p in ("clk", "a", "r")]
+                   + [Port(f"o{k}", "out") for k in range(outputs)],
+                   nets=qs + [f"d{j}" for j in range(ffs)], cells=cells)
+
+
+@pytest.mark.parametrize("watches", [0, 1, 2])
+@pytest.mark.parametrize("outputs", [0, 1, 2])
+@pytest.mark.parametrize("ffs", [0, 1, 2])
+def test_plan_io_edge_cases_match_reference(ffs, outputs, watches):
+    # the state slice and the d, output and watch getters at 0, 1 and 2
+    # slots each: a one-slot itemgetter returns no tuple, and one of no
+    # slots cannot be made
+    netlist = _io_design(ffs, outputs)
+    rng = random.Random(ffs * 9 + outputs * 3 + watches)
+    watch = rng.sample(netlist.all_nets(), watches)
+    for batch in (1, 5):
+        stim = [{p: rng.getrandbits(batch) for p in netlist.input_ports()}
+                for _ in range(6)]
+        init = {c.name: rng.getrandbits(batch) for c in netlist.flip_flops()}
+        kwargs = dict(watch=watch, init=init, batch=batch)
+        trace = simulate(netlist, stim, 6, **kwargs)
+        assert trace == _reference(netlist, stim, 6, **kwargs)
+        assert all(len(o) == outputs for o in trace.outputs)
+        assert all(len(w) == watches for w in trace.watches)
 
 
 # The structural stealth verdict (extends) against the simulated one
