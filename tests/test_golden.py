@@ -111,15 +111,16 @@ def test_simulation_trace_is_pinned(tmp_path, monkeypatch):
     }
 
 
-def _analyze_digests(root, **kw):
+def _analyze_digests(root, blind=True, **kw):
     """sha256 of the three CSVs of ``analyze`` and of its report without
     ``stage_ms`` and ``total_ms``, on ``GenConfig(w=8, decoy_ffs=150,
-    seed=4, **kw)`` anonymized with seed 5. Paths are relative to
-    ``root``, since the report records the netlist path."""
+    seed=4, **kw)``, anonymized with seed 5 when ``blind``. Paths are
+    relative to ``root``, since the report records the netlist path."""
     netlist, _ = generate_accelerator(GenConfig(w=8, decoy_ffs=150, seed=4,
                                                 **kw))
-    blind, _ = anonymize(netlist, 5)
-    (root / "design.nl").write_text(write_netlist(blind))
+    if blind:
+        netlist, _ = anonymize(netlist, 5)
+    (root / "design.nl").write_text(write_netlist(netlist))
     assert main(["analyze", "--netlist", "design.nl", "--lane-width", "8",
                  "--out-dir", "a"]) == 0
     digests = {name: hashlib.sha256((root / "a" / name).read_bytes()).hexdigest()
@@ -159,3 +160,37 @@ ANALYZE_GOLDEN = {
 def test_analysis_outputs_are_pinned(loader, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _analyze_digests(tmp_path, loader=loader) == ANALYZE_GOLDEN[loader]
+
+
+# the same designs with their names. These outputs name only flip-flops,
+# so they hold while the generator's other cells change; the anonymized
+# digests above move with the cell count, which permutes the ids
+NAMED_ANALYZE_GOLDEN = {
+    "absorb": ("grouped", {
+        "scores.csv":
+            "2a60fac8916da198a82ce606a2979d14e05dc2aa88978be216297de314af5ab4",
+        "degrees.csv":
+            "b01685afc4857e8bd4200c48b90aa311f15546b29924080781697929c8d561f0",
+        "groups.csv":
+            "63f6e1d310bababf238d4ffd5471f3cba2af7d5e94a0447c790a3cbb2f3c54ca",
+        "report.json":
+            "377f3600c9fe3fc9e934cc666483dc504773d96b6930b372a566f9e2c5f6f53d",
+    }),
+    "split": ("individual", {
+        "scores.csv":
+            "a7d07b463bdfcfcc3d5e98375123669a78f5eb0ce2950058fe9386b42ee8039f",
+        "degrees.csv":
+            "51ccf874474cb50e7c8493a3ca80af8fb149a33ec97de472098f6b6a0834921f",
+        "groups.csv":
+            "d662ab779ee4309b94662966cfd47e8ff7eee46ec95b03c6fe858aa6bd313385",
+        "report.json":
+            "4df970219f17e92617488db8fd127fab222a81037ec540707d6b9ca1514af52b",
+    }),
+}
+
+
+@pytest.mark.parametrize("loader", sorted(NAMED_ANALYZE_GOLDEN))
+def test_named_analysis_outputs_are_pinned(loader, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert (_analyze_digests(tmp_path, blind=False, loader=loader)
+            == NAMED_ANALYZE_GOLDEN[loader])
