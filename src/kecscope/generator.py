@@ -5,7 +5,9 @@ instance: a 25*w-bit state register (per share) with one-round
 combinational feedback, a w-bit input register absorbed into lane (0, 0),
 a round counter that selects the iota constants, a two-state loader FSM
 and a lane readout register. Decoy logic (pipelines, counters, LFSRs,
-small FSMs) pads the design to the requested flip-flop budget.
+small FSMs) pads the design to the requested flip-flop budget. As in a
+synthesized netlist, every cell has a path to a primary output and no
+MUX2 chooses between two copies of one net.
 
 One round builder serves every share count: chi gives share i the output
 b_i(x) ^ XOR_j (n_i & b_j(x+2)), with n_0 = ~b_0(x+1) and n_i = b_i(x+1)
@@ -240,55 +242,33 @@ class Builder:
                      else {"d": d, "clk": clk, "rst": rst, "q": q})
         return q
 
-    def const_mux(self, values, sel, prefix=""):
-        """Mux tree over constant bits indexed by the sel nets (LSB first),
-        folding constant subtrees to shared TIE nets. The recursion is a
-        method, not a closure that calls itself: such a closure is a
-        reference cycle that would hold the builder and all it has built
-        until the cyclic collector ran."""
-        size = 1 << len(sel)
-        return self._const_tree(list(values) + [0] * (size - len(values)),
-                                sel, prefix)
-
-    def _const_tree(self, bits, sels, prefix):
-        if all(b == bits[0] for b in bits):
-            return self.tie(bits[0], prefix)
-        half = len(bits) // 2
-        lo = self._const_tree(bits[:half], sels[:-1], prefix)
-        hi = self._const_tree(bits[half:], sels[:-1], prefix)
-        if lo == hi:
-            return lo
-        return self.mux2(lo, hi, sels[-1], prefix)
-
     def mux_n(self, inputs, sel, prefix=""):
-        """Binary mux tree over arbitrary nets; missing slots read TIE0.
-        TIE0 is asked for even when no slot is missing, which fixes the
-        names of what follows. The recursion is a method, as in
-        :meth:`const_mux`."""
-        size = 1 << len(sel)
-        return self._mux_tree(
-            list(inputs) + [self.tie(0, prefix)] * (size - len(inputs)),
-            sel, prefix)
+        """Binary mux tree over the ``inputs`` nets indexed by the sel nets
+        (LSB first). A slot past the inputs reads TIE0, and a subtree whose
+        two halves are one net is that net, so a tree over constants folds
+        to shared TIE nets and builds no mux between two copies of one.
+        The recursion is a method, not a closure that calls itself: such a
+        closure is a reference cycle that would hold the builder and all
+        it has built until the cyclic collector ran."""
+        return self._mux_tree(list(inputs), sel, 0, prefix)
 
-    def _mux_tree(self, nets, sels, prefix):
-        if len(nets) == 1:
-            return nets[0]
-        half = len(nets) // 2
-        lo = self._mux_tree(nets[:half], sels[:-1], prefix)
-        hi = self._mux_tree(nets[half:], sels[:-1], prefix)
-        return self.mux2(lo, hi, sels[-1], prefix)
+    def _mux_tree(self, nets, sels, slot, prefix):
+        if not sels:
+            return nets[slot] if slot < len(nets) else self.tie(0, prefix)
+        lo = self._mux_tree(nets, sels[:-1], slot, prefix)
+        hi = self._mux_tree(nets, sels[:-1], slot + (1 << len(sels) - 1),
+                            prefix)
+        return lo if lo == hi else self.mux2(lo, hi, sels[-1], prefix)
 
 
 def _incrementer(b, bits, prefix):
-    """The next-value nets of value+1 over q nets, LSB first."""
-    out = []
-    carry = None
-    for i, q in enumerate(bits):
-        if i == 0:
-            out.append(b.inv(q, prefix))
-            carry = q
-        else:
-            out.append(b.xor2(q, carry, prefix))
+    """The next-value nets of value+1 over q nets, LSB first. No carry
+    leaves the last bit, since nothing would read it."""
+    out = [b.inv(bits[0], prefix)]
+    carry = bits[0]
+    for q in bits[1:]:
+        out.append(b.xor2(q, carry, prefix))
+        if len(out) < len(bits):
             carry = b.and2(carry, q, prefix)
     return out
 
@@ -357,7 +337,7 @@ def _round(b, pre, sins, w, counter, rcs):
     for z in range(w):
         bits = [(rc >> z) & 1 for rc in rcs]
         if any(bits):
-            rc_net = b.const_mux(bits, counter, p)
+            rc_net = b.mux_n([b.tie(bit, p) for bit in bits], counter, p)
             outs[0][(0, 0, z)] = b.xor2(outs[0][(0, 0, z)], rc_net, p)
     return outs
 

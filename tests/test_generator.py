@@ -1,6 +1,8 @@
 import ast
+import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -140,6 +142,88 @@ def test_oracle_counts_and_validity(oracle_w64, oracle_w64_graph):
     assert max(map(graph.fanin, truth.decoy_ffs)) < MIN_FANIN_FLOOR
     names = {c.name for c in netlist.cells}
     assert set(truth.all_state_ffs()) <= names
+
+
+
+def _cells_reaching_no_output(netlist):
+    """The cells with no path to a primary output, walking back from the
+    outputs through every cell, flip-flops included: what unused-circuit
+    identification finds from structure alone."""
+    driver = {c.nets[-1]: c for c in netlist.cells}
+    seen = set(netlist.output_ports())
+    stack = list(seen)
+    live = set()
+    while stack:
+        cell = driver.get(stack.pop())
+        if cell is None:   # an input port
+            continue
+        live.add(cell.name)
+        for net in cell.nets[:-1]:
+            if net not in seen:
+                seen.add(net)
+                stack.append(net)
+    return [c.name for c in netlist.cells if c.name not in live]
+
+
+def _muxes_of_one_net(netlist):
+    return [c.name for c in netlist.cells
+            if c.kind == "MUX2" and c.pins["a"] == c.pins["b"]]
+
+
+def _audit_grid(w):
+    """Every share count, instance count and loader, with and without
+    decoys; at w = 32 and 64 only the two corners, which cost the most."""
+    for shares, instances, loader, decoys in itertools.product(
+            (1, 2), (1, 2), ("absorb", "split"), (0, 300)):
+        if w <= 16 or (shares, instances, loader, decoys) in (
+                (1, 1, "absorb", 0), (2, 2, "split", 300)):
+            yield GenConfig(w=w, shares=shares, instances=instances,
+                            loader=loader, decoy_ffs=decoys, seed=1)
+
+
+@pytest.mark.parametrize("w", keccak.LANE_WIDTHS)
+def test_every_generated_cell_reaches_an_output(w):
+    for cfg in _audit_grid(w):
+        netlist, _ = generate_accelerator(cfg)
+        assert _cells_reaching_no_output(netlist) == [], cfg
+        assert _muxes_of_one_net(netlist) == [], cfg
+
+
+# cell counts by kind of generate_accelerator(GenConfig(w, shares,
+# instances, loader, decoy_ffs, seed=1)) before the generator stopped
+# building the readout muxes that choose between two TIE0 nets and the
+# incrementers' carries out of their last bit
+PARENT_KINDS = ("AND2", "BUF", "DFF", "INV", "MUX2", "NOR2", "OR2", "TIE0",
+                "TIE1", "XOR2")
+PARENT_COUNTS = {
+    (1, 1, 1, "absorb", 0): (42, 0, 38, 29, 69, 1, 2, 1, 1, 84),
+    (1, 2, 2, "split", 300): (286, 17, 428, 61, 264, 2, 18, 1, 1, 496),
+    (4, 2, 1, "absorb", 300): (472, 17, 519, 106, 501, 1, 16, 1, 1, 894),
+    (4, 1, 2, "split", 0): (240, 0, 242, 206, 526, 2, 4, 1, 1, 628),
+    (16, 1, 2, "absorb", 300): (922, 17, 1188, 813, 1996, 2, 18, 1, 1, 2534),
+    (16, 2, 1, "split", 0): (1635, 0, 852, 405, 1887, 1, 2, 1, 1, 3245),
+    (64, 1, 1, "absorb", 0): (1683, 0, 1740, 1604, 3769, 1, 2, 1, 1, 4879),
+    (64, 2, 2, "split", 300): (13018, 17, 7044, 3211, 14720, 2, 18, 1, 1,
+                               25962),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PARENT_COUNTS),
+                         ids=lambda key: "-".join(map(str, key)))
+def test_generator_dropped_only_the_unread_cells(key):
+    # the readout mux over 25 lanes has 32 slots, 7 of them TIE0: per bit
+    # and share three muxes of two TIE0 slots and one over two of those;
+    # each instance has two incrementers, the round and readout counters
+    w, shares, instances, loader, decoys = key
+    netlist, _ = generate_accelerator(GenConfig(
+        w=w, shares=shares, instances=instances, loader=loader,
+        decoy_ffs=decoys, seed=1))
+    kinds = Counter(c.kind for c in netlist.cells)
+    expected = dict(zip(PARENT_KINDS, PARENT_COUNTS[key]))
+    expected["MUX2"] -= 4 * w * shares * instances
+    expected["AND2"] -= 2 * instances
+    assert set(kinds) <= set(PARENT_KINDS)
+    assert {k: kinds[k] for k in PARENT_KINDS} == expected
 
 
 def test_decoy_budget_exact():

@@ -45,22 +45,22 @@ def _inserted():
 GOLDEN = {
     "one-share-w8-decoys": (
         lambda: _generated(w=8, decoy_ffs=300, seed=1),
-        "2dd75b88fd2b0920dc99b44291ee53a6db76942e817d6b00ab77c0f2d7a3b733"),
+        "6dd3b08154530ef31b3150695ccaeb8c86f886e7244b8c00dbcc471d731944a0"),
     "masked-w8-2-instances": (
         lambda: _generated(w=8, shares=2, instances=2, seed=2),
-        "71707a231dfb0285c474571486b0769a5b2e1f34bdf336eeb85579912f3f8bd2"),
+        "c138ededf061e033018a67cc788cc950598399aa6adbbcc35b78fa846aa16e61"),
     "split-loader-w8": (
         lambda: _generated(w=8, loader="split", decoy_ffs=50, seed=3),
-        "e8dcaa3f5e41a2a0025fa89b607b679837c55ff63fd54c1150623c27859b0662"),
+        "36a9b669c213323298dc580dbf957d0147305122004a16a16b2620bae176d3b2"),
     "anonymized-w8": (
         _anonymized,
-        "3a3bedc50c9a7355495854935cf49dbb91b8a51e10a0837f6e03bd276b1c5431"),
+        "3267b78fc70b18799914993e9bb074ad8e942c7b0bf84fde48905485842b62b6"),
     "core-w8": (
         lambda: _digest(*generate_core(8)),
         "d543012a35a9c1d7e0f0b23b4517ea003dc03cdb91079266385c845082c0a9af"),
     "insert-hth-w16": (
         _inserted,
-        "e9a51597601a859f52d8d1096c39ed6f1d374702b74f3bbb3896730738ee094f"),
+        "1c356f07a413214b1eebbddc570ba9abfbaa22a2cf38d0f0d50708908e1df2d8"),
 }
 
 
@@ -135,23 +135,23 @@ def _analyze_digests(root, blind=True, **kw):
 ANALYZE_GOLDEN = {
     "absorb": ("grouped", {
         "scores.csv":
-            "e15b349d13b41e180d2967adc4f3e124301e66fe94da62ba9e15827e1210ad42",
+            "4db12b09b9972430afa554d36b8be74c7a57c5407ffe62426b9e3f35c191cf7e",
         "degrees.csv":
-            "7ab230a193f497329e2880c275c635a8b36f94c01e8adeaac428e56274f72a31",
+            "6222ec09cec0df44bed435be5e18ef511b2a0c1522d2a13b96a152a9f2494c06",
         "groups.csv":
-            "b34bd81ba8ef702c8a04b1622b4b29707564a54d36e12a9113c02d365200e4c1",
+            "2a8c4a2b6893d92034aede4d9b4d50fcdbe1b294e6c5b0f5234d72864bec649e",
         "report.json":
-            "860ab237577716d8a34a111e8a418902f984b2d5128645dcfe3e856bc809fdea",
+            "80242f0b4d3c8e4c0a18fba32ce1a121f92c78d9f5f1a92dd2b02d5c90f6db17",
     }),
     "split": ("individual", {
         "scores.csv":
-            "337a100eceefd001f5270b9c7c471f030c3a96ac953f50d7dcffc610cd511fa5",
+            "78244b50b129504610d325ae41b88ae76ff86324b5dd4548a57392f8f9e11be2",
         "degrees.csv":
-            "36f2650fe91167511ab8f7c728157e01c0f8946d2cfc37b67226dd404a6a3e14",
+            "d783491bf9c21e96780cc9998c7908146a3952284e89a2be46b634d9f8e313ff",
         "groups.csv":
-            "b4b26577dc5a793ed37c022739dbb7824ffcc61860266e63bf890ad6e0ac3d85",
+            "a386d29f1318338d3435f133f58de2f9d73ead8fc646a7e7e8b6675f59212934",
         "report.json":
-            "b9631ea061502ef31afcd935fb865767cba87bd69a89599de58dfa59099fd6a2",
+            "d649e28c1dd8a6b7e8be811e6b94dfe6726538d1607093dfbd9831209affdcde",
     }),
 }
 

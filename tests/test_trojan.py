@@ -96,6 +96,26 @@ def trigger_stimulus(netlist, m, k, capture_delay, tail=30, w=16):
     return stim
 
 
+
+@pytest.mark.parametrize("capture_delay", (0, 1, 5))
+@pytest.mark.parametrize("l", (16, 64))
+@pytest.mark.parametrize("t", (16, 64))
+def test_every_cell_output_of_a_trojaned_design_is_read(oracle_w64, t, l,
+                                                        capture_delay):
+    # the trojan leaks into its analog island and reaches no primary
+    # output, but no cell of it, or of the victim, drives a net nobody reads
+    netlist, truth = oracle_w64
+    result = RepqcResult(frozenset(truth.all_state_ffs()),
+                         truth.all_input_ffs(), None, "grouped")
+    trojaned, _ = insert_hth(netlist, result, HthSpec(
+        t=t, l=l, trigger=0xBEEF, capture_delay=capture_delay))
+    read = {net for c in trojaned.cells for net in c.nets[:-1]}
+    read.update(trojaned.output_ports())
+    assert [c.name for c in trojaned.cells if c.nets[-1] not in read] == []
+    assert [c.name for c in trojaned.cells if c.kind == "MUX2"
+            and c.pins["a"] == c.pins["b"]] == []
+
+
 def test_insert_is_additive(victim16):
     netlist, _, result = victim16
     spec = HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1)
