@@ -508,8 +508,9 @@ def validate(netlist: Netlist) -> list[CombinationalCycleError]:
 
 
 def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:
-    """Strip design meaning: rename every port/net/cell to an opaque id and
-    permute declaration order, all deterministically from ``seed``.
+    """Strip design meaning: rename every port/net/cell to an opaque id,
+    permute declaration order, all deterministically from ``seed``, and
+    drop the module attributes.
 
     Returns the blind netlist and the old-id -> new-id rename map covering
     ports, nets and cells. The result is graph-isomorphic to the input.
@@ -534,6 +535,5 @@ def anonymize(netlist: Netlist, seed: int) -> tuple[Netlist, dict[str, str]]:
                    tuple([net_map[net] for net in c.nets]), c.tags)
              for c in netlist.cells]
     rng.shuffle(cells)
-    blind = Netlist(name="anon", ports=ports, nets=nets, cells=cells,
-                    attributes=netlist.attributes)
+    blind = Netlist(name="anon", ports=ports, nets=nets, cells=cells)
     return blind, {**net_map, **cell_map}

@@ -293,10 +293,12 @@ def test_no_derived_netlist_shares_writable_attributes():
     b.cell("BUF", "extra", a="a", y=b.net())
     result = RepqcResult(frozenset(), [f"f{i}" for i in range(16)], None,
                          "grouped")
-    derived = [source, anonymize(source, 1)[0], b.netlist(),
-               insert_hth(source, result, HthSpec(t=16, l=16))[0]]
-    for n in derived:
-        assert dict(n.attributes) == {"k": "original"}
+    kept = {"k": "original"}
+    derived = [(source, kept), (anonymize(source, 1)[0], {}),
+               (b.netlist(), kept),
+               (insert_hth(source, result, HthSpec(t=16, l=16))[0], kept)]
+    for n, attributes in derived:
+        assert dict(n.attributes) == attributes
         with pytest.raises(TypeError):
             n.attributes["k"] = "changed"
     assert write_netlist(source) == written
@@ -796,6 +798,17 @@ def test_anonymize_different_seeds_differ():
     b1, _ = anonymize(n, 1)
     b2, _ = anonymize(n, 2)
     assert write_netlist(b1) != write_netlist(b2)
+
+
+def test_anonymize_drops_module_attributes():
+    # an attribute names the design as plainly as a port name does
+    n = parse_netlist(INV_DFF.replace("endmodule", "attr vendor acme_sha3_v2\n"
+                                                   "endmodule"))
+    assert dict(n.attributes) == {"vendor": "acme_sha3_v2"}
+    blind, _ = anonymize(n, 1)
+    assert dict(blind.attributes) == {}
+    assert not [line for line in write_netlist(blind).splitlines()
+                if line.startswith("attr")]
 
 
 def test_anonymize_remaps_sidecar_ids(oracle_w8):
