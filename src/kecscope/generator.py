@@ -245,8 +245,8 @@ class Builder:
     def mux_n(self, inputs, sel, prefix=""):
         """Binary mux tree over the ``inputs`` nets indexed by the sel nets
         (LSB first). A slot past the inputs reads TIE0, and a subtree whose
-        two halves are one net is that net, so a tree over constants folds
-        to shared TIE nets and builds no mux between two copies of one.
+        two halves are one net is that net: a tree over TIE nets folds to
+        them, and no mux chooses between two copies of one net.
         The recursion is a method, not a closure that calls itself: such a
         closure is a reference cycle that would hold the builder and all
         it has built until the cyclic collector ran."""

@@ -144,7 +144,6 @@ def test_oracle_counts_and_validity(oracle_w64, oracle_w64_graph):
     assert set(truth.all_state_ffs()) <= names
 
 
-
 def _cells_reaching_no_output(netlist):
     """The cells with no path to a primary output, walking back from the
     outputs through every cell, flip-flops included: what unused-circuit
@@ -193,9 +192,9 @@ def test_every_generated_cell_reaches_an_output(w):
 # instances, loader, decoy_ffs, seed=1)) before the generator stopped
 # building the readout muxes that choose between two TIE0 nets and the
 # incrementers' carries out of their last bit
-PARENT_KINDS = ("AND2", "BUF", "DFF", "INV", "MUX2", "NOR2", "OR2", "TIE0",
-                "TIE1", "XOR2")
-PARENT_COUNTS = {
+KINDS = ("AND2", "BUF", "DFF", "INV", "MUX2", "NOR2", "OR2", "TIE0", "TIE1",
+         "XOR2")
+COUNTS_WITH_UNREAD_CELLS = {
     (1, 1, 1, "absorb", 0): (42, 0, 38, 29, 69, 1, 2, 1, 1, 84),
     (1, 2, 2, "split", 300): (286, 17, 428, 61, 264, 2, 18, 1, 1, 496),
     (4, 2, 1, "absorb", 300): (472, 17, 519, 106, 501, 1, 16, 1, 1, 894),
@@ -208,7 +207,7 @@ PARENT_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(PARENT_COUNTS),
+@pytest.mark.parametrize("key", sorted(COUNTS_WITH_UNREAD_CELLS),
                          ids=lambda key: "-".join(map(str, key)))
 def test_generator_dropped_only_the_unread_cells(key):
     # the readout mux over 25 lanes has 32 slots, 7 of them TIE0: per bit
@@ -219,11 +218,11 @@ def test_generator_dropped_only_the_unread_cells(key):
         w=w, shares=shares, instances=instances, loader=loader,
         decoy_ffs=decoys, seed=1))
     kinds = Counter(c.kind for c in netlist.cells)
-    expected = dict(zip(PARENT_KINDS, PARENT_COUNTS[key]))
+    expected = dict(zip(KINDS, COUNTS_WITH_UNREAD_CELLS[key]))
     expected["MUX2"] -= 4 * w * shares * instances
     expected["AND2"] -= 2 * instances
-    assert set(kinds) <= set(PARENT_KINDS)
-    assert {k: kinds[k] for k in PARENT_KINDS} == expected
+    assert set(kinds) <= set(KINDS)
+    assert {k: kinds[k] for k in KINDS} == expected
 
 
 def test_decoy_budget_exact():
