@@ -394,19 +394,26 @@ COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr is not None
 def _random_design(rng):
     """Acyclic netlist with every combinational kind, island-tagged cells
     among them, flip-flops with and without rst (whose d may read any net,
-    so state feeds back), and most of the time an oscillator island, listed
-    first, whose enable and leak nets are random nets. Every netlist it
-    builds round-trips through its text."""
+    so state feeds back), half the time MUX2 selects and rst pins drawn
+    from a shared pool of at most two nets, and most of the time an
+    oscillator island, listed first, whose enable and leak nets are random
+    nets. Every netlist it builds round-trips through its text."""
     inputs = [f"i{j}" for j in range(rng.randint(1, 4))]
     qs = [f"q{j}" for j in range(rng.randint(0, 6))]
     ports = [Port(p, "in") for p in ["clk"] + inputs]
     nets = list(qs)
     cells = []
     pool = inputs + qs
+    # half the time every MUX2 select and rst pin reads one of at most two
+    # nets, so that cells of one level share their controls
+    controls = (rng.sample(pool, min(2, len(pool))) if rng.random() < 0.5
+                else None)
     kinds = COMB_KINDS + [rng.choice(COMB_KINDS) for _ in range(rng.randint(0, 30))]
     rng.shuffle(kinds)
     for j, kind in enumerate(kinds):
-        pins = {p: rng.choice(pool) for p in CELL_KINDS[kind].inputs}
+        pins = {p: rng.choice(controls if controls and kind == "MUX2"
+                              and p == "s" else pool)
+                for p in CELL_KINDS[kind].inputs}
         pins["y"] = f"w{j}"
         tags = frozenset([ANALOG_ISLAND_TAG] if rng.random() < 0.1 else [])
         nets.append(f"w{j}")
@@ -415,7 +422,7 @@ def _random_design(rng):
     for j, q in enumerate(qs):
         pins = {"d": rng.choice(pool), "clk": "clk", "q": q}
         if rng.random() < 0.5:
-            pins["rst"] = rng.choice(pool)
+            pins["rst"] = rng.choice(controls or pool)
         cells.append(Cell("DFF", f"f{j}", pins))
     if rng.random() < 0.7:
         ro = parse_netlist(RO_ISLAND)
@@ -553,6 +560,75 @@ def test_plan_io_edge_cases_match_reference(ffs, outputs, watches):
         assert trace == _reference(netlist, stim, 6, **kwargs)
         assert all(len(o) == outputs for o in trace.outputs)
         assert all(len(w) == watches for w in trace.watches)
+
+
+# MUX2s that share a select within a level: level 0 has two on port s0,
+# two on port s1 and one on flip-flop output q4; level 1 has two on s1.
+# Flip-flops f0 and f1 are cleared by port r0, f2 and f3 by r1, and f4
+# and f5 by nothing.
+SHARED_CONTROLS = """\
+module sc
+input clk
+input a
+input b
+input c
+input s0
+input s1
+input r0
+input r1
+output o
+net y0
+net y1
+net y2
+net y3
+net y4
+net y5
+net y6
+net q0
+net q1
+net q2
+net q3
+net q4
+net q5
+cell MUX2 m0 a=a b=b s=s0 y=y0
+cell MUX2 m1 a=c b=q0 s=s0 y=y1
+cell MUX2 m2 a=q1 b=a s=s1 y=y2
+cell MUX2 m3 a=b b=q2 s=s1 y=y3
+cell MUX2 m4 a=q3 b=q5 s=q4 y=y4
+cell MUX2 m5 a=y0 b=y1 s=s1 y=y5
+cell MUX2 m6 a=y3 b=y2 s=s1 y=y6
+cell DFF f0 d=y5 clk=clk rst=r0 q=q0
+cell DFF f1 d=y6 clk=clk rst=r0 q=q1
+cell DFF f2 d=y0 clk=clk rst=r1 q=q2
+cell DFF f3 d=y4 clk=clk rst=r1 q=q3
+cell DFF f4 d=y1 clk=clk q=q4
+cell DFF f5 d=y2 clk=clk q=q5
+cell XOR2 x0 a=y5 b=y6 y=o
+endmodule
+"""
+
+
+@pytest.mark.parametrize("batch", [1, 5, 64])
+def test_shared_selects_and_resets_match_reference(batch):
+    netlist = parse_netlist(SHARED_CONTROLS)
+    # the selects of each level's MUX2s
+    selects = [sorted(c.nets[2] for c in level if c.kind == "MUX2")
+               for level in index_netlist(netlist).levels]
+    assert selects == [["q4", "s0", "s0", "s1", "s1"], ["s1", "s1"], []]
+    # one cycle per combination of every select and reset port at 0, at
+    # every lane and, beyond batch 1, at mixed lanes; the data ports and
+    # the initial state random
+    rng = random.Random(batch)
+    m = (1 << batch) - 1
+    controls = ("s0", "s1", "r0", "r1")
+    values = [0, m] + ([rng.randrange(1, m)] if batch > 1 else [])
+    stim = [{"clk": 0, **dict(zip(controls, combo)),
+             **{p: rng.getrandbits(batch) for p in ("a", "b", "c")}}
+            for combo in product(values, repeat=len(controls))]
+    init = {c.name: rng.getrandbits(batch) for c in netlist.flip_flops()}
+    kwargs = dict(watch=netlist.all_nets(), init=init, batch=batch)
+    assert (simulate(netlist, stim, len(stim), **kwargs)
+            == _reference(netlist, stim, len(stim), **kwargs))
 
 
 # The structural stealth verdict (extends) against the simulated one
