@@ -71,7 +71,9 @@ class CellKind(NamedTuple):
 # lanes), and every expression keeps its value there. So x ^ m is the
 # lane-wise NOT of x, and no expression needs ~ or a final & m. A MUX2
 # select that is 0 or m is the same in every lane, so the cell picks one
-# input whole; that is every select at batch 1.
+# input whole; that is every select at batch 1. The simulator reads a
+# select once for all the MUX2s of a level that share it, and at 0 or m
+# passes their a or b inputs through whole without this expression.
 CELL_KINDS: dict[str, CellKind] = {
     "INV": CellKind(("a",), "y", "a ^ m"),
     "BUF": CellKind(("a",), "y", "a"),

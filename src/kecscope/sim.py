@@ -8,20 +8,28 @@ their synchronous active-high rst pin.
 Each ``simulate`` call first builds a plan from the levels of
 ``netlist.index`` (levelized compiled-code simulation, as in
 Wang and Maurer's LECSIM): the cells of one level never read each other,
-so the plan groups them by kind, and each (level, kind) group becomes one
-generated statement that evaluates the kind's ``CELL_KINDS`` expression
-over the whole group at once. Every net gets an integer slot in one
-values list: first each group's outputs, contiguous per group, then the
-flip-flop outputs, contiguous, then every other net. So a statement
+so the plan groups them by kind, and the MUX2s of a level further by
+select net, in name order. Each group becomes one step: a step function
+with its slots. A kind's step function evaluates its ``CELL_KINDS``
+expression over a whole group at once; it is generated from the table's
+expression and pin names alone and compiled once per process, on first
+use, so no ``simulate`` call compiles anything once every kind it meets
+has been seen. A MUX2 group's step reads the select its cells share once:
+at 0 it passes their a inputs through whole, at every lane (``m``) their
+b inputs, and at mixed lanes it evaluates the table's expression per
+cell. Every net gets an integer slot in one values list: first each
+group's outputs, contiguous per group, then the flip-flop outputs,
+contiguous and ordered by reset net, then every other net. So a step
 reads the group's inputs with one ``operator.itemgetter`` per input pin
-and writes its outputs as one slice. The statements form one compiled
-function. A cycle loads the flip-flop state as one slice and the inputs
-into their slots, calls the function, and reads the flip-flop inputs,
-the outputs and the watched nets with one getter each. The plan is a fixed
-cost per call, before the first cycle; the index it is built from is
-the netlist's own, built once per netlist, and that index refuses a
-combinational cycle (CombinationalCycleError), so the plan checks for
-none.
+and writes its outputs as one slice. A cycle loads the flip-flop state as
+one slice and the inputs into their slots, runs the steps, and reads the
+flip-flop inputs, the outputs and the watched nets with one getter each.
+Each reset net is then read once: at 0 it leaves its flip-flops' next
+state alone, at ``m`` it clears their slice, and at mixed lanes it masks
+each one. The plan is a fixed cost per call, before the first cycle; no
+plan is kept across calls. The index it is built from is the netlist's
+own, built once per netlist, and that index refuses a combinational
+cycle (CombinationalCycleError), so the plan checks for none.
 
 Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
@@ -41,6 +49,7 @@ only adds cells and nets to the other, as ``insert_hth`` does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import count, groupby
 from operator import attrgetter, itemgetter
 
@@ -113,26 +122,41 @@ def write_stimulus(vectors) -> str:
 
 class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
-    value slots, the compiled function ``f(v, m)`` (values, lane mask),
-    the slice of the flip-flop outputs (``q``), the input port slots, and
-    getters that each return a tuple: of the flip-flop d inputs, the
-    output ports, the watched nets and the island's control nets. Slots
-    run group outputs first, then flip-flop outputs (in
-    ``Netlist.flip_flops`` order), then the nets left: input ports and
-    island outputs. So a cycle loads the state as one slice and reads
-    each getter once. Pins are read by position in ``Cell.nets``: a
-    flip-flop's d, clk, rst if bound, then q, and a group's gathers one
-    input position at a time. Only slots, gather names and table
-    expressions reach the generated source, never a net or cell name.
-    Every pin is on a declared net driven once, which the netlist checked
-    when it was made, so every pin has one slot."""
+    value slots, the steps that :meth:`evaluate` runs in order, the slice
+    of the flip-flop outputs (``q``), the reset groups, the input port
+    slots, and getters that each return a tuple: of the flip-flop d
+    inputs, the output ports, the watched nets and the island's control
+    nets. Slots run group outputs first, then flip-flop outputs, then the
+    nets left: input ports and island outputs. The flip-flops are grouped
+    by reset net, each group in ``Netlist.flip_flops`` order and the
+    groups in the order of their first flip-flops there, so the
+    flip-flops of one reset net take one slice of the state;
+    ``ff_names`` gives the order. So a cycle loads the state as one slice
+    and reads each getter once. Pins are read by position in
+    ``Cell.nets``: a flip-flop's d, clk, rst if bound, then q, and a
+    group's gathers one input position at a time. No net or cell name
+    reaches generated source, and no step is compiled here: each is a
+    step function of :func:`_kind_step` or :func:`_select_step` with its
+    slots and gathers. Every pin is on a declared net driven once, which
+    the netlist checked when it was made, so every pin has one slot."""
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
         kind = attrgetter("kind")
-        groups = [list(cells) for level in index.levels
-                  for _, cells in groupby(sorted(level, key=kind), kind)]
-        ffs = netlist.flip_flops()
+        groups = []
+        for level in index.levels:
+            for k, cells in groupby(sorted(level, key=kind), kind):
+                if k == "MUX2":
+                    # one group per select net, in name order
+                    cells = sorted(cells, key=_select)
+                    groups += [list(run) for _, run in groupby(cells, _select)]
+                else:
+                    groups.append(list(cells))
+        by_reset: dict[str | None, list] = {}
+        for c in netlist.flip_flops():
+            by_reset.setdefault(c.nets[2] if len(c.nets) == 4 else None,
+                                []).append(c)
+        ffs = [c for group in by_reset.values() for c in group]
         # the group outputs, then the flip-flop outputs, then the nets
         # left (ports and island outputs); no net is driven twice, so no
         # output takes two slots
@@ -144,8 +168,15 @@ class _Compiled:
                               if n not in self.slot], count(len(outputs))))
         self.ff_names = [c.name for c in ffs]
         self.d = _getter([self.slot[c.nets[0]] for c in ffs])
-        self.rst = [(i, self.slot[c.nets[2]])
-                    for i, c in enumerate(ffs) if len(c.nets) == 4]
+        # (slot of a reset net, its flip-flops' slice of the state, as
+        # many zeros)
+        self.resets = []
+        start = 0
+        for net, group in by_reset.items():
+            if net is not None:
+                span = slice(start, start + len(group))
+                self.resets.append((self.slot[net], span, [0] * len(group)))
+            start += len(group)
         self.pis = {p: self.slot[p] for p in netlist.input_ports()}
         self.po_names = netlist.output_ports()
         self.po = _getter([self.slot[p] for p in self.po_names])
@@ -157,41 +188,84 @@ class _Compiled:
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else itemgetter(
             *(self.slot[n] for n in controls))
-        gathers: dict[str, itemgetter] = {}
-        statements = [self._statement(group, gathers) for group in groups]
-        namespace = dict(gathers)
-        exec(compile("def f(v, m):\n    "
-                     + "\n    ".join(statements or ["pass"]) + "\n",
-                     "<kecscope.sim plan>", "exec"), namespace)
-        # popped: f's globals are the namespace, and a namespace that
-        # still held f would be a reference cycle
-        self.evaluate = namespace.pop("f")
+        self.steps = [self._step(group) for group in groups]
 
-    def _statement(self, cells, gathers):
-        """``v[s:e] = [expr for pins in zip(gathers)]`` for one group of
-        same-kind cells whose outputs hold slots s to e - 1, with the
-        kind's ``CELL_KINDS`` expression over its input pin names. A
-        gather is an itemgetter over the group's slots of one input pin;
-        a one-cell group reads its one slot as a 1-tuple instead, since a
-        one-slot itemgetter returns no tuple."""
-        spec = CELL_KINDS[cells[0].kind]
+    def _step(self, cells):
+        """(step function, its arguments after ``v, m``) for one group of
+        same-kind cells whose outputs hold slots s to e - 1: s, e, then
+        for a MUX2 group the slot of the select its cells share and the
+        gathers of a and b, else one gather per input pin. A gather
+        returns the group's values of one input pin as a tuple."""
+        kind = cells[0].kind
         start = self.slot[cells[0].nets[-1]]
-        target = f"v[{start}:{start + len(cells)}]"
-        if not spec.inputs:
-            return f"{target} = [{spec.expr}] * {len(cells)}"
-        sources = []
-        for i in range(len(spec.inputs)):
-            slots = [self.slot[c.nets[i]] for c in cells]
-            if len(slots) == 1:
-                sources.append(f"(v[{slots[0]}],)")
-            else:
-                name = f"_g{len(gathers)}"
-                gathers[name] = itemgetter(*slots)
-                sources.append(f"{name}(v)")
-        source = (sources[0] if len(sources) == 1
-                  else f"zip({', '.join(sources)})")
-        return (f"{target} = [{spec.expr} for {', '.join(spec.inputs)}"
-                f" in {source}]")
+        args = [start, start + len(cells)]
+        if kind == "MUX2":
+            step, pins = _select_step(), 2
+            args.append(self.slot[_select(cells[0])])
+        else:
+            step, pins = _kind_step(kind), len(CELL_KINDS[kind].inputs)
+        args += [_getter([self.slot[c.nets[i]] for c in cells])
+                 for i in range(pins)]
+        return step, tuple(args)
+
+    def evaluate(self, v, m):
+        """One pass of the combinational cells over values ``v`` with
+        lane mask ``m``."""
+        for step, args in self.steps:
+            step(v, m, *args)
+
+
+def _select(cell):
+    """A MUX2's select net."""
+    return cell.nets[2]
+
+
+def _function(source):
+    """The function ``f`` that ``source`` defines."""
+    namespace = {}
+    exec(compile(source, "<kecscope.sim step>", "exec"), namespace)
+    return namespace["f"]
+
+
+@cache
+def _kind_step(kind):
+    """The step function of a group of ``kind`` cells, built once per
+    process from the kind's ``CELL_KINDS`` expression and pin names:
+    ``f(v, m, s, e, *gathers)`` writes the group's outputs to ``v[s:e]``,
+    from one gather per input pin."""
+    spec = CELL_KINDS[kind]
+    gathers = [f"_g{i}" for i in range(len(spec.inputs))]
+    if not gathers:
+        values = f"[{spec.expr}] * (_e - _s)"
+    else:
+        reads = [f"{g}(v)" for g in gathers]
+        source = reads[0] if len(reads) == 1 else f"zip({', '.join(reads)})"
+        values = f"[{spec.expr} for {', '.join(spec.inputs)} in {source}]"
+    # every parameter but v and m starts with _, so that no pin name (a
+    # MUX2's s among them) shadows one
+    params = ", ".join(["v", "m", "_s", "_e", *gathers])
+    return _function(f"def f({params}):\n    v[_s:_e] = {values}\n")
+
+
+@cache
+def _select_step():
+    """The step function of a group of MUX2 cells that share one select,
+    built once per process: ``f(v, m, s, e, sel, ga, gb)`` reads the
+    select's slot ``sel`` once. At 0 it writes the a gather to
+    ``v[s:e]`` whole, at the full mask ``m`` the b gather, and at any
+    other value it evaluates the ``CELL_KINDS`` expression per cell with
+    the select bound once."""
+    a, b, s = CELL_KINDS["MUX2"].inputs
+    return _function(
+        f"def f(v, m, _s, _e, _sel, _ga, _gb):\n"
+        f"    {s} = v[_sel]\n"
+        f"    if not {s}:\n"
+        f"        v[_s:_e] = _ga(v)\n"
+        f"    elif {s} == m:\n"
+        f"        v[_s:_e] = _gb(v)\n"
+        f"    else:\n"
+        f"        v[_s:_e] = [{CELL_KINDS['MUX2'].expr}"
+        f" for {a}, {b} in zip(_ga(v), _gb(v))]\n")
 
 
 def _getter(slots):
@@ -229,10 +303,11 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     batch > 1 each value is a bit-parallel mask over the batch lanes.
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0. A watch net
-    that does not exist and a negative cycle count raise SimulationError;
-    a combinational loop that no island cell cuts raises the
-    CombinationalCycleError of ``netlist.index`` (the island rule of
-    ``NetlistIndex``), which the plan reads. Every call builds its own plan
+    that does not exist, a negative cycle count and a batch of fewer than
+    one lane raise SimulationError; a combinational loop that no island
+    cell cuts raises the CombinationalCycleError of ``netlist.index`` (the
+    island rule of ``NetlistIndex``), which the plan reads. Every call
+    builds its own plan
     once, before the first cycle (``SimTrace`` says what the trace
     records). ``check`` changes nothing but the order of work: it raises
     the error :func:`validate` returns, the plan's own, before the plan is
@@ -241,6 +316,8 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
+    if batch < 1:
+        raise SimulationError(f"batch must be at least 1 lane, got {batch}")
     if len(stimulus) < cycles:
         raise StimulusError(
             f"stimulus covers {len(stimulus)} cycles, need {cycles}")
@@ -277,11 +354,16 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
         trace.island_raw.append(None if plan.island is None
                                 else plan.island(v))
         q_state = plan.d(v)
-        if plan.rst:
-            # every value lies within the mask, so ^ mask is NOT
+        if plan.resets:
             q_state = list(q_state)
-            for i, slot in plan.rst:
-                q_state[i] &= v[slot] ^ mask
+            for slot, span, zeros in plan.resets:
+                reset = v[slot]
+                if reset == mask:
+                    q_state[span] = zeros
+                elif reset:
+                    # every value lies within the mask, so ^ mask is NOT
+                    keep = reset ^ mask
+                    q_state[span] = [q & keep for q in q_state[span]]
     return trace
 
 

@@ -1,3 +1,4 @@
+import builtins
 import random
 from collections import Counter
 from dataclasses import replace
@@ -352,6 +353,16 @@ def test_unknown_watch_net_rejected_before_first_cycle():
         simulate(n, [{}], 1, watch=["nope"])
 
 
+@pytest.mark.parametrize("batch", [0, -1])
+def test_batch_below_one_lane_rejected(batch):
+    # no lanes would read every value as 0, and a negative width would
+    # fail in the lane mask's shift
+    n = parse_netlist(TOGGLE)
+    with pytest.raises(SimulationError,
+                       match=f"batch must be at least 1 lane, got {batch}"):
+        simulate(n, _stim(n, 1), 1, batch=batch)
+
+
 def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
     """Test-only definition of ``simulate``: each cell of the index's
     levels, in order, evaluated on its own by ``eval`` of its CELL_KINDS
@@ -629,6 +640,34 @@ def test_shared_selects_and_resets_match_reference(batch):
     kwargs = dict(watch=netlist.all_nets(), init=init, batch=batch)
     assert (simulate(netlist, stim, len(stim), **kwargs)
             == _reference(netlist, stim, len(stim), **kwargs))
+
+
+def test_a_warm_simulator_compiles_nothing(monkeypatch):
+    # a run of one cell of every combinational kind builds every step
+    # function; a run of another netlist then neither compiles nor
+    # executes source
+    ports = [f"p{j}" for j in range(6)]
+    every_kind = Netlist("k", ports=[Port(p, "in") for p in ports]
+                         + [Port(f"y_{k}", "out") for k in COMB_KINDS],
+                         cells=[Cell(k, f"u_{k}", {
+                             **dict(zip(CELL_KINDS[k].inputs, ports)),
+                             "y": f"y_{k}"}) for k in COMB_KINDS])
+    simulate(every_kind, [dict.fromkeys(ports, 1)], 1)
+    netlist = parse_netlist(SHARED_CONTROLS)
+    rng = random.Random(3)
+    stim = [{p: rng.getrandbits(5) for p in netlist.input_ports()}
+            for _ in range(8)]
+    want = _reference(netlist, stim, 8, watch=netlist.all_nets(), batch=5)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate compiled or executed source")
+
+    # undone before the test's outcome is reported, which compiles
+    with monkeypatch.context() as patch:
+        patch.setattr(builtins, "compile", refuse)
+        patch.setattr(builtins, "exec", refuse)
+        trace = simulate(netlist, stim, 8, watch=netlist.all_nets(), batch=5)
+    assert trace == want
 
 
 # The structural stealth verdict (extends) against the simulated one
