@@ -257,13 +257,13 @@ def _select_step():
     the select bound once."""
     a, b, s = CELL_KINDS["MUX2"].inputs
     return _function(
-        f"def f(v, m, _s, _e, _sel, _ga, _gb):\n"
+        "def f(v, m, _s, _e, _sel, _ga, _gb):\n"
         f"    {s} = v[_sel]\n"
         f"    if not {s}:\n"
-        f"        v[_s:_e] = _ga(v)\n"
+        "        v[_s:_e] = _ga(v)\n"
         f"    elif {s} == m:\n"
-        f"        v[_s:_e] = _gb(v)\n"
-        f"    else:\n"
+        "        v[_s:_e] = _gb(v)\n"
+        "    else:\n"
         f"        v[_s:_e] = [{CELL_KINDS['MUX2'].expr}"
         f" for {a}, {b} in zip(_ga(v), _gb(v))]\n")
 
