@@ -166,12 +166,48 @@ def test_stimulus_carry_forward():
                       "cell BUF b1 a=a y=y\nendmodule\n")
     tr = simulate(n, [{"a": 1}, {}, {"a": 0}, {}], 4)
     assert [o["y"] for o in tr.outputs] == [1, 1, 0, 0]
+    # at batch > 1 an omitted port keeps its value masked to the lanes
+    tr = simulate(n, [{"a": 0b110101}, {}, {"a": 0b10}, {}], 4, batch=4)
+    assert [o["y"] for o in tr.outputs] == [0b0101, 0b0101, 0b10, 0b10]
+
+
+# input ports c, a, b: port order is neither name nor stimulus order
+THREE_INPUTS = """\
+module m
+input c
+input a
+input b
+output y
+cell AND2 g a=a b=b y=y
+endmodule
+"""
 
 
 def test_unknown_port_rejected():
     n = parse_netlist(TOGGLE)
     with pytest.raises(StimulusError):
         simulate(n, [{"clk": 0, "bogus": 1}], 1)
+    n = parse_netlist(THREE_INPUTS)
+    full = {"a": 1, "b": 1, "c": 1}
+    cases = [
+        # at cycle 0 an unknown port is reported before a missing one
+        ([{"bogus": 1}], 1, "cycle 0: unknown input port 'bogus'"),
+        ([{"a": 1, "y": 1}], 1, "cycle 0: unknown input port 'y'"),
+        # a missing port is the first input port, in port order, left out
+        ([{"b": 1}], 1, "cycle 0: stimulus missing input port 'c'"),
+        ([{"b": 1, "c": 1}], 1, "cycle 0: stimulus missing input port 'a'"),
+        ([{"c": 1, "a": 1}], 1, "cycle 0: stimulus missing input port 'b'"),
+        # an unknown port after cycle 0 raises at its own cycle
+        ([full, {}, {"a": 0}, {"a": 1, "bogus": 0}], 4,
+         "cycle 3: unknown input port 'bogus'"),
+    ]
+    for stimulus, cycles, message in cases:
+        with pytest.raises(StimulusError) as e:
+            simulate(n, stimulus, cycles)
+        assert str(e.value) == message
+    # not before: three cycles never read the fourth
+    stimulus = [full, {}, {"a": 0}, {"bogus": 0}]
+    assert [o["y"] for o in simulate(n, stimulus, 3).outputs] == [1, 1, 0]
 
 
 def test_synchronous_reset():
