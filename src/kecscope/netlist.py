@@ -69,11 +69,10 @@ class CellKind(NamedTuple):
 # (active high, clears to 0).
 # Every input value lies within the lane mask m (no bit set outside the
 # lanes), and every expression keeps its value there. So x ^ m is the
-# lane-wise NOT of x, and no expression needs ~ or a final & m. A MUX2
-# select that is 0 or m is the same in every lane, so the cell picks one
-# input whole; that is every select at batch 1. The simulator reads a
-# select once for all the MUX2s of a level that share it, and at 0 or m
-# passes their a or b inputs through whole without this expression.
+# lane-wise NOT of x, and no expression needs ~ or a final & m. The
+# simulator reads a select once for all the MUX2s of a level that share
+# it: at 0 or m (every select at batch 1) it passes their a or b inputs
+# through whole, so it evaluates the MUX2 expression only at mixed lanes.
 CELL_KINDS: dict[str, CellKind] = {
     "INV": CellKind(("a",), "y", "a ^ m"),
     "BUF": CellKind(("a",), "y", "a"),
@@ -84,8 +83,7 @@ CELL_KINDS: dict[str, CellKind] = {
     "NAND2": CellKind(("a", "b"), "y", "a & b ^ m"),
     "NOR2": CellKind(("a", "b"), "y", "(a | b) ^ m"),
     # y = s ? b : a
-    "MUX2": CellKind(("a", "b", "s"), "y",
-                     "a if not s else b if s == m else a ^ (a ^ b) & s"),
+    "MUX2": CellKind(("a", "b", "s"), "y", "a ^ (a ^ b) & s"),
     # sel = s1s0: the MUX2 of s0 over (a, b) and over (c, d), then of s1
     "MUX4": CellKind(("a", "b", "c", "d", "s0", "s1"), "y",
                      "a ^ (a ^ b) & s0 ^ (a ^ c ^ (a ^ b ^ c ^ d) & s0) & s1"),
@@ -181,16 +179,14 @@ class Netlist:
     declared twice (ports and nets together), no cell name is used twice,
     every net of a cell is declared, and every net is driven exactly
     once: by an input port or by one cell's output, ``nets[-1]``.
-    ``driver`` maps each net a cell drives to that cell; ``index`` is its
-    :class:`NetlistIndex`, built on first use, which raises
-    CombinationalCycleError for a cyclic netlist."""
+    ``index`` is its :class:`NetlistIndex`, built on first use, which
+    raises CombinationalCycleError for a cyclic netlist."""
 
     name: str
     ports: tuple[Port, ...] = ()
     nets: tuple[str, ...] = ()   # internal nets only
     cells: tuple[Cell, ...] = ()
     attributes: Mapping[str, str] = field(default_factory=dict)
-    driver: dict[str, Cell] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("ports", "nets", "cells"):
@@ -204,7 +200,7 @@ class Netlist:
                 raise DeclarationError(f"net {net!r} declared twice", net=net)
             declared.add(net)
         names: set[str] = set()
-        driver: dict[str, Cell] = {}
+        driven: set[str] = set()
         for c in self.cells:
             if c.name in names:
                 raise DeclarationError(f"cell {c.name!r} declared twice",
@@ -215,16 +211,15 @@ class Netlist:
                 raise DeclarationError(
                     f"cell {c.name!r} uses undeclared net {net!r}",
                     net=net, cell=c.name)
-            driver[c.nets[-1]] = c
+            driven.add(c.nets[-1])
         # every driven net is declared, so each net has one driver iff no
         # two cells drive one net, no cell drives an input port, and the
         # input ports and the cells are as many as the declared nets
         inputs = self.input_ports()
-        if not (len(driver) == len(self.cells)
-                and len(driver) + len(inputs) == len(declared)
-                and driver.keys().isdisjoint(inputs)):
+        if not (len(driven) == len(self.cells)
+                and len(driven) + len(inputs) == len(declared)
+                and driven.isdisjoint(inputs)):
             raise self._driver_fault()
-        object.__setattr__(self, "driver", driver)
 
     def _driver_fault(self):
         """The DeclarationError of the first declared net not driven

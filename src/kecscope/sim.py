@@ -22,8 +22,10 @@ group's outputs, contiguous per group, then the flip-flop outputs,
 contiguous and ordered by reset net, then every other net. So a step
 reads the group's inputs with one ``operator.itemgetter`` per input pin
 and writes its outputs as one slice. A cycle loads the flip-flop state as
-one slice and the inputs into their slots, runs the steps, and reads the
-flip-flop inputs, the outputs and the watched nets with one getter each.
+one slice and the inputs its stimulus names into their slots, runs the
+steps, and reads the flip-flop inputs, the outputs and the watched nets
+with one getter each. No step writes an input slot, so an input the
+stimulus leaves out keeps its last value there.
 Each reset net is then read once: at 0 it leaves its flip-flops' next
 state alone, at ``m`` it clears their slice, and at mixed lanes it masks
 each one. The plan is a fixed cost per call, before the first cycle; no
@@ -122,23 +124,25 @@ def write_stimulus(vectors) -> str:
 
 class _Compiled:
     """Evaluation plan for one netlist, as the module docstring describes:
-    value slots, the steps that :meth:`evaluate` runs in order, the slice
-    of the flip-flop outputs (``q``), the reset groups, the input port
-    slots, and getters that each return a tuple: of the flip-flop d
-    inputs, the output ports, the watched nets and the island's control
-    nets. Slots run group outputs first, then flip-flop outputs, then the
-    nets left: input ports and island outputs. The flip-flops are grouped
-    by reset net, each group in ``Netlist.flip_flops`` order and the
-    groups in the order of their first flip-flops there, so the
-    flip-flops of one reset net take one slice of the state;
-    ``ff_names`` gives the order. So a cycle loads the state as one slice
-    and reads each getter once. Pins are read by position in
-    ``Cell.nets``: a flip-flop's d, clk, rst if bound, then q, and a
-    group's gathers one input position at a time. No net or cell name
-    reaches generated source, and no step is compiled here: each is a
-    step function of :func:`_kind_step` or :func:`_select_step` with its
-    slots and gathers. Every pin is on a declared net driven once, which
-    the netlist checked when it was made, so every pin has one slot."""
+    the size of the values list, the steps that :meth:`evaluate` runs in
+    order, the slice of the flip-flop outputs (``q``), the reset groups,
+    the input port slots, and getters that each return a tuple: of the
+    flip-flop d inputs, the output ports, the watched nets and the
+    island's control nets. Slots run group outputs first, then flip-flop
+    outputs, then the nets left: input ports and island outputs. The
+    flip-flops are grouped by reset net, each group in
+    ``Netlist.flip_flops`` order and the groups in the order of their
+    first flip-flops there, so the flip-flops of one reset net take one
+    slice of the state; ``ff_names`` gives the order. So a cycle loads
+    the state as one slice and reads each getter once. Pins are read by
+    position in ``Cell.nets``: a flip-flop's d, clk, rst if bound, then
+    q, and a group's gathers one input position at a time. No net or
+    cell name reaches generated source, and no step is compiled here:
+    each is a step function of :func:`_kind_step` or :func:`_select_step`
+    with its slots and gathers. Every pin is on a declared net driven
+    once, which the netlist checked when it was made, so every pin has
+    one slot. The net -> slot map is local to the build: the plan keeps
+    only the slots its getters and steps hold."""
 
     def __init__(self, netlist: Netlist, watch):
         index = netlist.index
@@ -163,11 +167,12 @@ class _Compiled:
         outputs = [c.nets[-1] for group in groups for c in group]
         self.q = slice(len(outputs), len(outputs) + len(ffs))
         outputs += [c.nets[-1] for c in ffs]
-        self.slot = dict(zip(outputs, count()))
-        self.slot.update(zip([n for n in netlist.all_nets()
-                              if n not in self.slot], count(len(outputs))))
+        slot = dict(zip(outputs, count()))
+        slot.update(zip([n for n in netlist.all_nets() if n not in slot],
+                        count(len(outputs))))
+        self.size = len(slot)
         self.ff_names = [c.name for c in ffs]
-        self.d = _getter([self.slot[c.nets[0]] for c in ffs])
+        self.d = _getter([slot[c.nets[0]] for c in ffs])
         # (slot of a reset net, its flip-flops' slice of the state, as
         # many zeros)
         self.resets = []
@@ -175,44 +180,44 @@ class _Compiled:
         for net, group in by_reset.items():
             if net is not None:
                 span = slice(start, start + len(group))
-                self.resets.append((self.slot[net], span, [0] * len(group)))
+                self.resets.append((slot[net], span, [0] * len(group)))
             start += len(group)
-        self.pis = {p: self.slot[p] for p in netlist.input_ports()}
+        self.pis = {p: slot[p] for p in netlist.input_ports()}
         self.po_names = netlist.output_ports()
-        self.po = _getter([self.slot[p] for p in self.po_names])
+        self.po = _getter([slot[p] for p in self.po_names])
         self.watch_names = list(watch)
         for net in self.watch_names:
-            if net not in self.slot:
+            if net not in slot:
                 raise SimulationError(f"watch names unknown net {net!r}")
-        self.watch = _getter([self.slot[n] for n in self.watch_names])
+        self.watch = _getter([slot[n] for n in self.watch_names])
         controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else itemgetter(
-            *(self.slot[n] for n in controls))
-        self.steps = [self._step(group) for group in groups]
-
-    def _step(self, cells):
-        """(step function, its arguments after ``v, m``) for one group of
-        same-kind cells whose outputs hold slots s to e - 1: s, e, then
-        for a MUX2 group the slot of the select its cells share and the
-        gathers of a and b, else one gather per input pin. A gather
-        returns the group's values of one input pin as a tuple."""
-        kind = cells[0].kind
-        start = self.slot[cells[0].nets[-1]]
-        args = [start, start + len(cells)]
-        if kind == "MUX2":
-            step, pins = _select_step(), 2
-            args.append(self.slot[_select(cells[0])])
-        else:
-            step, pins = _kind_step(kind), len(CELL_KINDS[kind].inputs)
-        args += [_getter([self.slot[c.nets[i]] for c in cells])
-                 for i in range(pins)]
-        return step, tuple(args)
+            *(slot[n] for n in controls))
+        self.steps = [_step(group, slot) for group in groups]
 
     def evaluate(self, v, m):
         """One pass of the combinational cells over values ``v`` with
         lane mask ``m``."""
         for step, args in self.steps:
             step(v, m, *args)
+
+
+def _step(cells, slot):
+    """(step function, its arguments after ``v, m``) for one group of
+    same-kind cells whose outputs hold slots s to e - 1 of ``slot``: s, e,
+    then for a MUX2 group the slot of the select its cells share and the
+    gathers of a and b, else one gather per input pin. A gather returns
+    the group's values of one input pin as a tuple."""
+    kind = cells[0].kind
+    start = slot[cells[0].nets[-1]]
+    args = [start, start + len(cells)]
+    if kind == "MUX2":
+        step, pins = _select_step(), 2
+        args.append(slot[_select(cells[0])])
+    else:
+        step, pins = _kind_step(kind), len(CELL_KINDS[kind].inputs)
+    args += [_getter([slot[c.nets[i]] for c in cells]) for i in range(pins)]
+    return step, tuple(args)
 
 
 def _select(cell):
@@ -299,20 +304,23 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     """Run ``cycles`` clock cycles.
 
     stimulus: per-cycle dicts of port -> value; cycle 0 must cover every
-    input port, later cycles carry unmentioned ports forward. With
-    batch > 1 each value is a bit-parallel mask over the batch lanes.
+    input port, and a later cycle that leaves a port out keeps its value.
+    With batch > 1 each value is a bit-parallel mask over the batch lanes.
+    A port that is no input port raises StimulusError at the cycle that
+    gives it; at cycle 0 that comes before the check that every input
+    port is given, which names the first one left out, in port order.
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0. A watch net
     that does not exist, a negative cycle count and a batch of fewer than
     one lane raise SimulationError; a combinational loop that no island
     cell cuts raises the CombinationalCycleError of ``netlist.index`` (the
     island rule of ``NetlistIndex``), which the plan reads. Every call
-    builds its own plan
-    once, before the first cycle (``SimTrace`` says what the trace
-    records). ``check`` changes nothing but the order of work: it raises
-    the error :func:`validate` returns, the plan's own, before the plan is
-    built. Nothing in this package passes it; it stays because the
-    benchmark's simulator split passes it to time the check apart.
+    builds its own plan once, before the first cycle (``SimTrace`` says
+    what the trace records). ``check`` changes nothing but the order of
+    work: it raises the error :func:`validate` returns, the plan's own,
+    before the plan is built. Nothing in this package passes it; it stays
+    because the benchmark's simulator split passes it to time the check
+    apart.
     """
     if cycles < 0:
         raise SimulationError(f"cycle count must not be negative, got {cycles}")
@@ -335,19 +343,20 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
                 raise SimulationError(f"init names unknown flip-flop {ff!r}")
             q_state[ff_pos[ff]] = val & mask
 
-    v = [0] * len(plan.slot)
+    v = [0] * plan.size
     trace = SimTrace(batch, [], [], [])
-    carried: dict[str, int] = {}
+    pis = plan.pis
     for cycle in range(cycles):
         v[plan.q] = q_state
+        # no step writes an input slot, so a port holds its value there
+        # until the stimulus names it again
         for port, bits in stimulus[cycle].items():
-            if port not in plan.pis:
+            if port not in pis:
                 raise StimulusError(f"cycle {cycle}: unknown input port {port!r}")
-            carried[port] = bits & mask
-        for port, slot in plan.pis.items():
-            if port not in carried:
-                raise StimulusError(f"cycle 0: stimulus missing input port {port!r}")
-            v[slot] = carried[port]
+            v[pis[port]] = bits & mask
+        if not cycle and (missing := [p for p in pis if p not in stimulus[0]]):
+            raise StimulusError(
+                f"cycle 0: stimulus missing input port {missing[0]!r}")
         plan.evaluate(v, mask)
         trace.outputs.append(dict(zip(plan.po_names, plan.po(v))))
         trace.watches.append(dict(zip(plan.watch_names, plan.watch(v))))
@@ -394,12 +403,12 @@ def extends(netlist: Netlist, baseline: Netlist) -> bool:
     designs in every cycle of every stimulus, as long as the flip-flops
     they share start alike (as they do without ``init``). That verdict is
     stronger than the one :func:`equivalence_check` gives on one
-    stimulus, and it reads ``netlist.driver`` alone, with no index, plan
-    or run of either design.
+    stimulus, and it needs only a map of the cells of ``netlist`` by
+    output net, built here, with no index, plan or run of either design.
     """
     if set(netlist.ports) != set(baseline.ports):
         return False
-    driver = netlist.driver
+    driver = {c.nets[-1]: c for c in netlist.cells}
     return all(c == driver.get(c.nets[-1]) for c in baseline.cells)
 
 

@@ -712,6 +712,7 @@ def _check_order_and_levels(n):
     cell is driven by a lower level or by no ordered cell, and each cell
     at L >= 1 reads a level-(L - 1) cell. Returns the index."""
     index = index_netlist(n)
+    driver = {c.nets[-1]: c for c in n.cells}
     order = [c for level in index.levels for c in level]
     position = {c.name: i for i, c in enumerate(order)}
     comb = [c for c in n.cells
@@ -720,7 +721,7 @@ def _check_order_and_levels(n):
     assert set(position) == {c.name for c in comb}
     for c in order:
         for net in c.nets[:-1]:
-            d = n.driver.get(net)
+            d = driver.get(net)
             if d is not None and d.name in position:
                 assert position[d.name] < position[c.name]
     depth = {c.name: level for level, cells in enumerate(index.levels)
@@ -728,7 +729,7 @@ def _check_order_and_levels(n):
     for level, cells in enumerate(index.levels):
         for c in cells:
             read = {depth[d.name] for net in c.nets[:-1]
-                    if (d := n.driver.get(net)) is not None
+                    if (d := driver.get(net)) is not None
                     and d.name in depth}
             assert all(r < level for r in read)
             assert level == 0 or level - 1 in read

@@ -816,8 +816,8 @@ def test_an_additive_edit_extends_and_keeps_the_outputs(seed):
 
 
 def test_extends_builds_no_index(monkeypatch):
-    # the verdict reads the netlist's driver map, which it has from being
-    # made; neither design is indexed
+    # the verdict reads a driver map that it builds from the cells alone;
+    # neither design is indexed
     from kecscope import netlist as netlist_module
 
     def no_index(n):
