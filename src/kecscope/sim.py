@@ -345,16 +345,16 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
 
     v = [0] * plan.size
     trace = SimTrace(batch, [], [], [])
-    pis = plan.pis
     for cycle in range(cycles):
         v[plan.q] = q_state
         # no step writes an input slot, so a port holds its value there
         # until the stimulus names it again
         for port, bits in stimulus[cycle].items():
-            if port not in pis:
+            if port not in plan.pis:
                 raise StimulusError(f"cycle {cycle}: unknown input port {port!r}")
-            v[pis[port]] = bits & mask
-        if not cycle and (missing := [p for p in pis if p not in stimulus[0]]):
+            v[plan.pis[port]] = bits & mask
+        if not cycle and (missing := [p for p in plan.pis
+                                      if p not in stimulus[0]]):
             raise StimulusError(
                 f"cycle 0: stimulus missing input port {missing[0]!r}")
         plan.evaluate(v, mask)
