@@ -28,7 +28,8 @@ stage that reads it refuses a cycle with that one error. A cyclic netlist
 still parses, writes and anonymizes, since none of them builds the index.
 A cell holds its nets as one tuple in its kind's ``CELL_KINDS`` pin order,
 which every stage reads by position and the writer emits, so the parser
-takes its lines in one match.
+takes such a line in one match, and a whole text as the writer writes it
+in one scan per line kind.
 """
 
 from __future__ import annotations
@@ -270,7 +271,10 @@ class Netlist:
 # kind and pins in one lookup, and under (kind, pin count), which tells the
 # bound optional pins since no kind has two. By (kind, pin count), _LINES
 # holds the line write_netlist writes (%s for the name and each net) and
-# _LINE_MATCH a fullmatch of exactly those lines that parse_netlist accepts.
+# _LINE_MATCH a fullmatch of exactly those lines, with identifiers for the
+# name and the nets and any tags after the pins, as the writer writes them.
+# A net that is no identifier is never declared, so a line with one is in
+# error whichever way it is read; parse_netlist reads it pin by pin.
 _ORDERS = [(kind, (*spec.inputs, *spec.optional[:bound], spec.output))
            for kind, spec in CELL_KINDS.items()
            for bound in range(len(spec.optional) + 1)]
@@ -278,9 +282,16 @@ _LAYOUTS = {key: order for kind, order in _ORDERS
             for key in [(kind, *order), (kind, len(order))]}
 _LINES = {(k, len(order)): " ".join([f"cell {k} %s", *map("{}=%s".format, order)])
           for k, order in _ORDERS}
-_LINE_MATCH = {key: re.compile(line.replace("%s", f"({IDENTIFIER})", 1)
-                               .replace("%s", r"([^\s=]+)")).fullmatch
+_LINE_MATCH = {key: re.compile(line.replace("%s", f"({IDENTIFIER})")
+                               + r"((?: tag=[^\s=]+)*)").fullmatch
                for key, line in _LINES.items()}
+# The lines of a text as write_netlist writes it, one scan per kind; each
+# starts at the newline before it, so one line is at most one match.
+_MODULE_LINE = re.compile(rf"module ({IDENTIFIER})\n").match
+_PORT_LINES = re.compile(rf"\n(input|output) ({IDENTIFIER})(?=\n)").findall
+_NET_LINES = re.compile(rf"\nnet ({IDENTIFIER})(?=\n)").findall
+_ATTR_LINES = re.compile(r"\nattr (\S+) (\S+)(?=\n)").findall
+_CELL_LINES = re.compile(r"\n(cell [^\n]*)").findall
 
 
 def _pin_order(kind, name, pins):
@@ -366,10 +377,64 @@ def parse_netlist(text: str) -> Netlist:
     a net driven by nothing (its declaration); UnknownCellKindError and
     ArityMismatchError come from :class:`Cell`. A net may be declared
     after a cell uses it. Combinational cycles parse; the index refuses
-    them. A cell line as :func:`write_netlist` writes it, untagged,
-    is one match; any other (tags, another pin order or spacing) is split
-    pin by pin and made by :class:`Cell`, with the same result or error.
+    them. A text exactly as :func:`write_netlist` writes it is read with
+    one scan per line kind over the whole text and one match per cell
+    line; any other (comments, blank lines, CRLF, other spacing or pin
+    order, or a line in error) is read line by line, a cell line in
+    the writer's form still in one match and any other split pin by pin
+    and made by :class:`Cell`, with the same result or error.
     """
+    parts = _written_parts(text) or _line_parts(text)
+    try:
+        return Netlist(*parts)
+    except DeclarationError as e:
+        raise _declaration_line(text, e) from None
+
+
+def _written_cell(line):
+    """The cell of a line exactly as write_netlist writes it, else None."""
+    kind = line[5:line.find(" ", 5)]
+    # each tag is one "=" more, and no pin
+    match = _LINE_MATCH.get((kind, line.count("=") - line.count(" tag=")))
+    if match is None or (m := match(line)) is None:
+        return None
+    found = m.groups()
+    tags = found[-1]
+    return _cell(kind, found[0], found[1:-1],
+                 frozenset(tags[5:].split(" tag=")) if tags else NO_TAGS)
+
+
+def _written_parts(text):
+    """The fields of the netlist of a text in write_netlist's exact form,
+    else None: the module line first, endmodule last, no ``#``, and every
+    line between them a port, net or attr line or a cell line of one
+    match. Each scan keeps its kind's order, the one order a Netlist
+    keeps; every line is one match iff the matches and the two outer
+    lines are as many as the lines."""
+    module = _MODULE_LINE(text)
+    if module is None or "#" in text or not text.endswith("\nendmodule\n"):
+        return None
+    ports = _PORT_LINES(text)
+    nets = _NET_LINES(text)
+    attributes = _ATTR_LINES(text)
+    lines = _CELL_LINES(text)
+    if (len(ports) + len(nets) + len(attributes) + len(lines) + 2
+            != text.count("\n")):
+        return None
+    cells = []
+    for line in lines:
+        cell = _written_cell(line)
+        if cell is None:
+            return None
+        cells.append(cell)
+    return (module[1],
+            [Port(net, "in" if kw == "input" else "out") for kw, net in ports],
+            nets, cells, dict(attributes))
+
+
+def _line_parts(text):
+    """The fields of the netlist of any text, read line by line; raises
+    the error of its first bad line."""
     name = None
     closed = False
     ports: list[Port] = []
@@ -385,11 +450,9 @@ def parse_netlist(text: str) -> Netlist:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line[:5] == "cell " and name is not None and not closed:
-            # fast path: an untagged line as write_netlist writes it
-            kind = line[5:line.find(" ", 5)]
-            match = _LINE_MATCH.get((kind, line.count("=")))
-            if match is not None and (m := match(line)) is not None:
-                cells.append(_cell(kind, m[1], m.groups()[1:], NO_TAGS))
+            # a line as write_netlist writes it
+            if (cell := _written_cell(line)) is not None:
+                cells.append(cell)
                 continue
         if not line:
             continue
@@ -445,10 +508,7 @@ def parse_netlist(text: str) -> Netlist:
         raise NetlistSyntaxError("no module found")
     if not closed:
         raise NetlistSyntaxError("missing endmodule")
-    try:
-        return Netlist(name, ports, nets, cells, attributes)
-    except DeclarationError as e:
-        raise _declaration_line(text, e) from None
+    return name, ports, nets, cells, attributes
 
 
 def _declaration_line(text, error):

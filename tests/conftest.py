@@ -1,8 +1,22 @@
+import warnings
+
 import pytest
 
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.netlist import parse_netlist
+
+# When a hypothesis test fails, hypothesis imports this module to write its
+# failing-example patch, and the libcst it imports may warn with a
+# DeprecationWarning; under -W error that warning would end the session
+# with an INTERNALERROR and hide every later failure. Imported once here,
+# with that warning ignored, it is in sys.modules before any test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching
+    except ImportError:
+        pass
 
 # hand-built 3-flip-flop chain: PI -> INV -> ffa; XOR(ffa, ffb) -> ffc
 CHAIN_3FF = """\

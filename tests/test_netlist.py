@@ -423,7 +423,8 @@ COMB_KINDS = sorted(k for k, spec in CELL_KINDS.items() if spec.expr)
 def _random_netlist(rng):
     """A valid netlist of up to 8 cells, each reading earlier nets or a
     port: DFFs with and without rst, and every combinational kind, now
-    and then tagged as an island."""
+    and then tagged as an island, as a spare, or both. Every net but the
+    first may be an output port instead, and up to two attributes are set."""
     b_nets = [f"n{i}" for i in range(rng.randint(1, 8))]
     cells = []
     driven = []
@@ -438,11 +439,18 @@ def _random_netlist(rng):
         else:
             kind = rng.choice(COMB_KINDS)
             pins = {pin: src() for pin in CELL_KINDS[kind].inputs}
+            tags = [tag for tag, p in [("analog_island", 0.1), ("spare", 0.15)]
+                    if rng.random() < p]
             cells.append(Cell(kind, f"g{i}", {**pins, "y": net},
-                              frozenset(["analog_island"] if rng.random() < 0.1 else [])))
+                              frozenset(tags)))
         driven.append(net)
-    return Netlist("rnd", ports=[Port("clk", "in"), Port("pi", "in")],
-                   nets=b_nets, cells=cells)
+    outputs = [net for net in b_nets[1:] if rng.random() < 0.3]
+    attributes = {f"k{i}": rng.choice(["v", "1", "x_y[0]"])
+                  for i in range(rng.randint(0, 2))}
+    return Netlist("rnd", ports=[Port("clk", "in"), Port("pi", "in"),
+                                 *[Port(net, "out") for net in outputs]],
+                   nets=[net for net in b_nets if net not in outputs],
+                   cells=cells, attributes=attributes)
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -577,6 +585,57 @@ def test_parse_matches_the_reference(seed):
     n = _random_netlist(rng)
     text = _text(n, _cell_lines(n, rng, scramble=True), rng)
     assert parse_netlist(text) == _reference_parse(text) == n
+    # the writer's form: no blank or comment line, every cell as written
+    text = write_netlist(n)
+    assert parse_netlist(text) == _reference_parse(text) == n
+
+
+# characters that may take a text out of the writer's form: the ones that
+# split a line (str.splitlines) or a token (str.split), a comment, a pin's
+# "=" and a character no identifier holds
+EDIT_CHARACTERS = ["\r", "\t", " ", "#", "=", "$", "\x0b", "\x0c", "\x1c",
+                   "\x85", "\u2028"]
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       edit=st.sampled_from([*EDIT_CHARACTERS, None]))
+@settings(max_examples=1000, deadline=None)
+def test_one_character_off_the_writers_form_parses_as_the_reference(seed, edit):
+    # None deletes one character, any other edit inserts it, at random or
+    # at either side of a line break; a "#" inside a net and a line split
+    # by a character other than "\n" are the edits that a scan of whole
+    # lines could read otherwise
+    rng = random.Random(seed)
+    text = write_netlist(_random_netlist(rng))
+    breaks = [i for i, ch in enumerate(text) if ch == "\n"]
+    at = rng.choice([rng.randrange(len(text)),
+                     rng.choice(breaks) + rng.randint(0, 1)])
+    text = text[:at] + (edit or "") + text[at + (edit is None):]
+    assert _outcome(parse_netlist, text) == _outcome(_reference_parse, text)
+
+
+def test_the_writers_form_parses_in_one_scan_per_line_kind(monkeypatch,
+                                                          oracle_w64):
+    # with the line by line reader gone, the writer's text of a generated
+    # design with decoys, of a trojaned one (island tags) and of that one
+    # with attributes and two tags on each island cell still parses
+    def refused(text):
+        raise AssertionError("read line by line")
+
+    netlist, truth = oracle_w64
+    result = RepqcResult(frozenset(truth.all_state_ffs()),
+                         truth.all_input_ffs(), None, "grouped")
+    trojaned, _ = insert_hth(netlist, result, HthSpec(t=16, l=16))
+    assert any(c.tags for c in trojaned.cells)
+    attributed = replace(
+        trojaned, attributes={"design": "keccak", "w": "64"},
+        cells=[Cell(c.kind, c.name, dict(c.pins), c.tags | {"spare"})
+               if c.tags else c for c in trojaned.cells])
+    monkeypatch.setattr(netlist_module, "_line_parts", refused)
+    for n in (netlist, trojaned, attributed):
+        assert parse_netlist(write_netlist(n)) == n
+    with pytest.raises(AssertionError, match="read line by line"):
+        parse_netlist("# a comment\n" + write_netlist(netlist))
 
 
 def _replaced(tok, i, item):
