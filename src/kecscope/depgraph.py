@@ -26,11 +26,11 @@ this module checks for none: every net driven by a non-island
 combinational cell maps to that cell's input nets, the tuple
 ``nets[:-1]``. A flip-flop's cone is then a walk of dict lookups
 from its d net, through the fanin map, stopping at flip-flop q nets
-(sources), at primary inputs and at every other net (island outputs). A
-d net outside the fanin map is such a stop itself, so that trivial cone
-takes its one source without a walk. The walk visits each net once, so
-each source is found once and the id lists need no set. The output-reach
-pass walks the same map back from the primary outputs.
+(sources), at primary inputs and at every other net (island outputs); a
+d net outside the fanin map is such a stop itself, one step of the same
+walk. The walk visits each net once, so each source is found once and
+the id lists need no set. The output-reach pass walks the same map back
+from the primary outputs.
 """
 
 from __future__ import annotations
@@ -90,31 +90,24 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     input_reach: list[bool] = []
     fanin_of, source_of = fanin.get, q_id.get
     for i, c in enumerate(ff_cells):
-        d = c.nets[0]
-        ins = fanin_of(d)
-        if ins is None:   # d is a flip-flop q, a primary input or an island net
-            src = source_of(d)
-            srcs = [] if src is None else [src]
-            reach = d in pis
-        else:
-            srcs = []
-            reach = False
-            seen = {d}
-            stack = list(ins)
-            while stack:
-                net = stack.pop()
-                if net in seen:
-                    continue
-                seen.add(net)
-                ins = fanin_of(net)
-                if ins is not None:
-                    stack += ins
-                    continue
-                src = source_of(net)
-                if src is not None:
-                    srcs.append(src)
-                elif net in pis:
-                    reach = True
+        srcs = []
+        reach = False
+        seen = set()
+        stack = [c.nets[0]]
+        while stack:
+            net = stack.pop()
+            if net in seen:
+                continue
+            seen.add(net)
+            ins = fanin_of(net)
+            if ins is not None:
+                stack += ins
+                continue
+            src = source_of(net)
+            if src is not None:
+                srcs.append(src)
+            elif net in pis:
+                reach = True
         rdeps.append(srcs)
         input_reach.append(reach)
         for s in srcs:

@@ -27,9 +27,10 @@ cycle, so ``netlist.index`` exists only for an acyclic netlist, and every
 stage that reads it refuses a cycle with that one error. A cyclic netlist
 still parses, writes and anonymizes, since none of them builds the index.
 A cell holds its nets as one tuple in its kind's ``CELL_KINDS`` pin order,
-which every stage reads by position and the writer emits, so the parser
-takes such a line in one match, and a whole text as the writer writes it
-in one scan per line kind.
+which every stage reads by position and the writer emits. The parser
+has two paths: a text exactly as the writer writes it takes one scan per
+line kind over the whole text and one match per cell line, and any other
+text is read line by line, each cell line pin by pin.
 """
 
 from __future__ import annotations
@@ -272,9 +273,10 @@ class Netlist:
 # bound optional pins since no kind has two. By (kind, pin count), _LINES
 # holds the line write_netlist writes (%s for the name and each net) and
 # _LINE_MATCH a fullmatch of exactly those lines, with identifiers for the
-# name and the nets and any tags after the pins, as the writer writes them.
-# A net that is no identifier is never declared, so a line with one is in
-# error whichever way it is read; parse_netlist reads it pin by pin.
+# name and the nets and any tags after the pins, as the writer writes them;
+# only the whole-text path of parse_netlist reads it. A net that is no
+# identifier is never declared, so a text with one is in error, and the
+# line loop reports it at its line.
 _ORDERS = [(kind, (*spec.inputs, *spec.optional[:bound], spec.output))
            for kind, spec in CELL_KINDS.items()
            for bound in range(len(spec.optional) + 1)]
@@ -380,28 +382,14 @@ def parse_netlist(text: str) -> Netlist:
     them. A text exactly as :func:`write_netlist` writes it is read with
     one scan per line kind over the whole text and one match per cell
     line; any other (comments, blank lines, CRLF, other spacing or pin
-    order, or a line in error) is read line by line, a cell line in
-    the writer's form still in one match and any other split pin by pin
-    and made by :class:`Cell`, with the same result or error.
+    order, or a line in error) is read line by line, each cell line split
+    pin by pin and made by :class:`Cell`, with the same result or error.
     """
     parts = _written_parts(text) or _line_parts(text)
     try:
         return Netlist(*parts)
     except DeclarationError as e:
         raise _declaration_line(text, e) from None
-
-
-def _written_cell(line):
-    """The cell of a line exactly as write_netlist writes it, else None."""
-    kind = line[5:line.find(" ", 5)]
-    # each tag is one "=" more, and no pin
-    match = _LINE_MATCH.get((kind, line.count("=") - line.count(" tag=")))
-    if match is None or (m := match(line)) is None:
-        return None
-    found = m.groups()
-    tags = found[-1]
-    return _cell(kind, found[0], found[1:-1],
-                 frozenset(tags[5:].split(" tag=")) if tags else NO_TAGS)
 
 
 def _written_parts(text):
@@ -423,18 +411,24 @@ def _written_parts(text):
         return None
     cells = []
     for line in lines:
-        cell = _written_cell(line)
-        if cell is None:
+        kind = line[5:line.find(" ", 5)]
+        # each tag is one "=" more, and no pin
+        match = _LINE_MATCH.get((kind, line.count("=") - line.count(" tag=")))
+        if match is None or (m := match(line)) is None:
             return None
-        cells.append(cell)
+        found = m.groups()
+        tags = found[-1]
+        cells.append(_cell(kind, found[0], found[1:-1],
+                           frozenset(tags[5:].split(" tag=")) if tags
+                           else NO_TAGS))
     return (module[1],
             [Port(net, "in" if kw == "input" else "out") for kw, net in ports],
             nets, cells, dict(attributes))
 
 
 def _line_parts(text):
-    """The fields of the netlist of any text, read line by line; raises
-    the error of its first bad line."""
+    """The fields of the netlist of any text, read line by line, each
+    cell line pin by pin; raises the error of its first bad line."""
     name = None
     closed = False
     ports: list[Port] = []
@@ -449,11 +443,6 @@ def _line_parts(text):
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if line[:5] == "cell " and name is not None and not closed:
-            # a line as write_netlist writes it
-            if (cell := _written_cell(line)) is not None:
-                cells.append(cell)
-                continue
         if not line:
             continue
         tok = line.split()

@@ -3,7 +3,10 @@
 Net values are Python ints used as bit-parallel vectors, so one pass can
 simulate many independent stimuli at once (``batch`` lanes per net). All
 flip-flops start at 0 unless overridden through ``init`` or cleared by
-their synchronous active-high rst pin.
+their synchronous active-high rst pin. No clock value is read: every
+flip-flop captures every cycle, so each one's clk net must be a primary
+input, and a flip-flop clocked by any other net (a gated clock, say)
+raises SimulationError, naming it and the net, before the first cycle.
 
 Each ``simulate`` call first builds a plan from the levels of
 ``netlist.index`` (levelized compiled-code simulation, as in
@@ -156,8 +159,15 @@ class _Compiled:
                     groups += [list(run) for _, run in groupby(cells, _select)]
                 else:
                     groups.append(list(cells))
+        # no clock value is read: every flip-flop captures every cycle,
+        # which holds only for one clocked straight from an input port
+        inputs = set(netlist.input_ports())
         by_reset: dict[str | None, list] = {}
         for c in netlist.flip_flops():
+            if c.nets[1] not in inputs:
+                raise SimulationError(
+                    f"flip-flop {c.name!r} is clocked by net {c.nets[1]!r},"
+                    " which is no primary input")
             by_reset.setdefault(c.nets[2] if len(c.nets) == 4 else None,
                                 []).append(c)
         ffs = [c for group in by_reset.values() for c in group]
@@ -311,9 +321,10 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     port is given, which names the first one left out, in port order.
     init presets flip-flop outputs (ff id -> value) before the first cycle.
     Island cells are not evaluated and their outputs read 0. A watch net
-    that does not exist, a negative cycle count and a batch of fewer than
-    one lane raise SimulationError; a combinational loop that no island
-    cell cuts raises the CombinationalCycleError of ``netlist.index`` (the
+    that does not exist, a negative cycle count, a batch of fewer than
+    one lane and a flip-flop whose clk net is no input port raise
+    SimulationError; a combinational loop that no island cell cuts
+    raises the CombinationalCycleError of ``netlist.index`` (the
     island rule of ``NetlistIndex``), which the plan reads. Every call
     builds its own plan once, before the first cycle (``SimTrace`` says
     what the trace records). ``check`` changes nothing but the order of
@@ -377,10 +388,9 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
 
 
 def check_ports(n1: Netlist, n2: Netlist) -> None:
-    """Raise PortMismatchError unless both designs expose the same input
-    and output ports."""
-    if (set(p.name for p in n1.ports) != set(p.name for p in n2.ports)
-            or set(n1.input_ports()) != set(n2.input_ports())):
+    """Raise PortMismatchError unless both designs expose the same ports
+    (name and direction), the comparison :func:`extends` makes."""
+    if set(n1.ports) != set(n2.ports):
         raise PortMismatchError("designs expose different primary ports")
 
 

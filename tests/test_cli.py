@@ -350,6 +350,10 @@ def test_reports_reproducible(workdir, tmp_path):
 
 
 NO_FFS = "module m\ninput a\noutput b\ncell INV i1 a=a y=b\nendmodule\n"
+# a flip-flop clocked through an AND2 gate, which the simulator refuses
+GATED = ("module g\ninput clk\ninput en\noutput q\nnet gclk\nnet nq\n"
+         "cell AND2 g1 a=clk b=en y=gclk\ncell DFF f1 d=nq clk=gclk q=q\n"
+         "cell INV i1 a=q y=nq\nendmodule\n")
 
 # netlist file -> (text, what its exit 4 prints on stderr)
 INVALID_NETLISTS = {
@@ -433,6 +437,8 @@ INVALID_NETLISTS = {
      2),
     (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/no_equals.stim"],
      2),
+    (["simulate", "--netlist", "{d}/gated.nl", "--stimulus", "{d}/gated.stim"],
+     2),
     # the netlist is refused before the result is read
     (["inject", "--netlist", "{d}/cycle.nl", "--result", "{d}/no_inputs.json",
       "--trigger-hex", "0"], 4),
@@ -451,10 +457,13 @@ INVALID_NETLISTS = {
         "syntax-error", "net-driven-twice", "undriven-net",
         "combinational-cycle", "gen-without-seed", "cycles-beyond-stimulus",
         "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
-        "stimulus-item-without-equals", "inject-combinational-cycle",
+        "stimulus-item-without-equals", "simulate-gated-clock",
+        "inject-combinational-cycle",
         "simulate-combinational-cycle"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
+    (tmp_path / "gated.nl").write_text(GATED)
+    (tmp_path / "gated.stim").write_text("clk=0 en=1\n")
     netlist, _ = oracle_w8
     (tmp_path / "w8.nl").write_text(write_netlist(netlist))
     quiet = {p: 0 for p in netlist.input_ports()}

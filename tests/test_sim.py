@@ -28,6 +28,20 @@ cell INV i1 a=q y=nq
 endmodule
 """
 
+# the flip-flop of TOGGLE, clocked through an AND2 of clk and an enable
+GATED = """\
+module g
+input clk
+input en
+output q
+net gclk
+net nq
+cell AND2 g1 a=clk b=en y=gclk
+cell DFF f1 d=nq clk=gclk q=q
+cell INV i1 a=q y=nq
+endmodule
+"""
+
 RO_ISLAND = """\
 module ro
 input clk
@@ -318,6 +332,62 @@ def test_equivalence_port_mismatch():
                        .replace("clk=clk", "clk=clock"))
     with pytest.raises(PortMismatchError):
         equivalence_check(n1, n2, _stim(n1, 2), 2)
+    # the same port names, but b is an input of one and an output of the
+    # other
+    n1 = parse_netlist("module m\ninput a\ninput b\noutput y\n"
+                       "cell AND2 g a=a b=b y=y\nendmodule\n")
+    n2 = parse_netlist("module m\ninput a\noutput b\noutput y\n"
+                       "cell INV h a=a y=b\ncell AND2 g a=a b=b y=y\n"
+                       "endmodule\n")
+    assert {p.name for p in n1.ports} == {p.name for p in n2.ports}
+    with pytest.raises(PortMismatchError):
+        equivalence_check(n1, n2, _stim(n1, 2), 2)
+
+
+def test_a_gated_clock_is_refused_before_the_first_cycle():
+    # no clock value is read and every flip-flop captures every cycle, so
+    # a flip-flop clocked through an enable gate would hold in silicon
+    # where the trace toggles; the plan refuses it, before cycle 0 reads
+    # its stimulus
+    n = parse_netlist(GATED)
+    message = ("flip-flop 'f1' is clocked by net 'gclk', which is no "
+               "primary input")
+    for stimulus, cycles in [(_stim(n, 3), 3), ([], 0), ([{"nope": 1}], 1)]:
+        with pytest.raises(SimulationError) as caught:
+            simulate(n, stimulus, cycles)
+        assert str(caught.value) == message
+
+
+def test_a_clock_gated_generated_design_is_refused(oracle_w8):
+    # clock gating as synthesis applies it: a flip-flop whose d is a hold
+    # MUX2 (a is its own q) reads the mux's b instead and is clocked by
+    # AND2(clk, select), one gate per (clk, select); the design holds
+    # where the mux held, and the simulator, which reads no clock, must
+    # refuse it rather than toggle
+    netlist, _ = oracle_w8
+    driver = {c.nets[-1]: c for c in netlist.cells}
+    gates: dict[tuple[str, str], str] = {}
+    cells = []
+    for c in netlist.cells:
+        mux = driver.get(c.nets[0]) if c.kind == "DFF" else None
+        if mux is not None and mux.kind == "MUX2" and mux.nets[0] == c.nets[-1]:
+            key = (c.nets[1], mux.nets[2])
+            if key not in gates:
+                gates[key] = f"gclk{len(gates)}"
+                cells.append(Cell("AND2", f"cg{len(gates)}",
+                                  {"a": key[0], "b": key[1], "y": gates[key]}))
+            c = Cell("DFF", c.name, {**c.pins, "d": mux.nets[1],
+                                     "clk": gates[key]})
+        cells.append(c)
+    gated = replace(netlist, nets=[*netlist.nets, *gates.values()],
+                    cells=cells)
+    assert gates
+    gated_ffs = {c.name for c in gated.flip_flops()
+                 if c.nets[1] in gates.values()}
+    with pytest.raises(SimulationError, match="is clocked by net 'gclk") as e:
+        simulate(gated, _stim(gated, 2), 2)
+    assert str(e.value).split("'")[1] in gated_ffs
+    simulate(netlist, _stim(netlist, 2), 2)
 
 
 def test_stimulus_file_round_trip():
