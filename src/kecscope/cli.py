@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib
 import json
 import math
 import sys
@@ -19,20 +20,32 @@ import time
 from functools import cache
 from pathlib import Path
 
-from . import depgraph, grouping, scoring, sim
-from .generator import GenConfig, GroundTruth, generate_accelerator, id_list
+from . import sim
 from .keccak import LANE_WIDTHS
-from .locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
-                     SearchBounds, run_pipeline)
-from .netlist import (CombinationalCycleError, NetlistError, anonymize,
-                      parse_netlist, write_netlist)
-from .trojan import (ALLOWED_L, HthSpec, InsertionError, insert_hth,
-                     overhead_report, reconstruct_secret)
+from .netlist import anonymize, parse_netlist, write_netlist
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_FOUND = 3
 EXIT_INVALID = 4
+
+# The entry points that live outside netlist, by the module that holds
+# each. A command imports the rest of what it runs inside its function, so
+# it compiles only the modules it uses; these four are loaded on first use
+# by the module __getattr__ below (PEP 562) and stay attributes of this
+# module. Commands call them through _cli, so a wrapper set on the module
+# (a tracer, a test) is the one called.
+_ENTRY_POINTS = {"generate_accelerator": "generator", "run_pipeline": "locate",
+                 "insert_hth": "trojan", "overhead_report": "trojan"}
+_cli = sys.modules[__name__]
+
+
+def __getattr__(name):
+    if name not in _ENTRY_POINTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_ENTRY_POINTS[name]}", __package__)
+    globals()[name] = getattr(module, name)
+    return globals()[name]
 
 
 def _outdir(args):
@@ -91,11 +104,13 @@ def _bounds_to_json(b):
 
 
 def cmd_gen(args):
+    from .generator import GenConfig
+
     if args.seed is None:
         raise ValueError("gen needs --seed (or a seed in --config)")
     cfg = GenConfig(w=args.w, instances=args.instances, shares=args.shares,
                     decoy_ffs=args.decoys, seed=args.seed, loader=args.loader)
-    netlist, truth = generate_accelerator(cfg)
+    netlist, truth = _cli.generate_accelerator(cfg)
     if args.anonymize_seed is not None:
         netlist, rename = anonymize(netlist, args.anonymize_seed)
         truth = truth.remap(rename)
@@ -110,6 +125,10 @@ def cmd_gen(args):
 
 
 def cmd_analyze(args):
+    from . import depgraph, grouping, scoring
+    from .locate import KeccakNotPresentError, PipelineConfig, SearchBounds
+    from .truth import GroundTruth
+
     netlist = _load_netlist(args.netlist)
     truth = None
     if args.sidecar:
@@ -124,7 +143,7 @@ def cmd_analyze(args):
     config = PipelineConfig(lane_width=args.lane_width, instances=args.instances,
                             shares=args.shares, bounds_override=override)
     t0 = time.perf_counter()
-    result, stage_ms = run_pipeline(netlist, config)
+    result, stage_ms = _cli.run_pipeline(netlist, config)
     total_ms = (time.perf_counter() - t0) * 1e3
 
     report = {
@@ -168,6 +187,10 @@ def cmd_analyze(args):
 
 
 def cmd_inject(args):
+    from .locate import KeccakNotPresentError, PipelineConfig, RepqcResult
+    from .trojan import HthSpec
+    from .truth import id_list
+
     netlist = _load_netlist(args.netlist)
     spec = HthSpec(t=args.t, l=args.l, trigger=int(args.trigger_hex, 16),
                    capture_delay=args.capture_delay, k_offset=args.k_offset)
@@ -181,13 +204,15 @@ def cmd_inject(args):
                 rep.get("expected_state_count"))
         result = _read(args.result, "result", from_report)
     else:
-        result, _ = run_pipeline(netlist, PipelineConfig(
+        result, _ = _cli.run_pipeline(netlist, PipelineConfig(
             lane_width=args.lane_width, instances=args.instances,
             shares=args.shares))
     if not result.found():
         raise KeccakNotPresentError("no input register located")
-    trojaned, edit = insert_hth(netlist, result, spec, reset_net=args.reset_net)
-    overhead = overhead_report(netlist, trojaned, budget_pct=args.budget_pct)
+    trojaned, edit = _cli.insert_hth(netlist, result, spec,
+                                     reset_net=args.reset_net)
+    overhead = _cli.overhead_report(netlist, trojaned,
+                                    budget_pct=args.budget_pct)
     report = {
         "report_type": "inject",
         "netlist": str(args.netlist),
@@ -238,7 +263,7 @@ def cmd_simulate(args):
                 sim.simulate(baseline, stimulus, cycles), trace)
     secret = recovered = None
     if args.secret_width:
-        secret = reconstruct_secret(trace, args.secret_width)
+        secret = sim.reconstruct_secret(trace, args.secret_width)
         if args.expect_secret_hex is not None:
             # no secret captured is a failed recovery, not an unknown one
             recovered = secret == int(args.expect_secret_hex, 16)
@@ -315,7 +340,7 @@ def build_parser():
     s.add_argument("--stimulus", required=True)
     s.add_argument("--cycles", type=int, default=None)
     s.add_argument("--baseline", help="stealth-compare primary outputs against")
-    s.add_argument("--secret-width", type=int, choices=ALLOWED_L, default=None)
+    s.add_argument("--secret-width", type=int, choices=sim.ALLOWED_L, default=None)
     s.add_argument("--expect-secret-hex", type=_hex, default=None)
     s.set_defaults(fn=cmd_simulate)
     return ap
@@ -341,18 +366,31 @@ def _apply_config(parser, argv, args):
     return args
 
 
-# Every failure a command may end in: exception type -> (exit code,
-# message prefix). Nothing else is caught, so a defect keeps its traceback.
-# The first match wins, so a subclass comes before its base.
+# Every failure a command may end in: exception class, by module and
+# name -> (exit code, message prefix). Nothing else is caught, so a defect
+# keeps its traceback. The first match wins, so a subclass comes before its
+# base. Only the classes of loaded modules are tried: a command cannot have
+# raised one from a module it never loaded, so the failure path loads none.
 FAILURES = {
-    CombinationalCycleError: (EXIT_INVALID, "violation"),
-    NetlistError: (EXIT_INVALID, "error"),
-    KeccakNotPresentError: (EXIT_NOT_FOUND, "not found"),
-    InsertionError: (EXIT_NOT_FOUND, "not found"),
-    ValueError: (EXIT_USAGE, "error"),
-    sim.SimulationError: (EXIT_USAGE, "error"),
-    OSError: (EXIT_USAGE, "error"),
+    "kecscope.netlist.CombinationalCycleError": (EXIT_INVALID, "violation"),
+    "kecscope.netlist.NetlistError": (EXIT_INVALID, "error"),
+    "kecscope.locate.KeccakNotPresentError": (EXIT_NOT_FOUND, "not found"),
+    "kecscope.trojan.InsertionError": (EXIT_NOT_FOUND, "not found"),
+    "builtins.ValueError": (EXIT_USAGE, "error"),
+    "kecscope.sim.SimulationError": (EXIT_USAGE, "error"),
+    "builtins.OSError": (EXIT_USAGE, "error"),
 }
+
+
+def _failure(e):
+    """The (exit code, prefix) of the first FAILURES class ``e`` is an
+    instance of, else None."""
+    for path, outcome in FAILURES.items():
+        module, _, name = path.rpartition(".")
+        if (module in sys.modules
+                and isinstance(e, getattr(sys.modules[module], name))):
+            return outcome
+    return None
 
 
 def main(argv=None):
@@ -375,8 +413,11 @@ def main(argv=None):
         if args.config:
             args = _apply_config(parser, argv, args)
         return args.fn(args)
-    except tuple(FAILURES) as e:
-        code, prefix = next(v for t, v in FAILURES.items() if isinstance(e, t))
+    except Exception as e:
+        failure = _failure(e)
+        if failure is None:
+            raise
+        code, prefix = failure
         print(f"{prefix}: {e}", file=sys.stderr)
         return code
     finally:

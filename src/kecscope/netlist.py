@@ -272,11 +272,12 @@ class Netlist:
 # kind and pins in one lookup, and under (kind, pin count), which tells the
 # bound optional pins since no kind has two. By (kind, pin count), _LINES
 # holds the line write_netlist writes (%s for the name and each net) and
-# _LINE_MATCH a fullmatch of exactly those lines, with identifiers for the
-# name and the nets and any tags after the pins, as the writer writes them;
-# only the whole-text path of parse_netlist reads it. A net that is no
-# identifier is never declared, so a text with one is in error, and the
-# line loop reports it at its line.
+# _LINE_MATCH the kind, as the table's one string for it, and a fullmatch
+# of exactly those lines, with identifiers for the name and the nets and
+# any tags after the pins, as the writer writes them; only the whole-text
+# path of parse_netlist reads it, and its cells all share the kind strings.
+# A net that is no identifier is never declared, so a text with one is in
+# error, and the line loop reports it at its line.
 _ORDERS = [(kind, (*spec.inputs, *spec.optional[:bound], spec.output))
            for kind, spec in CELL_KINDS.items()
            for bound in range(len(spec.optional) + 1)]
@@ -284,8 +285,8 @@ _LAYOUTS = {key: order for kind, order in _ORDERS
             for key in [(kind, *order), (kind, len(order))]}
 _LINES = {(k, len(order)): " ".join([f"cell {k} %s", *map("{}=%s".format, order)])
           for k, order in _ORDERS}
-_LINE_MATCH = {key: re.compile(line.replace("%s", f"({IDENTIFIER})")
-                               + r"((?: tag=[^\s=]+)*)").fullmatch
+_LINE_MATCH = {key: (key[0], re.compile(line.replace("%s", f"({IDENTIFIER})")
+                                        + r"((?: tag=[^\s=]+)*)").fullmatch)
                for key, line in _LINES.items()}
 # The lines of a text as write_netlist writes it, one scan per kind; each
 # starts at the newline before it, so one line is at most one match.
@@ -411,14 +412,14 @@ def _written_parts(text):
         return None
     cells = []
     for line in lines:
-        kind = line[5:line.find(" ", 5)]
         # each tag is one "=" more, and no pin
-        match = _LINE_MATCH.get((kind, line.count("=") - line.count(" tag=")))
-        if match is None or (m := match(line)) is None:
+        entry = _LINE_MATCH.get((line[5:line.find(" ", 5)],
+                                 line.count("=") - line.count(" tag=")))
+        if entry is None or (m := entry[1](line)) is None:
             return None
         found = m.groups()
         tags = found[-1]
-        cells.append(_cell(kind, found[0], found[1:-1],
+        cells.append(_cell(entry[0], found[0], found[1:-1],
                            frozenset(tags[5:].split(" tag=")) if tags
                            else NO_TAGS))
     return (module[1],

@@ -45,6 +45,11 @@ the three as lane masks, and derives from them the leak symbol and,
 through a fixed lookup, its power while the island is enabled. The
 oscillator itself is analog behavior out of digital scope.
 
+:func:`reconstruct_secret` decodes a trace's leak symbols into the word a
+trojan leaks, at one of the widths ``ALLOWED_L``. Both sit here, next to
+the trace, so that simulating and decoding load no trojan or analysis
+code; ``trojan`` imports them from here.
+
 Stealth has two definitions: :func:`equivalence_check` compares the
 simulated outputs of two designs on one stimulus, and :func:`extends`
 proves them equal on every stimulus from structure alone, when one design
@@ -62,6 +67,8 @@ from .netlist import ANALOG_ISLAND_TAG, CELL_KINDS, Netlist, validate
 
 # leak symbol (leak[1] leak[0]) -> dynamic power
 LEAK_POWER_UW = {0: 32.3, 1: 34.2, 2: 36.9, 3: 38.9}
+# the widths of the word a trojan's shift register leaks
+ALLOWED_L = (16, 32, 64)
 
 class SimulationError(Exception):
     pass
@@ -97,6 +104,18 @@ class SimTrace:
 
     def leak_symbols(self):
         return [s for s in self.leak if s is not None]
+
+
+def reconstruct_secret(trace: SimTrace, l: int) -> int | None:
+    """Rebuild the leaked word from the trace's leak symbols, MSB first:
+    cycle j carries bits (l-1-2j, l-2-2j) on (leak[1], leak[0])."""
+    symbols = trace.leak_symbols()
+    if len(symbols) < l // 2:
+        return None
+    value = 0
+    for sym in symbols[:l // 2]:
+        value = (value << 2) | sym
+    return value
 
 
 def parse_stimulus(text: str) -> list[dict[str, int]]:

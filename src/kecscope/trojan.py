@@ -24,9 +24,10 @@ from dataclasses import asdict, dataclass, field
 from .generator import Builder, _equals_const, _incrementer
 from .locate import RepqcResult
 from .netlist import ANALOG_ISLAND_TAG, Netlist
+# reconstruct_secret decodes this trojan's leak, so it stays importable here
+from .sim import ALLOWED_L, reconstruct_secret
 
 ALLOWED_T = (16, 32, 64)
-ALLOWED_L = (16, 32, 64)
 PREFIX = "hth_"   # starts the name of every cell and net an insertion adds
 
 
@@ -199,18 +200,6 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
     tapped = sorted(set(taps[:spec.t]) | set(k_taps) | {clk}
                     | ({rst} if reset_net else set()))
     return out, EcoEdit(added_cells, added_nets, tapped)
-
-
-def reconstruct_secret(trace, l: int) -> int | None:
-    """Rebuild the leaked word from the trace's leak symbols, MSB first:
-    cycle j carries bits (l-1-2j, l-2-2j) on (leak[1], leak[0])."""
-    symbols = trace.leak_symbols()
-    if len(symbols) < l // 2:
-        return None
-    value = 0
-    for sym in symbols[:l // 2]:
-        value = (value << 2) | sym
-    return value
 
 
 def overhead_report(baseline: Netlist, trojaned: Netlist,

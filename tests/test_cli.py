@@ -1,6 +1,8 @@
 import gc
 import json
+import os
 import random
+import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -774,3 +776,89 @@ def test_mutated_netlists_end_in_documented_exit_codes(tmp_path, capsys):
                     seen["cycle"] += 1
     # more than the parser: some mutants run, some are refused as cyclic
     assert seen[0] and seen[3] and seen["cycle"], seen
+
+
+# run in a fresh interpreter: tests share this one's sys.modules
+LOADED = """
+import sys
+{code}
+print(*sorted(m for m in sys.modules if m.startswith("kecscope.")))
+"""
+
+
+def _modules_loaded(code, *argv):
+    """The kecscope modules loaded after ``code`` runs, with ``argv`` as
+    its sys.argv[1:], in a fresh interpreter."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED.format(code=code), *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src})
+    return {m.removeprefix("kecscope.")
+            for m in proc.stdout.splitlines()[-1].split()}
+
+
+def test_importing_the_package_loads_no_module():
+    assert _modules_loaded("import kecscope") == set()
+
+
+@pytest.mark.parametrize("command, runs, unloaded", [
+    ("analyze", {"locate", "truth"}, {"trojan", "generator"}),
+    ("simulate", {"sim"}, {"locate", "depgraph", "grouping", "scoring",
+                           "trojan", "generator"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(
+        workdir, injected, tmp_path, command, runs, unloaded):
+    victim = str(workdir / "g" / "design.nl")
+    if command == "analyze":
+        argv = ["analyze", "--netlist", victim, "--lane-width", "16",
+                "--sidecar", str(workdir / "g" / "design.truth.json")]
+    else:
+        ports = parse_netlist(Path(victim).read_text()).input_ports()
+        (tmp_path / "quiet.stim").write_text(
+            write_stimulus([dict.fromkeys(ports, 0)] * 3))
+        argv = ["simulate", "--netlist", str(injected / "trojaned.nl"),
+                "--stimulus", str(tmp_path / "quiet.stim"),
+                "--baseline", victim, "--secret-width", "16"]
+    loaded = _modules_loaded(
+        "from kecscope import cli\nassert cli.main(sys.argv[1:]) == 0",
+        *argv, "--out-dir", str(tmp_path))
+    assert runs <= loaded
+    assert not loaded & unloaded, loaded & unloaded
+
+
+# the names a wrapper may replace on cli, as the benchmark's tracer does
+ENTRY_POINTS = {
+    "generate_accelerator": "gen", "anonymize": "gen", "write_netlist": "gen",
+    "parse_netlist": "analyze", "run_pipeline": "analyze",
+    "insert_hth": "inject", "overhead_report": "inject",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_a_wrapper_set_on_cli_is_the_one_called(workdir, analyzed, tmp_path,
+                                                monkeypatch, name):
+    fn = getattr(cli, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, wrapper)
+    victim = str(workdir / "g" / "design.nl")
+    argv = {
+        "gen": ["gen", "--w", "8", "--seed", "1", "--anonymize-seed", "2"],
+        "analyze": ["analyze", "--netlist", victim, "--lane-width", "16"],
+        "inject": ["inject", "--netlist", victim,
+                   "--result", str(analyzed / "report.json"),
+                   "--lane-width", "16", "--t", "16", "--l", "16",
+                   "--trigger-hex", "beef"],
+    }[ENTRY_POINTS[name]]
+    assert run(*argv, "--out-dir", str(tmp_path)) == 0
+    assert calls
+    monkeypatch.undo()
+    assert getattr(cli, name) is fn
+    # a name cli does not hold is missing, as getattr(cli, name, None) needs
+    with pytest.raises(AttributeError):
+        cli.validate

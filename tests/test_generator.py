@@ -258,7 +258,7 @@ def test_sidecar_loads_with_a_key_it_does_not_know(oracle_w8):
     assert GroundTruth.from_json(json.dumps(record)) == truth
 
 
-GROUND_TRUTH_MODULES = ("generator", "netlist", "keccak")
+GROUND_TRUTH_MODULES = ("generator", "truth", "netlist", "keccak")
 ANALYSIS_MODULES = {"depgraph", "scoring", "grouping", "locate", "sim",
                     "trojan", "cli"}
 

@@ -638,6 +638,15 @@ def test_the_writers_form_parses_in_one_scan_per_line_kind(monkeypatch,
         parse_netlist("# a comment\n" + write_netlist(netlist))
 
 
+def test_the_writers_form_keeps_one_string_per_cell_kind(oracle_w64):
+    # each cell takes its kind from the line table, not from a slice of
+    # its own line
+    netlist, _ = oracle_w64
+    cells = parse_netlist(write_netlist(netlist)).cells
+    kinds = {c.kind for c in cells}
+    assert len({id(c.kind) for c in cells}) == len(kinds) > 1
+
+
 def _replaced(tok, i, item):
     return [*tok[:i], item, *tok[i + 1:]]
 
