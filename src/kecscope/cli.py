@@ -6,6 +6,13 @@ written, a stimulus the design cannot run); 3 not found (no Keccak state or
 input register, a trojan that does not fit the register or the budget); 4
 a netlist that does not parse, or whose index refuses a combinational
 cycle. Other exceptions are defects.
+
+Every command runs in this process, but for one part: ``simulate
+--baseline`` forks one child, where a second CPU and no other thread
+allow it, to decide the structural stealth verdict (``sim.extends``)
+while this process simulates. The child writes one byte to a pipe and
+exits without writing a file or printing; it is reaped before the
+command returns or raises, so no process outlives ``main``.
 """
 
 from __future__ import annotations
@@ -15,6 +22,7 @@ import gc
 import importlib
 import json
 import math
+import os
 import sys
 import time
 from functools import cache
@@ -126,8 +134,8 @@ def cmd_gen(args):
 
 def cmd_analyze(args):
     from . import depgraph, grouping, scoring
-    from .locate import KeccakNotPresentError, PipelineConfig, SearchBounds
-    from .truth import GroundTruth
+    from .locate import PipelineConfig, SearchBounds
+    from .truth import GroundTruth, KeccakNotPresentError
 
     netlist = _load_netlist(args.netlist)
     truth = None
@@ -187,9 +195,8 @@ def cmd_analyze(args):
 
 
 def cmd_inject(args):
-    from .locate import KeccakNotPresentError, PipelineConfig, RepqcResult
     from .trojan import HthSpec
-    from .truth import id_list
+    from .truth import KeccakNotPresentError, RepqcResult, id_list
 
     netlist = _load_netlist(args.netlist)
     spec = HthSpec(t=args.t, l=args.l, trigger=int(args.trigger_hex, 16),
@@ -204,6 +211,8 @@ def cmd_inject(args):
                 rep.get("expected_state_count"))
         result = _read(args.result, "result", from_report)
     else:
+        from .locate import PipelineConfig
+
         result, _ = _cli.run_pipeline(netlist, PipelineConfig(
             lane_width=args.lane_width, instances=args.instances,
             shares=args.shares))
@@ -240,27 +249,94 @@ def cmd_inject(args):
     return EXIT_OK
 
 
+def _fork_extends(netlist, path):
+    """Start ``sim.extends(netlist, baseline)``, the baseline read from
+    ``path``, in a forked child; return (its pid, the read end of its
+    pipe), or None where no child can run beside this process: no
+    ``os.fork`` or ``os.sched_getaffinity``, one CPU to run on, or a
+    thread besides this one, as /proc/self/task counts them, or no such
+    count (a fork copies only the calling thread, and Python 3.12 warns
+    of it).
+
+    The child shares ``netlist`` copy-on-write, parses the baseline and
+    writes one byte, b"1" if ``netlist`` extends it and b"0" if not, or
+    none when anything failed, and then leaves through ``os._exit``: it
+    writes no file, prints nothing and runs no exit handler."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        return None
+    if threads > 1 or len(os.sched_getaffinity(0)) < 2:
+        return None
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            baseline = parse_netlist(_read(path, "netlist"))
+            os.write(write_end,
+                     b"1" if sim.extends(netlist, baseline) else b"0")
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _reap(child):
+    """Kill the child of ``_fork_extends`` if it still runs, and reap it."""
+    import signal
+
+    pid, read_end = child
+    os.close(read_end)
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+
+
 def cmd_simulate(args):
+    """Simulate the netlist under the stimulus; with ``--baseline``, also
+    decide whether its primary outputs equal the baseline's (stealth).
+
+    Stealth is first decided from structure, ``sim.extends``, and that
+    verdict is made in a child forked once the netlist is parsed
+    (``_fork_extends``), while this process builds the index, reads the
+    stimulus and simulates. Only a true verdict is used, and only once the
+    index here exists, since ``extends`` needs an acyclic netlist. A false
+    or failed one, or no child, leaves the baseline to this process, in
+    the serial order: parse, ``extends``, then the simulated check. So
+    the errors, their order, the exit code and the outputs are those of
+    the serial order whichever way the verdict is made, and the child is
+    killed and reaped before this function returns or raises."""
     if args.expect_secret_hex is not None and args.secret_width is None:
         raise ValueError("--expect-secret-hex needs --secret-width")
-    netlist = _load_netlist(args.netlist)
-    stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
-    cycles = args.cycles if args.cycles is not None else len(stimulus)
-    trace = sim.simulate(netlist, stimulus, cycles)
-    stealth = None
-    if args.baseline:
-        baseline = parse_netlist(_read(args.baseline, "netlist"))
-        if sim.extends(netlist, baseline):
-            # acyclic and output-equal on every stimulus: the baseline
-            # needs no index or run of its own
+    netlist = parse_netlist(_read(args.netlist, "netlist"))
+    child = _fork_extends(netlist, args.baseline) if args.baseline else None
+    try:
+        netlist.index
+        stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
+        cycles = args.cycles if args.cycles is not None else len(stimulus)
+        trace = sim.simulate(netlist, stimulus, cycles)
+        stealth = None
+        if child and os.read(child[1], 1) == b"1":
             stealth = True
-        else:
-            # the stealth check of equivalence_check, against the trace
-            # above; a cyclic baseline exits 4 before a port mismatch
-            baseline.index
-            sim.check_ports(baseline, netlist)
-            stealth = sim.outputs_equal(
-                sim.simulate(baseline, stimulus, cycles), trace)
+        elif args.baseline:
+            baseline = parse_netlist(_read(args.baseline, "netlist"))
+            if sim.extends(netlist, baseline):
+                # acyclic and output-equal on every stimulus: the baseline
+                # needs no index or run of its own
+                stealth = True
+            else:
+                # the stealth check of equivalence_check, against the
+                # trace above; a cyclic baseline exits 4 before a port
+                # mismatch
+                baseline.index
+                sim.check_ports(baseline, netlist)
+                stealth = sim.outputs_equal(
+                    sim.simulate(baseline, stimulus, cycles), trace)
+    finally:
+        if child:
+            _reap(child)
     secret = recovered = None
     if args.secret_width:
         secret = sim.reconstruct_secret(trace, args.secret_width)
@@ -374,7 +450,7 @@ def _apply_config(parser, argv, args):
 FAILURES = {
     "kecscope.netlist.CombinationalCycleError": (EXIT_INVALID, "violation"),
     "kecscope.netlist.NetlistError": (EXIT_INVALID, "error"),
-    "kecscope.locate.KeccakNotPresentError": (EXIT_NOT_FOUND, "not found"),
+    "kecscope.truth.KeccakNotPresentError": (EXIT_NOT_FOUND, "not found"),
     "kecscope.trojan.InsertionError": (EXIT_NOT_FOUND, "not found"),
     "builtins.ValueError": (EXIT_USAGE, "error"),
     "kecscope.sim.SimulationError": (EXIT_USAGE, "error"),

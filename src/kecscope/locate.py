@@ -24,17 +24,16 @@ from __future__ import annotations
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
 from .netlist import Netlist
 from .scoring import compute_zscores
-
-
-class KeccakNotPresentError(Exception):
-    """Raised when no bound window can produce the expected candidate count."""
+# the record of a localization lives in truth, which inject reads without
+# this module; both names stay importable from here
+from .truth import KeccakNotPresentError, RepqcResult
 
 
 @dataclass(frozen=True)
@@ -57,28 +56,6 @@ class Analysis(NamedTuple):
     graph: DependencyGraph
     scores: list[float]              # flip-flop id -> z
     groups: GroupTable
-
-
-@dataclass
-class RepqcResult:
-    """A localization: the state candidates, the located input register
-    (empty when none was found) with its group id, the variant that found
-    it, the state size it expected and the bounds of the search."""
-    state_candidates: frozenset[str]
-    input_candidates: list[str]
-    winning_group: str | None
-    variant: str                      # "grouped" | "individual"
-    # set by run_pipeline, which alone knows the instances and shares;
-    # None from a localizer
-    expected_state_count: int | None = None
-    bounds: SearchBounds | None = None
-    # set by run_pipeline; None for a result read back from a report or
-    # remapped through a rename
-    analysis: Analysis | None = field(default=None, compare=False,
-                                      repr=False)
-
-    def found(self):
-        return bool(self.input_candidates)
 
 
 def filter_state_candidates(graph: DependencyGraph, bounds: SearchBounds) -> set[int]:

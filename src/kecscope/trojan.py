@@ -22,10 +22,10 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .generator import Builder, _equals_const, _incrementer
-from .locate import RepqcResult
 from .netlist import ANALOG_ISLAND_TAG, Netlist
 # reconstruct_secret decodes this trojan's leak, so it stays importable here
 from .sim import ALLOWED_L, reconstruct_secret
+from .truth import RepqcResult
 
 ALLOWED_T = (16, 32, 64)
 PREFIX = "hth_"   # starts the name of every cell and net an insertion adds

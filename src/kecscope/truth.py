@@ -1,9 +1,14 @@
 """Ground-truth sidecar: which flip-flops of a generated design hold each
-instance's Keccak state and hash input, as the generator built them.
+instance's Keccak state and hash input, as the generator built them; and
+the record of a localization, what an analysis claims of the same
+flip-flops.
 
 The sidecar is never embedded in the blind netlist. ``generator`` writes
 it; ``analyze --sidecar`` reads it to grade a localization, and so needs
-this module without the generator itself.
+this module without the generator itself. ``RepqcResult`` and
+``KeccakNotPresentError`` are ``locate``'s result and failure, kept here
+so that ``inject --result``, which reads a result back from its report,
+loads no analysis module; ``locate`` re-exports both.
 """
 
 from __future__ import annotations
@@ -67,3 +72,32 @@ class GroundTruth:
                      for i in self.instances]
         return replace(self, instances=instances, decoy_ffs=ids(self.decoy_ffs),
                        control_ffs=ids(self.control_ffs))
+
+
+class KeccakNotPresentError(Exception):
+    """Raised when no bound window can produce the expected candidate count."""
+
+
+@dataclass
+class RepqcResult:
+    """A localization: the state candidates, the located input register
+    (empty when none was found) with its group id, the variant that found
+    it, the state size it expected and the bounds of the search.
+    ``SearchBounds`` and ``Analysis`` are ``locate``'s, named here only
+    in annotations, which are never evaluated, so that this module
+    imports no analysis."""
+    state_candidates: frozenset[str]
+    input_candidates: list[str]
+    winning_group: str | None
+    variant: str                      # "grouped" | "individual"
+    # set by run_pipeline, which alone knows the instances and shares;
+    # None from a localizer
+    expected_state_count: int | None = None
+    bounds: SearchBounds | None = None
+    # set by run_pipeline; None for a result read back from a report or
+    # remapped through a rename
+    analysis: Analysis | None = field(default=None, compare=False,
+                                      repr=False)
+
+    def found(self):
+        return bool(self.input_candidates)

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -572,21 +573,139 @@ BASELINES = {
 }
 
 
+def _simulate_both_ways(monkeypatch, capsys, out, *argv):
+    """Run ``simulate`` with ``argv`` twice, into ``out``/background and
+    ``out``/serial: once with a second CPU, so that a forked child decides
+    ``sim.extends``, and once with one CPU, so that none does. Check that
+    no child outlives either run and that both give the same exit code,
+    stderr, trace.csv and sim_report.json; return that exit code and
+    stderr, and per way the netlists parsed in this process."""
+    fork = os.fork
+    runs, parsed = [], {}
+    for way, cpus in (("background", {0, 1}), ("serial", {0})):
+        forks, parses = [], []
+
+        def counted_fork():
+            forks.append(way)
+            return fork()
+
+        def counted_parse(text):
+            parses.append(text)
+            return parse_netlist(text)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(cli, "parse_netlist", counted_parse)
+        code = run("simulate", *argv, "--out-dir", str(out / way))
+        monkeypatch.undo()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        # argv names a baseline and a netlist that parses: one child, if a
+        # second CPU is there
+        assert forks == ([way] if way == "background" else [])
+        files = {f: (out / way / f).read_bytes()
+                 for f in ("trace.csv", "sim_report.json")
+                 if (out / way / f).exists()}
+        runs.append((code, capsys.readouterr().err, files))
+        parsed[way] = len(parses)
+    assert runs[0] == runs[1]
+    code, err, _ = runs[0]
+    return code, err, parsed
+
+
 @pytest.mark.parametrize("baseline", sorted(BASELINES))
-def test_simulate_baseline_verdicts(tmp_path, capsys, baseline):
+def test_simulate_baseline_verdicts(tmp_path, capsys, monkeypatch, baseline):
     text, code, outcome = BASELINES[baseline]
     (tmp_path / "inv.nl").write_text(NO_FFS)
     (tmp_path / "b.nl").write_text(text)
     (tmp_path / "a.stim").write_text("a=0\na=1\n")
-    assert run("simulate", "--netlist", str(tmp_path / "inv.nl"),
-               "--stimulus", str(tmp_path / "a.stim"),
-               "--baseline", str(tmp_path / "b.nl"),
-               "--out-dir", str(tmp_path)) == code
+    got, err, _ = _simulate_both_ways(
+        monkeypatch, capsys, tmp_path, "--netlist", str(tmp_path / "inv.nl"),
+        "--stimulus", str(tmp_path / "a.stim"),
+        "--baseline", str(tmp_path / "b.nl"))
+    assert got == code
     if code:
-        assert outcome in capsys.readouterr().err.splitlines()
+        assert outcome in err.splitlines()
     else:
-        report = json.loads((tmp_path / "sim_report.json").read_text())
+        report = json.loads(
+            (tmp_path / "serial" / "sim_report.json").read_text())
         assert report["stealth_equal"] is outcome
+
+
+@pytest.mark.parametrize("roles", ["trojaned-on-victim", "victim-on-trojaned"])
+def test_simulate_the_generated_pair_both_ways(workdir, injected, tmp_path,
+                                              capsys, monkeypatch, roles):
+    victim = str(workdir / "g" / "design.nl")
+    trojaned = str(injected / "trojaned.nl")
+    design, baseline = ((trojaned, victim) if roles == "trojaned-on-victim"
+                        else (victim, trojaned))
+    ports = sorted(parse_netlist(Path(victim).read_text()).input_ports())
+    rng = random.Random(4)
+    (tmp_path / "r.stim").write_text(write_stimulus(
+        [{p: rng.randrange(2) for p in ports} for _ in range(6)]))
+    code, err, parsed = _simulate_both_ways(
+        monkeypatch, capsys, tmp_path, "--netlist", design,
+        "--stimulus", str(tmp_path / "r.stim"), "--baseline", baseline)
+    assert (code, err) == (0, "")
+    report = json.loads((tmp_path / "serial" / "sim_report.json").read_text())
+    assert report["stealth_equal"] is True
+    # the child's true verdict spares this process the baseline's parse;
+    # no verdict for the victim, which does not extend the trojaned design
+    assert parsed == ({"background": 1, "serial": 2}
+                      if roles == "trojaned-on-victim"
+                      else {"background": 2, "serial": 2})
+
+
+def test_simulate_forks_no_child_beside_another_thread(tmp_path,
+                                                      monkeypatch):
+    # a fork copies only the calling thread, and Python 3.12 warns of it
+    (tmp_path / "inv.nl").write_text(NO_FFS)
+    (tmp_path / "a.stim").write_text("a=0\n")
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        code = run("simulate", "--netlist", str(tmp_path / "inv.nl"),
+                   "--stimulus", str(tmp_path / "a.stim"),
+                   "--baseline", str(tmp_path / "inv.nl"),
+                   "--out-dir", str(tmp_path))
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert (code, forks) == (0, [])
+    report = json.loads((tmp_path / "sim_report.json").read_text())
+    assert report["stealth_equal"] is True
+
+
+@pytest.mark.parametrize("design, stimulus, baseline, code, err", [
+    # the stimulus is read before any baseline
+    ("inv.nl", "none.stim", "none.nl", 2, "error: cannot read stimulus file"),
+    ("inv.nl", "none.stim", "syntax.nl", 2,
+     "error: cannot read stimulus file"),
+    # the netlist's index refuses the loop whatever the baseline
+    ("cycle.nl", "a.stim", "inv.nl", 4, "violation:"),
+    ("cycle.nl", "a.stim", "cycle.nl", 4, "violation:"),
+    ("cycle.nl", "a.stim", "none.nl", 4, "violation:"),
+    ("cycle.nl", "a.stim", "syntax.nl", 4, "violation:"),
+    ("inv.nl", "a.stim", "inv.nl", 0, ""),
+])
+def test_simulate_errors_keep_their_order_and_leave_no_child(
+        tmp_path, capsys, monkeypatch, design, stimulus, baseline, code, err):
+    (tmp_path / "inv.nl").write_text(NO_FFS)
+    (tmp_path / "a.stim").write_text("a=0\n")
+    for name in ("cycle.nl", "syntax.nl"):
+        (tmp_path / name).write_text(INVALID_NETLISTS[name][0])
+    got, stderr, _ = _simulate_both_ways(
+        monkeypatch, capsys, tmp_path, "--netlist", str(tmp_path / design),
+        "--stimulus", str(tmp_path / stimulus),
+        "--baseline", str(tmp_path / baseline))
+    assert got == code
+    assert stderr.startswith(err) and stderr.count("\n") == (code != 0)
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -806,13 +925,19 @@ def test_importing_the_package_loads_no_module():
     ("analyze", {"locate", "truth"}, {"trojan", "generator"}),
     ("simulate", {"sim"}, {"locate", "depgraph", "grouping", "scoring",
                            "trojan", "generator"}),
+    # a result read back needs no analysis
+    ("inject", {"trojan"}, {"locate", "depgraph", "grouping", "scoring"}),
 ])
 def test_each_command_loads_only_the_modules_it_runs(
-        workdir, injected, tmp_path, command, runs, unloaded):
+        workdir, analyzed, injected, tmp_path, command, runs, unloaded):
     victim = str(workdir / "g" / "design.nl")
     if command == "analyze":
         argv = ["analyze", "--netlist", victim, "--lane-width", "16",
                 "--sidecar", str(workdir / "g" / "design.truth.json")]
+    elif command == "inject":
+        argv = ["inject", "--netlist", victim,
+                "--result", str(analyzed / "report.json"),
+                "--t", "16", "--l", "16", "--trigger-hex", "beef"]
     else:
         ports = parse_netlist(Path(victim).read_text()).input_ports()
         (tmp_path / "quiet.stim").write_text(
