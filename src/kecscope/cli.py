@@ -10,9 +10,11 @@ cycle. Other exceptions are defects.
 Every command runs in this process, but for one part: ``simulate
 --baseline`` forks one child, where a second CPU and no other thread
 allow it, to decide the structural stealth verdict (``sim.extends``)
-while this process simulates. The child writes one byte to a pipe and
-exits without writing a file or printing; it is reaped before the
-command returns or raises, so no process outlives ``main``.
+while this process simulates. Its exit code is the verdict, 0 iff
+``extends`` holds; any other sends the baseline to the simulated check,
+which ``extends`` implies, with no second ``extends``. The child writes
+no file and prints nothing, and it is reaped before the command returns
+or raises, so no process outlives ``main``.
 """
 
 from __future__ import annotations
@@ -251,17 +253,17 @@ def cmd_inject(args):
 
 def _fork_extends(netlist, path):
     """Start ``sim.extends(netlist, baseline)``, the baseline read from
-    ``path``, in a forked child; return (its pid, the read end of its
-    pipe), or None where no child can run beside this process: no
-    ``os.fork`` or ``os.sched_getaffinity``, one CPU to run on, or a
-    thread besides this one, as /proc/self/task counts them, or no such
-    count (a fork copies only the calling thread, and Python 3.12 warns
-    of it).
+    ``path``, in a forked child and return its pid, or None where no
+    child can run beside this process: no ``os.fork`` or
+    ``os.sched_getaffinity``, one CPU to run on, or a thread besides this
+    one, as /proc/self/task counts them, or no such count (a fork copies
+    only the calling thread, and Python 3.12 warns of it).
 
     The child shares ``netlist`` copy-on-write, parses the baseline and
-    writes one byte, b"1" if ``netlist`` extends it and b"0" if not, or
-    none when anything failed, and then leaves through ``os._exit``: it
-    writes no file, prints nothing and runs no exit handler."""
+    exits 0 iff ``netlist`` extends it, else 1, a failure included,
+    through ``os._exit``: it writes no file, prints nothing and runs no
+    exit handler. A failed child costs time, not a wrong verdict: a
+    netlist that extends its baseline passes the simulated check too."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     try:
@@ -270,46 +272,37 @@ def _fork_extends(netlist, path):
         return None
     if threads > 1 or len(os.sched_getaffinity(0)) < 2:
         return None
-    read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:
-            os.close(read_end)
             baseline = parse_netlist(_read(path, "netlist"))
-            os.write(write_end,
-                     b"1" if sim.extends(netlist, baseline) else b"0")
+            os._exit(0 if sim.extends(netlist, baseline) else 1)
         finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, read_end
-
-
-def _reap(child):
-    """Kill the child of ``_fork_extends`` if it still runs, and reap it."""
-    import signal
-
-    pid, read_end = child
-    os.close(read_end)
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)
+            os._exit(1)
+    return pid
 
 
 def cmd_simulate(args):
     """Simulate the netlist under the stimulus; with ``--baseline``, also
     decide whether its primary outputs equal the baseline's (stealth).
 
-    Stealth is first decided from structure, ``sim.extends``, and that
-    verdict is made in a child forked once the netlist is parsed
-    (``_fork_extends``), while this process builds the index, reads the
-    stimulus and simulates. Only a true verdict is used, and only once the
-    index here exists, since ``extends`` needs an acyclic netlist. A false
-    or failed one, or no child, leaves the baseline to this process, in
-    the serial order: parse, ``extends``, then the simulated check. So
-    the errors, their order, the exit code and the outputs are those of
-    the serial order whichever way the verdict is made, and the child is
-    killed and reaped before this function returns or raises."""
-    if args.expect_secret_hex is not None and args.secret_width is None:
-        raise ValueError("--expect-secret-hex needs --secret-width")
+    Stealth is first decided from structure, ``sim.extends``, in a child
+    forked once the netlist is parsed (``_fork_extends``), while this
+    process builds the index, reads the stimulus and simulates. The
+    child's exit code is read only once the index here exists, since
+    ``extends`` needs an acyclic netlist. Any code but 0 goes straight to
+    the simulated check with no ``extends`` here, since ``extends``
+    implies that check passes; with no child, this process tries
+    ``extends`` first. So the errors, their order, the exit code and the
+    outputs are those of the serial order whichever way the verdict is
+    made, and the child is killed and reaped before this function
+    returns or raises."""
+    if args.expect_secret_hex is not None:
+        if args.secret_width is None:
+            raise ValueError("--expect-secret-hex needs --secret-width")
+        if not 0 <= int(args.expect_secret_hex, 16) < 1 << args.secret_width:
+            raise ValueError(f"--expect-secret-hex {args.expect_secret_hex} "
+                             f"does not fit in {args.secret_width} bits")
     netlist = parse_netlist(_read(args.netlist, "netlist"))
     child = _fork_extends(netlist, args.baseline) if args.baseline else None
     try:
@@ -317,12 +310,17 @@ def cmd_simulate(args):
         stimulus = sim.parse_stimulus(_read(args.stimulus, "stimulus"))
         cycles = args.cycles if args.cycles is not None else len(stimulus)
         trace = sim.simulate(netlist, stimulus, cycles)
-        stealth = None
-        if child and os.read(child[1], 1) == b"1":
+        stealth = extended = None  # no child: this process tries extends
+        if child:
+            # a status of 0 is a true verdict; any other, a killed
+            # child's among them, goes to the simulated check
+            extended = os.waitpid(child, 0)[1] == 0
+            child = None
+        if extended:
             stealth = True
         elif args.baseline:
             baseline = parse_netlist(_read(args.baseline, "netlist"))
-            if sim.extends(netlist, baseline):
+            if extended is None and sim.extends(netlist, baseline):
                 # acyclic and output-equal on every stimulus: the baseline
                 # needs no index or run of its own
                 stealth = True
@@ -336,7 +334,10 @@ def cmd_simulate(args):
                     sim.simulate(baseline, stimulus, cycles), trace)
     finally:
         if child:
-            _reap(child)
+            import signal
+
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
     secret = recovered = None
     if args.secret_width:
         secret = sim.reconstruct_secret(trace, args.secret_width)

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -12,7 +13,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from kecscope import cli, depgraph, grouping, locate, netlist, scoring
+from kecscope import cli, depgraph, grouping, locate, netlist, scoring, sim
 from kecscope.cli import main
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.locate import PipelineConfig, run_pipeline
@@ -425,6 +426,10 @@ INVALID_NETLISTS = {
       "--trigger-hex", "0"], 3),
     (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
       "--expect-secret-hex", "5"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--secret-width", "16", "--expect-secret-hex", "12345678"], 2),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus", "{d}/w8.stim",
+      "--secret-width", "16", "--expect-secret-hex", "-5"], 2),
     (["analyze", "--netlist", "{d}/syntax.nl"], 4),
     (["analyze", "--netlist", "{d}/twice.nl"], 4),
     (["analyze", "--netlist", "{d}/undriven.nl"], 4),
@@ -457,6 +462,7 @@ INVALID_NETLISTS = {
         "analyze-out-dir-is-a-file", "result-ids-not-a-list",
         "result-ids-a-string", "sidecar-ids-not-a-list", "negative-budget",
         "nan-budget", "result-no-input-register", "expect-secret-without-width",
+        "expect-secret-wider-than-width", "expect-secret-negative",
         "syntax-error", "net-driven-twice", "undriven-net",
         "combinational-cycle", "gen-without-seed", "cycles-beyond-stimulus",
         "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
@@ -553,7 +559,9 @@ def test_main_returns_the_codes_it_chooses(tmp_path, argv, code):
 # prints) of simulate --netlist NO_FFS (an INV from a to b) --baseline it
 BASELINES = {
     "same": (NO_FFS, 0, True),
-    # NO_FFS extends it: one cell and one net less
+    # it extends NO_FFS, by one cell and one net, not the other way
+    # round: structure cannot decide, and the simulated check finds them
+    # equal
     "extended": ("module m\ninput a\noutput b\nnet n\ncell INV i1 a=a y=b\n"
                  "cell BUF b1 a=a y=n\nendmodule\n", 0, True),
     "buf": (NO_FFS.replace("INV", "BUF"), 0, False),
@@ -573,17 +581,29 @@ BASELINES = {
 }
 
 
-def _simulate_both_ways(monkeypatch, capsys, out, *argv):
+def _open_fds():
+    """How many file descriptors this process holds, or None where
+    /proc/self/fd is absent."""
+    try:
+        return len(os.listdir("/proc/self/fd"))
+    except OSError:
+        return None
+
+
+def _simulate_both_ways(monkeypatch, capsys, out, *argv, child_dies=False):
     """Run ``simulate`` with ``argv`` twice, into ``out``/background and
     ``out``/serial: once with a second CPU, so that a forked child decides
     ``sim.extends``, and once with one CPU, so that none does. Check that
-    no child outlives either run and that both give the same exit code,
-    stderr, trace.csv and sim_report.json; return that exit code and
-    stderr, and per way the netlists parsed in this process."""
-    fork = os.fork
-    runs, parsed = [], {}
+    no child or file descriptor outlives either run, that this process
+    calls ``extends`` only where no child was forked, and that both give
+    the same exit code, stderr, trace.csv and sim_report.json; return
+    that exit code and stderr, and per way the netlists parsed and the
+    ``extends`` calls made in this process. With ``child_dies``, the
+    child kills itself in ``extends``, before any verdict."""
+    fork, extends, pid = os.fork, sim.extends, os.getpid()
+    runs, parsed, extended = [], {}, {}
     for way, cpus in (("background", {0, 1}), ("serial", {0})):
-        forks, parses = [], []
+        forks, parses, calls = [], [], []
 
         def counted_fork():
             forks.append(way)
@@ -593,36 +613,59 @@ def _simulate_both_ways(monkeypatch, capsys, out, *argv):
             parses.append(text)
             return parse_netlist(text)
 
+        def counted_extends(netlist, baseline):
+            if os.getpid() != pid and child_dies:
+                os.kill(os.getpid(), signal.SIGKILL)
+            calls.append(way)
+            return extends(netlist, baseline)
+
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
         monkeypatch.setattr(os, "fork", counted_fork)
         monkeypatch.setattr(cli, "parse_netlist", counted_parse)
+        monkeypatch.setattr(sim, "extends", counted_extends)
+        fds = _open_fds()
         code = run("simulate", *argv, "--out-dir", str(out / way))
         monkeypatch.undo()
+        assert _open_fds() == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         # argv names a baseline and a netlist that parses: one child, if a
-        # second CPU is there
+        # second CPU is there; a child's own calls land in its own copy
+        # of the list
         assert forks == ([way] if way == "background" else [])
+        if way == "background":
+            assert calls == []
         files = {f: (out / way / f).read_bytes()
                  for f in ("trace.csv", "sim_report.json")
                  if (out / way / f).exists()}
         runs.append((code, capsys.readouterr().err, files))
-        parsed[way] = len(parses)
+        parsed[way], extended[way] = len(parses), len(calls)
     assert runs[0] == runs[1]
     code, err, _ = runs[0]
-    return code, err, parsed
+    return code, err, parsed, extended
 
 
-@pytest.mark.parametrize("baseline", sorted(BASELINES))
-def test_simulate_baseline_verdicts(tmp_path, capsys, monkeypatch, baseline):
+def _parses(text):
+    try:
+        parse_netlist(text)
+    except netlist.NetlistError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("baseline, child_dies", [
+    pytest.param(b, dies, id=f"{b}-child-dies" if dies else b)
+    for dies in (False, True) for b in sorted(BASELINES)])
+def test_simulate_baseline_verdicts(tmp_path, capsys, monkeypatch, baseline,
+                                    child_dies):
     text, code, outcome = BASELINES[baseline]
     (tmp_path / "inv.nl").write_text(NO_FFS)
     (tmp_path / "b.nl").write_text(text)
     (tmp_path / "a.stim").write_text("a=0\na=1\n")
-    got, err, _ = _simulate_both_ways(
+    got, err, parsed, extended = _simulate_both_ways(
         monkeypatch, capsys, tmp_path, "--netlist", str(tmp_path / "inv.nl"),
         "--stimulus", str(tmp_path / "a.stim"),
-        "--baseline", str(tmp_path / "b.nl"))
+        "--baseline", str(tmp_path / "b.nl"), child_dies=child_dies)
     assert got == code
     if code:
         assert outcome in err.splitlines()
@@ -630,6 +673,12 @@ def test_simulate_baseline_verdicts(tmp_path, capsys, monkeypatch, baseline):
         report = json.loads(
             (tmp_path / "serial" / "sim_report.json").read_text())
         assert report["stealth_equal"] is outcome
+    # whatever the child's verdict, this process never repeats extends;
+    # a child killed before its verdict sends every baseline to the
+    # simulated check, which parses it here
+    assert extended == {"background": 0, "serial": int(_parses(text))}
+    if child_dies:
+        assert parsed == {"background": 2, "serial": 2}
 
 
 @pytest.mark.parametrize("roles", ["trojaned-on-victim", "victim-on-trojaned"])
@@ -643,7 +692,7 @@ def test_simulate_the_generated_pair_both_ways(workdir, injected, tmp_path,
     rng = random.Random(4)
     (tmp_path / "r.stim").write_text(write_stimulus(
         [{p: rng.randrange(2) for p in ports} for _ in range(6)]))
-    code, err, parsed = _simulate_both_ways(
+    code, err, parsed, extended = _simulate_both_ways(
         monkeypatch, capsys, tmp_path, "--netlist", design,
         "--stimulus", str(tmp_path / "r.stim"), "--baseline", baseline)
     assert (code, err) == (0, "")
@@ -654,6 +703,9 @@ def test_simulate_the_generated_pair_both_ways(workdir, injected, tmp_path,
     assert parsed == ({"background": 1, "serial": 2}
                       if roles == "trojaned-on-victim"
                       else {"background": 2, "serial": 2})
+    # either verdict leaves extends to the child alone; a false one sends
+    # the baseline straight to the simulated check
+    assert extended == {"background": 0, "serial": 1}
 
 
 def test_simulate_forks_no_child_beside_another_thread(tmp_path,
@@ -700,7 +752,7 @@ def test_simulate_errors_keep_their_order_and_leave_no_child(
     (tmp_path / "a.stim").write_text("a=0\n")
     for name in ("cycle.nl", "syntax.nl"):
         (tmp_path / name).write_text(INVALID_NETLISTS[name][0])
-    got, stderr, _ = _simulate_both_ways(
+    got, stderr, _, _ = _simulate_both_ways(
         monkeypatch, capsys, tmp_path, "--netlist", str(tmp_path / design),
         "--stimulus", str(tmp_path / stimulus),
         "--baseline", str(tmp_path / baseline))
