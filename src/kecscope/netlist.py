@@ -329,9 +329,15 @@ class NetlistIndex:
     L >= 1 reads only cells of lower levels, at least one at L - 1. So the
     cells of one level never read each other, and the levels concatenated
     are a topological order.
+
+    ``plan`` is the simulator's plan of the netlist: None until the
+    netlist's first ``simulate`` call builds it from ``levels``, then
+    kept, so it lives as long as the netlist. This module never reads it
+    and imports nothing of ``sim``.
     """
 
     levels: list[list[Cell]]         # non-island combinational cells by level
+    plan: object = field(default=None, compare=False, repr=False)
 
 
 def index_netlist(netlist: Netlist) -> NetlistIndex:

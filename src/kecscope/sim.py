@@ -8,9 +8,13 @@ flip-flop captures every cycle, so each one's clk net must be a primary
 input, and a flip-flop clocked by any other net (a gated clock, say)
 raises SimulationError, naming it and the net, before the first cycle.
 
-Each ``simulate`` call first builds a plan from the levels of
+A netlist's first ``simulate`` call builds its plan from the levels of
 ``netlist.index`` (levelized compiled-code simulation, as in
-Wang and Maurer's LECSIM): the cells of one level never read each other,
+Wang and Maurer's LECSIM) and keeps it on that index
+(``NetlistIndex.plan``), so it lives and dies with the netlist, as the
+index does, and a later call on the same netlist builds only what its own
+arguments need: the watch getter, the ``init`` state, the lane mask and
+the values list. The cells of one level never read each other,
 so the plan groups them by kind, and the MUX2s of a level further by
 select net, in name order. Each group becomes one step: a step function
 with its slots. A kind's step function evaluates its ``CELL_KINDS``
@@ -20,9 +24,10 @@ use, so no ``simulate`` call compiles anything once every kind it meets
 has been seen. A MUX2 group's step reads the select its cells share once:
 at 0 it passes their a inputs through whole, at every lane (``m``) their
 b inputs, and at mixed lanes it evaluates the table's expression per
-cell. Every net gets an integer slot in one values list: first each
-group's outputs, contiguous per group, then the flip-flop outputs,
-contiguous and ordered by reset net, then every other net. So a step
+cell. Every net gets an integer slot in one values list: first the
+flip-flop outputs, contiguous and ordered by reset net, then the nets no
+step writes (input ports and island outputs), then each group's outputs,
+contiguous per group, given as the group is formed. So a step
 reads the group's inputs with one ``operator.itemgetter`` per input pin
 and writes its outputs as one slice. A cycle loads the flip-flop state as
 one slice and the inputs its stimulus names into their slots, runs the
@@ -31,10 +36,12 @@ with one getter each. No step writes an input slot, so an input the
 stimulus leaves out keeps its last value there.
 Each reset net is then read once: at 0 it leaves its flip-flops' next
 state alone, at ``m`` it clears their slice, and at mixed lanes it masks
-each one. The plan is a fixed cost per call, before the first cycle; no
-plan is kept across calls. The index it is built from is the netlist's
-own, built once per netlist, and that index refuses a combinational
-cycle (CombinationalCycleError), so the plan checks for none.
+each one. The plan is a fixed cost of a netlist's first call, before its
+first cycle; a build that raises (a gated clock, say) keeps no plan, so
+the next call builds it again and raises again. The index it is built
+from is the netlist's own, built once per netlist, and that index
+refuses a combinational cycle (CombinationalCycleError), so the plan
+checks for none.
 
 Cells tagged ``analog_island`` are never levelized or evaluated (the one
 island rule of ``NetlistIndex``: island outputs cut every path). Instead
@@ -145,62 +152,71 @@ def write_stimulus(vectors) -> str:
 
 
 class _Compiled:
-    """Evaluation plan for one netlist, as the module docstring describes:
-    the size of the values list, the steps that :meth:`evaluate` runs in
-    order, the slice of the flip-flop outputs (``q``), the reset groups,
-    the input port slots, and getters that each return a tuple: of the
-    flip-flop d inputs, the output ports, the watched nets and the
-    island's control nets. Slots run group outputs first, then flip-flop
-    outputs, then the nets left: input ports and island outputs. The
-    flip-flops are grouped by reset net, each group in
-    ``Netlist.flip_flops`` order and the groups in the order of their
-    first flip-flops there, so the flip-flops of one reset net take one
-    slice of the state; ``ff_names`` gives the order. So a cycle loads
-    the state as one slice and reads each getter once. Pins are read by
-    position in ``Cell.nets``: a flip-flop's d, clk, rst if bound, then
-    q, and a group's gathers one input position at a time. No net or
-    cell name reaches generated source, and no step is compiled here:
-    each is a step function of :func:`_kind_step` or :func:`_select_step`
-    with its slots and gathers. Every pin is on a declared net driven
-    once, which the netlist checked when it was made, so every pin has
-    one slot. The net -> slot map is local to the build: the plan keeps
-    only the slots its getters and steps hold."""
+    """Evaluation plan for one netlist, as the module docstring describes,
+    built from the netlist alone on its first :func:`simulate` call and
+    kept on its index: the steps that :meth:`evaluate` runs in order, the
+    slice of the flip-flop outputs (``q``), the reset groups, the input
+    port slots, the net -> slot map (``slot``, as long as the values
+    list), each flip-flop's position in the state (``ff_pos``, which
+    ``init`` reads), and getters that each return a tuple: of the
+    flip-flop d inputs, the output ports and the island's control nets.
+    What a call's arguments decide (the watched nets, the ``init`` state,
+    the lane mask and the values list) is built per call by
+    :func:`simulate`. Slots run flip-flop outputs first, then input
+    ports and island outputs, then each group's outputs, given as the
+    group is formed, so each step is built as soon as its group is: a
+    group reads only nets slotted before it. The flip-flops are grouped
+    by reset net, each group in ``Netlist.flip_flops`` order and the
+    groups in the order of their first flip-flops there, so the
+    flip-flops of one reset net take one slice of the state. So a cycle
+    loads the state as one slice and reads each getter once. Pins are
+    read by position in ``Cell.nets``: a flip-flop's d, clk, rst if
+    bound, then q, and a group's gathers one input position at a time.
+    No net or cell name reaches generated source, and no step is
+    compiled here: each is a step function of :func:`_kind_step` or
+    :func:`_select_step` with its slots and gathers. Every pin is on a
+    declared net driven once, which the netlist checked when it was made,
+    so every pin has one slot, and the nets are the input ports and the
+    cells' outputs."""
 
-    def __init__(self, netlist: Netlist, watch):
+    def __init__(self, netlist: Netlist):
         index = netlist.index
-        kind = attrgetter("kind")
-        groups = []
-        for level in index.levels:
-            for k, cells in groupby(sorted(level, key=kind), kind):
-                if k == "MUX2":
-                    # one group per select net, in name order
-                    cells = sorted(cells, key=_select)
-                    groups += [list(run) for _, run in groupby(cells, _select)]
-                else:
-                    groups.append(list(cells))
         # no clock value is read: every flip-flop captures every cycle,
         # which holds only for one clocked straight from an input port
-        inputs = set(netlist.input_ports())
+        inputs = netlist.input_ports()
+        ports = set(inputs)
         by_reset: dict[str | None, list] = {}
         for c in netlist.flip_flops():
-            if c.nets[1] not in inputs:
+            if c.nets[1] not in ports:
                 raise SimulationError(
                     f"flip-flop {c.name!r} is clocked by net {c.nets[1]!r},"
                     " which is no primary input")
             by_reset.setdefault(c.nets[2] if len(c.nets) == 4 else None,
                                 []).append(c)
         ffs = [c for group in by_reset.values() for c in group]
-        # the group outputs, then the flip-flop outputs, then the nets
-        # left (ports and island outputs); no net is driven twice, so no
-        # output takes two slots
-        outputs = [c.nets[-1] for group in groups for c in group]
-        self.q = slice(len(outputs), len(outputs) + len(ffs))
-        outputs += [c.nets[-1] for c in ffs]
-        slot = dict(zip(outputs, count()))
-        slot.update(zip([n for n in netlist.all_nets() if n not in slot],
-                        count(len(outputs))))
-        self.size = len(slot)
-        self.ff_names = [c.name for c in ffs]
+        self.q = slice(0, len(ffs))
+        self.ff_pos = {c.name: i for i, c in enumerate(ffs)}
+        island = [c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags]
+        # the flip-flop outputs, then the nets no step writes (input ports
+        # and the outputs of island cells that are no flip-flop), then each
+        # group's outputs as the group is formed; no net is driven twice,
+        # so no net takes two slots
+        slot = {c.nets[-1]: i for i, c in enumerate(ffs)}
+        slot.update(zip(inputs, count(len(slot))))
+        slot.update(zip([n for c in island if (n := c.nets[-1]) not in slot],
+                        count(len(slot))))
+        kind = attrgetter("kind")
+        self.steps = []
+        for level in index.levels:
+            for k, cells in groupby(sorted(level, key=kind), kind):
+                # one MUX2 group per select net, in name order
+                for group in ([list(run) for _, run in groupby(
+                                   sorted(cells, key=_select), _select)]
+                              if k == "MUX2" else [list(cells)]):
+                    slot.update(zip([c.nets[-1] for c in group],
+                                    count(len(slot))))
+                    self.steps.append(_step(group, slot))
+        self.slot = slot
         self.d = _getter([slot[c.nets[0]] for c in ffs])
         # (slot of a reset net, its flip-flops' slice of the state, as
         # many zeros)
@@ -211,18 +227,12 @@ class _Compiled:
                 span = slice(start, start + len(group))
                 self.resets.append((slot[net], span, [0] * len(group)))
             start += len(group)
-        self.pis = {p: slot[p] for p in netlist.input_ports()}
+        self.pis = {p: slot[p] for p in inputs}
         self.po_names = netlist.output_ports()
         self.po = _getter([slot[p] for p in self.po_names])
-        self.watch_names = list(watch)
-        for net in self.watch_names:
-            if net not in slot:
-                raise SimulationError(f"watch names unknown net {net!r}")
-        self.watch = _getter([slot[n] for n in self.watch_names])
-        controls = _island_controls(netlist)   # (enable, leak[1], leak[0])
+        controls = _island_controls(island)   # (enable, leak[1], leak[0])
         self.island = None if controls is None else itemgetter(
             *(slot[n] for n in controls))
-        self.steps = [_step(group, slot) for group in groups]
 
     def evaluate(self, v, m):
         """One pass of the combinational cells over values ``v`` with
@@ -314,12 +324,12 @@ def _getter(slots):
     return lambda v: ()
 
 
-def _island_controls(netlist):
-    """(enable, leak[1], leak[0]) nets of the analog island, or None: the
-    first outside input of an island NAND2 and the selects (nets 4 and 5)
-    of the first island MUX4 whose selects are both outside, in cell
-    order. Outside means driven by no island cell."""
-    island = [c for c in netlist.cells if ANALOG_ISLAND_TAG in c.tags]
+def _island_controls(cells):
+    """(enable, leak[1], leak[0]) nets of the analog island of a netlist's
+    ``cells``, or None: the first outside input of an island NAND2 and the
+    selects (nets 4 and 5) of the first island MUX4 whose selects are both
+    outside, in cell order. Outside means driven by no island cell."""
+    island = [c for c in cells if ANALOG_ISLAND_TAG in c.tags]
     inside = {c.nets[-1] for c in island}
     enables = [net for c in island if c.kind == "NAND2"
                for net in c.nets[:-1] if net not in inside]
@@ -344,11 +354,16 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
     one lane and a flip-flop whose clk net is no input port raise
     SimulationError; a combinational loop that no island cell cuts
     raises the CombinationalCycleError of ``netlist.index`` (the
-    island rule of ``NetlistIndex``), which the plan reads. Every call
-    builds its own plan once, before the first cycle (``SimTrace`` says
-    what the trace records). ``check`` changes nothing but the order of
+    island rule of ``NetlistIndex``), which the plan reads. The plan is
+    built on the netlist's first call, before its first cycle, and kept
+    on ``netlist.index`` for every later call on that netlist; a call
+    builds only the watch getter, the ``init`` state, the lane mask and
+    the values list (``SimTrace`` says what the trace records). So a
+    netlist whose build raised, for a gated clock, raises again on every
+    call, and an error of a call's own arguments leaves the kept plan as
+    it was. ``check`` changes nothing but the order of
     work: it raises the error :func:`validate` returns, the plan's own,
-    before the plan is built. Nothing in this package passes it; it stays
+    before the plan is built or read. Nothing in this package passes it; it stays
     because the benchmark's simulator split passes it to time the check
     apart.
     """
@@ -363,17 +378,25 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
         # popped: a list that still held the error would be a reference
         # cycle through its traceback and this frame
         raise problems.pop()
-    plan = _Compiled(netlist, watch)
+    index = netlist.index
+    plan = index.plan
+    if plan is None:
+        # assigned only once built, so a build that raises keeps none
+        plan = index.plan = _Compiled(netlist)
+    watch_names = list(watch)
+    for net in watch_names:
+        if net not in plan.slot:
+            raise SimulationError(f"watch names unknown net {net!r}")
+    watches = _getter([plan.slot[n] for n in watch_names])
     mask = (1 << batch) - 1
-    q_state = [0] * len(plan.ff_names)
+    q_state = [0] * len(plan.ff_pos)
     if init:
-        ff_pos = {name: i for i, name in enumerate(plan.ff_names)}
         for ff, val in init.items():
-            if ff not in ff_pos:
+            if ff not in plan.ff_pos:
                 raise SimulationError(f"init names unknown flip-flop {ff!r}")
-            q_state[ff_pos[ff]] = val & mask
+            q_state[plan.ff_pos[ff]] = val & mask
 
-    v = [0] * plan.size
+    v = [0] * len(plan.slot)
     trace = SimTrace(batch, [], [], [])
     for cycle in range(cycles):
         v[plan.q] = q_state
@@ -389,7 +412,7 @@ def simulate(netlist: Netlist, stimulus, cycles: int, watch=(), init=None,
                 f"cycle 0: stimulus missing input port {missing[0]!r}")
         plan.evaluate(v, mask)
         trace.outputs.append(dict(zip(plan.po_names, plan.po(v))))
-        trace.watches.append(dict(zip(plan.watch_names, plan.watch(v))))
+        trace.watches.append(dict(zip(watch_names, watches(v))))
         trace.island_raw.append(None if plan.island is None
                                 else plan.island(v))
         q_state = plan.d(v)

@@ -159,7 +159,9 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
 
     Comparator taps the T lowest-index located flip-flops; the shift
     register taps L of them starting at k_offset (leaking a window of a
-    wider secret); the clock is shared with the victim. Only new cells and
+    wider secret); the clock is shared with the victim. Each of the
+    max(T, k_offset + L) located flip-flops it attaches to must be a
+    victim flip-flop named once, all on one clock. Only new cells and
     nets are added: the trojaned netlist shares the victim's cells, and
     the victim stays as it was. Without a reset_net the trojan relies on the power-on
     all-zero state instead of the global reset.
@@ -172,10 +174,14 @@ def insert_hth(victim: Netlist, result: RepqcResult, spec: HthSpec,
     cells = victim.cells_by_name()
     taps = []
     clocks = set()
+    seen = set()
     for ff in result.input_candidates[:needed]:
         cell = cells.get(ff)
         if cell is None or not cell.is_seq():
             raise InsertionError(f"attach point {ff!r} is not a victim flip-flop")
+        if ff in seen:
+            raise InsertionError(f"attach point {ff!r} is repeated")
+        seen.add(ff)
         taps.append(cell.nets[-1])   # d, clk, [rst,] q
         clocks.add(cell.nets[1])
     if len(clocks) != 1:

@@ -452,6 +452,8 @@ INVALID_NETLISTS = {
       "--trigger-hex", "0"], 4),
     (["simulate", "--netlist", "{d}/cycle.nl", "--stimulus", "{d}/w8.stim"],
      4),
+    (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/repeated.json",
+      "--t", "16", "--l", "16", "--trigger-hex", "0"], 3),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -468,7 +470,7 @@ INVALID_NETLISTS = {
         "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
         "stimulus-item-without-equals", "simulate-gated-clock",
         "inject-combinational-cycle",
-        "simulate-combinational-cycle"])
+        "simulate-combinational-cycle", "result-repeated-attach-point"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     (tmp_path / "gated.nl").write_text(GATED)
@@ -493,6 +495,10 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
         {"state_candidates": "abc", "input_candidates": []}))
     (tmp_path / "no_inputs.json").write_text(json.dumps(
         {"state_candidates": [], "input_candidates": []}))
+    # one flip-flop as all 16 attach points of a 16-bit trojan
+    (tmp_path / "repeated.json").write_text(json.dumps(
+        {"state_candidates": [],
+         "input_candidates": [netlist.flip_flops()[0].name] * 16}))
     (tmp_path / "sidecar_int.json").write_text(json.dumps(
         {"lane_width": 8, "instances": [{"state_ffs": 5, "input_ffs": []}]}))
     for name, (text, _) in INVALID_NETLISTS.items():

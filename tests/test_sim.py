@@ -294,7 +294,7 @@ endmodule
 
 def test_first_of_two_islands_is_sampled():
     n = parse_netlist(RO_ISLAND.replace("endmodule\n", SECOND_ISLAND))
-    assert _island_controls(n) == ("en", "l1", "l0")
+    assert _island_controls(n.cells) == ("en", "l1", "l0")
     stim = [{"clk": 0, "en": 1, "l0": 1, "l1": 0, "en2": 1, "m0": 0, "m1": 1},
             {"en": 0},
             {"en": 1, "l0": 0, "l1": 1, "en2": 0, "m0": 1}]
@@ -479,7 +479,7 @@ def _reference(netlist, stimulus, cycles, watch=(), init=None, batch=1):
     state = {c.name: 0 for c in ffs}
     for name, val in (init or {}).items():
         state[name] = val & mask
-    probe = _island_controls(netlist)
+    probe = _island_controls(netlist.cells)
     values = dict.fromkeys(netlist.all_nets(), 0)
     carried = {}
     trace = SimTrace(batch, [], [], [])
@@ -563,7 +563,15 @@ def _random_design(rng):
 def test_compiled_simulator_matches_reference(seed):
     rng = random.Random(seed)
     n = _random_design(rng)
-    batch = rng.choice([1, 1, 2, 5, 64])
+    stim, cycles, kwargs = _random_call(rng, n, rng.choice([1, 1, 2, 5, 64]))
+    assert (simulate(n, stim, cycles, **kwargs)
+            == _reference(n, stim, cycles, **kwargs))
+
+
+def _random_call(rng, n, batch):
+    """(stimulus, cycles, keyword arguments) of one random simulate call
+    on ``n`` at ``batch`` lanes: 1 to 6 cycles, some flip-flops preset
+    and up to 6 nets watched."""
     cycles = rng.randint(1, 6)
     # values wider than the lanes check the masking
     stim = [{p: rng.getrandbits(batch + 2) for p in n.input_ports()}]
@@ -572,9 +580,7 @@ def test_compiled_simulator_matches_reference(seed):
     init = {c.name: rng.getrandbits(batch)
             for c in n.flip_flops() if rng.random() < 0.5}
     watch = rng.sample(n.all_nets(), min(6, len(n.all_nets())))
-    args = (n, stim, cycles)
-    kwargs = dict(watch=watch, init=init, batch=batch)
-    assert simulate(*args, **kwargs) == _reference(*args, **kwargs)
+    return stim, cycles, dict(watch=watch, init=init, batch=batch)
 
 
 def _compare_every_net(netlist, batch, cycles, seed):
@@ -774,6 +780,116 @@ def test_a_warm_simulator_compiles_nothing(monkeypatch):
         patch.setattr(builtins, "exec", refuse)
         trace = simulate(netlist, stim, 8, watch=netlist.all_nets(), batch=5)
     assert trace == want
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_a_kept_plan_serves_every_later_call(seed):
+    # calls on one netlist, one per batch in shuffled order, each with its
+    # own stimulus, cycle count, init and watch list, all run the plan the
+    # first one built; each trace equals that of a fresh parse of the same
+    # text, whose plan is new, and the reference's
+    rng = random.Random(seed)
+    n = _random_design(rng)
+    text = write_netlist(n)
+    batches = [1, 2, 5, 64]
+    rng.shuffle(batches)
+    plans = set()
+    for batch in batches:
+        stim, cycles, kwargs = _random_call(rng, n, batch)
+        trace = simulate(n, stim, cycles, **kwargs)
+        plans.add(id(n.index.plan))
+        assert trace == simulate(parse_netlist(text), stim, cycles, **kwargs)
+        assert trace == _reference(n, stim, cycles, **kwargs)
+    assert len(plans) == 1
+
+
+def test_a_plan_is_built_once_per_netlist(monkeypatch, oracle_w8):
+    # a victim parsed afresh (no plan yet) and its trojaned copy, which
+    # shares the victim's cells but is another netlist with its own index
+    from kecscope import sim
+    from kecscope.trojan import HthSpec, insert_hth
+    from kecscope.truth import RepqcResult
+    victim = parse_netlist(write_netlist(oracle_w8[0]))
+    taps = [c.name for c in victim.flip_flops()[:16]]
+    trojaned, _ = insert_hth(victim, RepqcResult(frozenset(), taps, None,
+                                                 "grouped", 0),
+                             HthSpec(t=16, l=16, trigger=0xBEEF))
+    built = []
+    real = sim._Compiled
+
+    def counted(netlist, *args):
+        built.append(netlist)
+        return real(netlist, *args)
+
+    monkeypatch.setattr(sim, "_Compiled", counted)
+    for cycles in (1, 2, 3):
+        traces = [simulate(n, _stim(n, cycles), cycles)
+                  for n in (victim, trojaned)]
+        # the trojan only adds to the victim, so the outputs stay its own
+        assert traces[0].outputs == traces[1].outputs
+    assert [id(n) for n in built] == [id(victim), id(trojaned)]
+    assert victim.index is not trojaned.index
+    assert len(victim.index.plan.slot) < len(trojaned.index.plan.slot)
+
+
+# a call's own argument at fault -> (stimulus, cycles, keyword arguments
+# over the good call's, what it raises)
+FAULTY_CALLS = {
+    "watch": (None, 4, {"watch": ["y0", "nope"]},
+              "watch names unknown net 'nope'"),
+    "init": (None, 4, {"init": {"f0": 1, "nope": 1}},
+             "init names unknown flip-flop 'nope'"),
+    "port": ([{"nope": 1}], 1, {}, "cycle 0: unknown input port 'nope'"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(FAULTY_CALLS))
+def test_a_call_that_raises_leaves_the_next_one_correct(bad):
+    # raised once the plan was read (or built, on the first call): the
+    # kept plan serves the next call as if nothing had failed
+    netlist = parse_netlist(SHARED_CONTROLS)
+    rng = random.Random(7)
+    stim = [{p: rng.getrandbits(5) for p in netlist.input_ports()}
+            for _ in range(4)]
+    kwargs = dict(watch=netlist.all_nets(), batch=5,
+                  init={c.name: rng.getrandbits(5)
+                        for c in netlist.flip_flops()})
+    want = _reference(netlist, stim, 4, **kwargs)
+    fault_stim, cycles, fault, message = FAULTY_CALLS[bad]
+    for _ in range(2):
+        with pytest.raises(SimulationError) as e:
+            simulate(netlist, fault_stim or stim, cycles, **{**kwargs, **fault})
+        assert str(e.value) == message
+        assert simulate(netlist, stim, 4, **kwargs) == want
+
+
+def test_a_refused_plan_is_not_kept():
+    # a gated clock fails the build itself: no plan is kept, so every
+    # call builds it again and raises the same error, and another
+    # netlist's plan is untouched
+    toggle = parse_netlist(TOGGLE)
+    want = simulate(toggle, _stim(toggle, 3), 3)
+    gated = parse_netlist(GATED)
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="is clocked by net 'gclk'"):
+            simulate(gated, _stim(gated, 3), 3)
+        assert gated.index.plan is None
+        assert simulate(toggle, _stim(toggle, 3), 3) == want
+
+
+def test_an_island_flip_flop_takes_one_slot():
+    # a flip-flop tagged analog_island is both a flip-flop and an island
+    # cell; its output has the one slot of the state
+    netlist = parse_netlist(RO_ISLAND.replace(
+        "cell DFF f1 d=en clk=clk q=q",
+        "cell DFF f1 d=en clk=clk q=q tag=analog_island"))
+    assert netlist.flip_flops()[0].tags
+    stim = [{"clk": 0, "en": e, "l0": e, "l1": 1 - e} for e in (1, 0, 1, 1)]
+    kwargs = dict(watch=netlist.all_nets())
+    trace = simulate(netlist, stim, 4, **kwargs)
+    assert trace == _reference(netlist, stim, 4, **kwargs)
+    assert [o["q"] for o in trace.outputs] == [0, 1, 0, 1]
 
 
 # The structural stealth verdict (extends) against the simulated one

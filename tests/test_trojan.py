@@ -278,6 +278,8 @@ def test_insert_into_a_clean_register():
 INSERTION_ERRORS = {
     "attach_point_not_a_flip_flop": ({"tap0": "u0"}, None,
                                      "attach point 'u0' is not a victim flip-flop"),
+    "attach_point_repeated": ({"tap0": "r1"}, None,
+                              "attach point 'r1' is repeated"),
     "taps_on_two_clocks": ({"clk15": "clk2"}, None,
                            r"tapped flip-flops span clocks \['clk', 'clk2'\]"),
     "unknown_reset_net": ({}, "nope", "reset net 'nope' not in victim"),
