@@ -35,7 +35,6 @@ from the primary outputs.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -124,11 +123,6 @@ def extract_dependencies(netlist: Netlist) -> DependencyGraph:
     output_reach = [c.nets[-1] in marked for c in ff_cells]
     return DependencyGraph([c.name for c in ff_cells], deps, rdeps,
                            input_reach, output_reach)
-
-
-def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:
-    """(fanin, fanout) -> flip-flop count; counts sum to |ffs|."""
-    return dict(Counter(zip(map(len, graph.rdeps), map(len, graph.deps))))
 
 
 def dump_degrees(graph: DependencyGraph) -> str:

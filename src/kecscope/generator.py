@@ -503,8 +503,3 @@ def generate_core(w: int) -> tuple[Netlist, GroundTruth]:
         b.dff(ff, nxt[k], q=state_q[k])
     gt = GroundTruth(w, 1, [InstanceTruth(_sidecar_order([names], w), [])])
     return b.netlist(), gt
-
-
-def state_bit_index(x, y, z, w):
-    """Flat index of a[x][y][z] inside one share block of state_ffs."""
-    return (x + 5 * y) * w + z

@@ -1,7 +1,10 @@
-"""Keccak-f[b] reference permutation and one-round structural dependency sets.
+"""Keccak-f[b] reference permutation and the one-round structural reference.
 
 The state is a 5x5xw bit array, b = 25*w, w = 2**l for l in 0..6. One
-permutation applies 12+2l rounds of theta, rho, pi, chi, iota.
+permutation applies 12+2l rounds of theta, rho, pi, chi, iota. Bit
+(x, y, z) has the flat id (x + 5y)*w + z, the order in which a sidecar
+lists one share's state flip-flops; `round_sources` gives, per id, the ids
+that one round reads.
 
 Two permutation implementations live here on purpose: the lane-integer one
 (`keccak_f`) is the production reference, and `permute_bitwise` recomputes
@@ -89,10 +92,6 @@ class KeccakState:
     def bit(self, x, y, z):
         return (self.lanes[x + 5 * y] >> z) & 1
 
-    def to_bits(self):
-        return {(x, y, z): self.bit(x, y, z)
-                for x in range(5) for y in range(5) for z in range(self.w)}
-
 
 def _rotl(v, n, w):
     n %= w
@@ -130,85 +129,50 @@ def keccak_f(state: KeccakState) -> KeccakState:
     return state
 
 
-def permute_bitwise(bits: dict[tuple[int, int, int], int], w: int):
-    """Independent second implementation: per-bit triple loops over the
-    step definitions. Used only to cross-check `keccak_f`."""
-    a = {(x, y, z): bits.get((x, y, z), 0) & 1
-         for x in range(5) for y in range(5) for z in range(w)}
-    offsets = rho_offsets()
-    for ir in range(num_rounds(w)):
-        # theta
-        col = {}
-        for x in range(5):
-            for z in range(w):
-                p = 0
-                for y in range(5):
-                    p ^= a[(x, y, z)]
-                col[(x, z)] = p
-        t = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    t[(x, y, z)] = (a[(x, y, z)]
-                                    ^ col[((x - 1) % 5, z)]
-                                    ^ col[((x + 1) % 5, (z - 1) % w)])
-        # rho
-        r = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    r[(x, y, (z + offsets[(x, y)]) % w)] = t[(x, y, z)]
-        # pi
-        p = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    p[(x, y, z)] = r[((x + 3 * y) % 5, x, z)]
-        # chi
-        nxt = {}
-        for x in range(5):
-            for y in range(5):
-                for z in range(w):
-                    nxt[(x, y, z)] = p[(x, y, z)] ^ (
-                        (1 ^ p[((x + 1) % 5, y, z)]) & p[((x + 2) % 5, y, z)])
-        # iota
-        rc = round_constants(w)[ir]
-        for z in range(w):
-            nxt[(0, 0, z)] ^= (rc >> z) & 1
-        a = nxt
-    return a
+def permute_bitwise(state: KeccakState) -> KeccakState:
+    """Independent second implementation: one dict per step, each bit
+    computed from the step definitions. Used only to cross-check
+    `keccak_f`."""
+    w = state.w
+    bits = [(x, y, z) for x in range(5) for y in range(5) for z in range(w)]
+    a = {(x, y, z): state.bit(x, y, z) for x, y, z in bits}
+    for rc in round_constants(w):
+        col = {(x, z): a[(x, 0, z)] ^ a[(x, 1, z)] ^ a[(x, 2, z)]
+               ^ a[(x, 3, z)] ^ a[(x, 4, z)] for x in range(5) for z in range(w)}
+        theta = {(x, y, z): a[(x, y, z)] ^ col[((x - 1) % 5, z)]
+                 ^ col[((x + 1) % 5, (z - 1) % w)] for x, y, z in bits}
+        rho = {(x, y, (z + _RHO[(x, y)]) % w): theta[(x, y, z)]
+               for x, y, z in bits}
+        pi = {(x, y, z): rho[((x + 3 * y) % 5, x, z)] for x, y, z in bits}
+        # chi, then iota on lane (0, 0)
+        a = {(x, y, z): pi[(x, y, z)]
+             ^ ((1 ^ pi[((x + 1) % 5, y, z)]) & pi[((x + 2) % 5, y, z)])
+             ^ (rc >> z & 1 if x == y == 0 else 0) for x, y, z in bits}
+    return KeccakState(w, [sum(a[(x, y, z)] << z for z in range(w))
+                           for y in range(5) for x in range(5)])
 
 
-Bit = tuple[int, int, int]
-
-
-def round_dependency_sets(w: int) -> tuple[dict[Bit, frozenset[Bit]],
-                                           dict[Bit, frozenset[Bit]]]:
-    """Symbolic one-round expansion: for every state bit, the exact set of
-    state bits its new value structurally depends on (sources), and the
-    transpose (sinks). Iota adds constants only and contributes nothing.
+def round_sources(w: int) -> list[list[int]]:
+    """Symbolic one-round expansion over flat state ids (x + 5y)*w + z:
+    for every id, in id order, the ascending ids of the state bits its new
+    value structurally depends on. Iota adds constants only and contributes
+    nothing.
     """
     if w not in LANE_WIDTHS:
         raise ValueError(f"unsupported lane width {w}")
-    offsets = rho_offsets()
-    sources: dict[Bit, frozenset[Bit]] = {}
-    sinks: dict[Bit, set[Bit]] = {
-        (x, y, z): set() for x in range(5) for y in range(5) for z in range(w)}
-    for x in range(5):
-        for y in range(5):
+    sources = []
+    for y in range(5):
+        for x in range(5):
+            # chi output (x, y, z) reads the pi/rho image at lanes x, x+1,
+            # x+2 of row y; theta makes each read its own bit, column
+            # px-1 at pz and column px+1 at pz-1
+            reads = [((bx + 3 * y) % 5, bx) for bx in (x, (x + 1) % 5, (x + 2) % 5)]
             for z in range(w):
                 srcs = set()
-                # chi output (x,y,z) reads the pi/rho image at lanes
-                # x, x+1, x+2 of row y; trace each back through theta.
-                for dx in (0, 1, 2):
-                    bx = (x + dx) % 5
-                    px, py = (bx + 3 * y) % 5, bx
-                    pz = (z - offsets[(px, py)]) % w
-                    srcs.add((px, py, pz))
-                    for yy in range(5):
-                        srcs.add(((px - 1) % 5, yy, pz))
-                        srcs.add(((px + 1) % 5, yy, (pz - 1) % w))
-                sources[(x, y, z)] = frozenset(srcs)
-                for s in srcs:
-                    sinks[s].add((x, y, z))
-    return sources, {b: frozenset(s) for b, s in sinks.items()}
+                for px, py in reads:
+                    pz = (z - _RHO[(px, py)]) % w
+                    srcs.add((px + 5 * py) * w + pz)
+                    for c, cz in (((px - 1) % 5, pz), ((px + 1) % 5, (pz - 1) % w)):
+                        srcs.update(range(c * w + cz, 25 * w, 5 * w))
+                sources.append(sorted(srcs))
+    return sources

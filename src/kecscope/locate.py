@@ -31,8 +31,6 @@ from .depgraph import DependencyGraph, extract_dependencies
 from .grouping import GroupTable, compute_levels, group_by_levels
 from .netlist import Netlist
 from .scoring import compute_zscores
-# the record of a localization lives in truth, which inject reads without
-# this module; both names stay importable from here
 from .truth import KeccakNotPresentError, RepqcResult
 
 
@@ -75,12 +73,12 @@ def derive_bounds(w: int) -> tuple[int, int]:
     """(fanin floor, fanout floor) for lane width w, from a constant table
     over ``LANE_WIDTHS``; any other width raises ValueError.
 
-    The fanin floor is the smallest per-bit source-set size of one round.
-    The fanout floor adds one to the smallest per-bit sink-set size:
-    keeping the hash usable forces every state bit to also feed a readout
-    path, so at least one sequential sink beyond the permutation always
-    exists. Both depend on w alone. The table was read off the brute-force
-    expansion of one round over all 25*w bits (``round_dependency_sets``),
+    The fanin floor is the smallest per-bit source-list size of one round.
+    The fanout floor adds one to the smallest per-bit sink count, read off
+    the transposed lists: keeping the hash usable forces every state bit to
+    also feed a readout path, so at least one sequential sink beyond the
+    permutation always exists. Both depend on w alone. The table was read
+    off the one-round expansion over all 25*w bits (``keccak.round_sources``),
     and the tests recompute every entry from it. For w = 64 this gives
     (33, 34).
     """
@@ -247,18 +245,6 @@ def run_pipeline(netlist: Netlist, config: PipelineConfig | None = None
     result.expected_state_count = expected_state_count(
         config.lane_width, config.instances, config.shares)
     return result, timings
-
-
-def remap_result(result: RepqcResult, rename: dict[str, str]) -> RepqcResult:
-    """Push a result through an anonymization rename map."""
-    return RepqcResult(
-        state_candidates=frozenset(rename[f] for f in result.state_candidates),
-        input_candidates=[rename[f] for f in result.input_candidates],
-        winning_group=result.winning_group,
-        variant=result.variant,
-        expected_state_count=result.expected_state_count,
-        bounds=result.bounds,
-    )
 
 
 def results_equivalent(a: RepqcResult, b: RepqcResult) -> bool:

@@ -126,7 +126,8 @@ def reconstruct_secret(trace: SimTrace, l: int) -> int | None:
 
 
 def parse_stimulus(text: str) -> list[dict[str, int]]:
-    """One line per cycle of ``port=bit`` pairs; ``#`` starts a comment."""
+    """One line per cycle of ``port=bit`` pairs, each port at most once;
+    ``#`` starts a comment."""
     vectors = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -139,14 +140,20 @@ def parse_stimulus(text: str) -> list[dict[str, int]]:
             port, val = item.split("=", 1)
             if val not in ("0", "1"):
                 raise StimulusError(f"line {lineno}: bit must be 0 or 1, got {val!r}")
+            if port in vec:
+                raise StimulusError(f"line {lineno}: port {port!r} given twice")
             vec[port] = int(val)
         vectors.append(vec)
     return vectors
 
 
 def write_stimulus(vectors) -> str:
+    """The text :func:`parse_stimulus` reads back; a cycle that sets no
+    port has no line, so it raises ValueError."""
     lines = []
-    for vec in vectors:
+    for cycle, vec in enumerate(vectors):
+        if not vec:
+            raise ValueError(f"cycle {cycle} sets no port")
         lines.append(" ".join(f"{p}={v}" for p, v in sorted(vec.items())))
     return "\n".join(lines) + "\n"
 

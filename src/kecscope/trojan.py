@@ -23,8 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 from .generator import Builder, _equals_const, _incrementer
 from .netlist import ANALOG_ISLAND_TAG, Netlist
-# reconstruct_secret decodes this trojan's leak, so it stays importable here
-from .sim import ALLOWED_L, reconstruct_secret
+from .sim import ALLOWED_L
 from .truth import RepqcResult
 
 ALLOWED_T = (16, 32, 64)

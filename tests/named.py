@@ -5,11 +5,16 @@ build its inputs by name.
 is a list indexed by flip-flop id or holds ids. A test states its facts in
 the names a netlist gives: :func:`graph` builds a dependency graph from
 named edges, and :class:`Named` reads one graph, or the tables derived
-from it, by name.
+from it, by name. :func:`remap_result` renames a localization's result,
+and :func:`degree_histogram` counts a graph's flip-flops by degree.
 """
+
+from collections import Counter
+from dataclasses import replace
 
 from kecscope.depgraph import DependencyGraph
 from kecscope.grouping import Group, GroupTable
+from kecscope.truth import RepqcResult
 
 
 def graph(ffs, edges):
@@ -29,6 +34,19 @@ def graph(ffs, edges):
     return DependencyGraph(ffs, [sorted(s) for s in deps],
                            [sorted(s) for s in rdeps],
                            [False] * len(ffs), [False] * len(ffs))
+
+
+def degree_histogram(graph: DependencyGraph) -> dict[tuple[int, int], int]:
+    """(fanin, fanout) -> flip-flop count; counts sum to |ffs|."""
+    return dict(Counter(zip(map(len, graph.rdeps), map(len, graph.deps))))
+
+
+def remap_result(result: RepqcResult, rename: dict[str, str]) -> RepqcResult:
+    """Push a result through an anonymization rename map."""
+    return replace(
+        result, analysis=None,
+        state_candidates=frozenset(rename[f] for f in result.state_candidates),
+        input_candidates=[rename[f] for f in result.input_candidates])
 
 
 class Named:

@@ -8,18 +8,20 @@ from contextlib import contextmanager
 
 from kecscope import keccak
 from kecscope.depgraph import extract_dependencies
-from kecscope.generator import (GenConfig, generate_accelerator, generate_core,
-                                state_bit_index)
-from kecscope.locate import (PipelineConfig, derive_bounds,
-                             filter_state_candidates, naive_bounds,
-                             remap_result, results_equivalent, run_pipeline)
+from kecscope.generator import GenConfig, generate_accelerator, generate_core
+from kecscope.grouping import compute_levels, group_by_levels
+from kecscope.locate import (PipelineConfig, clever_search, derive_bounds,
+                             filter_state_candidates, locate_inputs_grouped,
+                             locate_inputs_individual, naive_bounds,
+                             results_equivalent, run_pipeline)
 from kecscope.netlist import anonymize, validate
-from kecscope.sim import equivalence_check, simulate
-from kecscope.trojan import (HthSpec, insert_hth, overhead_report,
-                             reconstruct_secret)
+from kecscope.scoring import compute_zscores
+from kecscope.sim import equivalence_check, reconstruct_secret, simulate
+from kecscope.trojan import HthSpec, insert_hth, overhead_report
 
-from named import Named
-from test_generator import MIN_FANIN_FLOOR, permute_init, read_state
+from named import Named, remap_result
+from test_generator import (MIN_FANIN_FLOOR, permute_init, read_state,
+                            run_rounds)
 
 
 @contextmanager
@@ -43,9 +45,9 @@ def test_criterion_1_structural_floors():
         state = truth.all_state_ffs()
         assert len(state) == 1600
         assert all(graph.fanin(f) == 33 for f in state)
-        sources, sinks = keccak.round_dependency_sets(64)
-        assert len(sources[(0, 0, 0)]) == 33
-        assert {len(s) for s in sources.values()} == {33}
+        sources = keccak.round_sources(64)
+        assert len(sources[0]) == 33
+        assert {len(s) for s in sources} == {33}
         assert derive_bounds(64) == (33, 34)
 
 
@@ -58,21 +60,14 @@ def test_criterion_2_functional_oracle():
         for w, n in ((8, 10), (64, 5)):
             for _ in range(n):
                 s = keccak.KeccakState(w, [rng.getrandbits(w) for _ in range(25)])
-                alt = keccak.permute_bitwise(s.to_bits(), w)
-                ref = keccak.keccak_f(s)
-                assert all(ref.bit(x, y, z) == alt[(x, y, z)]
-                           for x in range(5) for y in range(5) for z in range(w))
+                assert keccak.permute_bitwise(s) == keccak.keccak_f(s)
         for w in (8, 64):
             netlist, truth = generate_accelerator(GenConfig(w=w, seed=0))
             states = [keccak.KeccakState(w, [rng.getrandbits(w) for _ in range(25)])
                       for _ in range(100)]
             rounds = keccak.num_rounds(w)
-            init = permute_init(netlist, truth, states)
-            stim = [{p: 0 for p in netlist.input_ports()}] * (rounds + 1)
-            cells = netlist.cells_by_name()
-            watch = [cells[f].pins["q"] for f in truth.instances[0].state_ffs]
-            trace = simulate(netlist, stim, rounds + 1, watch=watch,
-                             init=init, batch=100)
+            trace = run_rounds(netlist, truth,
+                               permute_init(netlist, truth, states), 100)
             for lane, s in enumerate(states):
                 assert read_state(netlist, truth, trace, rounds, lane).lanes \
                     == keccak.keccak_f(s).lanes
@@ -111,10 +106,6 @@ def test_criterion_4_input_localization(oracle_w64):
 
         split, truth3 = generate_accelerator(
             GenConfig(w=64, decoy_ffs=2000, seed=5, loader="split"))
-        from kecscope.grouping import compute_levels, group_by_levels
-        from kecscope.locate import (clever_search, locate_inputs_grouped,
-                                     locate_inputs_individual)
-        from kecscope.scoring import compute_zscores
         graph = extract_dependencies(split)
         scores = compute_zscores(graph)
         groups = group_by_levels(compute_levels(graph))
@@ -158,9 +149,7 @@ def test_criterion_6_end_to_end_attack(oracle_w64):
         base = {p: 0 for p in trojaned.input_ports()}
 
         def word(v):
-            d = dict(base)
-            d.update({f"data_in0[{z}]": (v >> z) & 1 for z in range(64)})
-            return d
+            return {**base, **{f"data_in0[{z}]": (v >> z) & 1 for z in range(64)}}
 
         stim = [dict(base)] * 3 + [word(m)] + [dict(base)] * spec.capture_delay
         stim += [word(k)] + [dict(base)] * 40
@@ -187,19 +176,16 @@ def test_criterion_7_trigger_brute_force():
         spec = HthSpec(t=16, l=16, trigger=m, capture_delay=1)
         trojaned, _ = insert_hth(netlist, result, spec)
         batch = 1 << 16
-        vec = {p: 0 for p in trojaned.input_ports()}
-        for z in range(16):
-            bits = 0
-            for w_ in range(batch):
-                bits |= ((w_ >> z) & 1) << w_
-            vec[f"data_in0[{z}]"] = bits
         quiet = {p: 0 for p in trojaned.input_ports()}
+        # lane v of data_in0 carries the word v
+        vec = {**quiet, **{f"data_in0[{z}]": int("".join(
+            str(v >> z & 1) for v in reversed(range(batch))), 2)
+            for z in range(16)}}
         stim = [dict(quiet), vec] + [dict(quiet)] * 10
         trace = simulate(trojaned, stim, len(stim), batch=batch)
         fired = 0
-        for raw in trace.island_raw:
-            if raw is not None:
-                fired |= raw[0]
+        for raw in filter(None, trace.island_raw):
+            fired |= raw[0]
         assert fired.bit_count() == 1
         assert fired.bit_length() - 1 == m
 

@@ -254,9 +254,7 @@ def test_simulate_trigger_and_stealth(workdir, injected):
     base = {p: 0 for p in trojaned.input_ports()}
 
     def word(v):
-        d = dict(base)
-        d.update({f"data_in0[{z}]": (v >> z) & 1 for z in range(16)})
-        return d
+        return {**base, **{f"data_in0[{z}]": (v >> z) & 1 for z in range(16)}}
 
     stim = [dict(base)] * 3 + [word(0xBEEF)] + [dict(base)] + [word(0x5AA5)]
     stim += [dict(base)] * 20
@@ -454,6 +452,8 @@ INVALID_NETLISTS = {
      4),
     (["inject", "--netlist", "{d}/w8.nl", "--result", "{d}/repeated.json",
       "--t", "16", "--l", "16", "--trigger-hex", "0"], 3),
+    (["simulate", "--netlist", "{d}/w8.nl", "--stimulus",
+      "{d}/port_twice.stim"], 2),
 ], ids=["no-flip-flops", "analyze-lane-width", "inject-lane-width",
         "config-wrong-type", "missing-config", "missing-sidecar",
         "missing-result", "missing-stimulus", "binary-netlist",
@@ -470,7 +470,8 @@ INVALID_NETLISTS = {
         "stimulus-unknown-port", "stimulus-missing-port", "stimulus-bit-two",
         "stimulus-item-without-equals", "simulate-gated-clock",
         "inject-combinational-cycle",
-        "simulate-combinational-cycle", "result-repeated-attach-point"])
+        "simulate-combinational-cycle", "result-repeated-attach-point",
+        "stimulus-port-twice"])
 def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "noff.nl").write_text(NO_FFS)
     (tmp_path / "gated.nl").write_text(GATED)
@@ -485,6 +486,8 @@ def test_exit_codes_are_total(tmp_path, capsys, oracle_w8, argv, code):
     (tmp_path / "missing_port.stim").write_text(f"{first}=0\n")
     (tmp_path / "bit_two.stim").write_text(f"{first}=2\n")
     (tmp_path / "no_equals.stim").write_text(f"{first}\n")
+    (tmp_path / "port_twice.stim").write_text(
+        write_stimulus([quiet]).replace(f"{first}=0", f"{first}=0 {first}=1"))
     (tmp_path / "decoys_str.json").write_text(json.dumps({"decoys": "5"}))
     (tmp_path / "list.json").write_text("[1, 2]")
     (tmp_path / "binary.nl").write_bytes(b"module m\n\xff\xfe\nendmodule\n")

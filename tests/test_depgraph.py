@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecscope.depgraph import (degree_histogram, dump_degrees,
-                               extract_dependencies)
+from kecscope.depgraph import dump_degrees, extract_dependencies
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
 from kecscope.grouping import RESIDUAL_GROUP, compute_levels, group_by_levels
 from kecscope.locate import PipelineConfig, run_pipeline
@@ -17,7 +16,7 @@ from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, Cell,
 from kecscope.scoring import compute_zscores
 from kecscope.trojan import HthSpec, insert_hth
 
-from named import Named
+from named import Named, degree_histogram
 
 
 def test_three_ff_chain_hand_trace(chain3):

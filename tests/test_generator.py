@@ -11,8 +11,7 @@ import kecscope
 from kecscope import keccak
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import (Builder, GenConfig, GroundTruth,
-                                generate_accelerator, generate_core,
-                                state_bit_index)
+                                generate_accelerator, generate_core)
 from kecscope.locate import derive_bounds
 from kecscope.netlist import (ArityMismatchError, UnknownCellKindError,
                               validate, write_netlist)
@@ -27,55 +26,41 @@ def permute_init(netlist, truth, states, share=0, instance=0):
     """Flip-flop preset that loads the given batch of states and forces the
     permutation to run with no absorb interference."""
     w = truth.lane_width
-    inst = truth.instances[instance]
-    init = {}
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                idx = share * 25 * w + state_bit_index(x, y, z, w)
-                bits = 0
-                for lane, s in enumerate(states):
-                    bits |= s.bit(x, y, z) << lane
-                init[inst.state_ffs[idx]] = bits
+    ffs = truth.instances[instance].state_ffs[share * 25 * w:]
+    # flat id i is bit z = i % w of lane x + 5y = i // w
+    init = {ffs[i]: sum((s.lanes[i // w] >> i % w & 1) << lane
+                        for lane, s in enumerate(states))
+            for i in range(25 * w)}
     init[f"k{instance}_ctl_permute"] = (1 << len(states)) - 1
     return init
 
 
 def read_state(netlist, truth, trace, cycle, lane, share=0, instance=0):
     w = truth.lane_width
-    inst = truth.instances[instance]
+    ffs = truth.instances[instance].state_ffs[share * 25 * w:]
     cells = netlist.cells_by_name()
     s = keccak.KeccakState.zero(w)
-    for x in range(5):
-        for y in range(5):
-            for z in range(w):
-                idx = share * 25 * w + state_bit_index(x, y, z, w)
-                net = cells[inst.state_ffs[idx]].pins["q"]
-                if (trace.watches[cycle][net] >> lane) & 1:
-                    s.lanes[x + 5 * y] |= 1 << z
+    for i in range(25 * w):
+        if trace.watches[cycle][cells[ffs[i]].pins["q"]] >> lane & 1:
+            s.lanes[i // w] |= 1 << i % w
     return s
 
 
-def run_rounds(netlist, truth, states):
+def run_rounds(netlist, truth, init, batch):
+    """Every round of one permutation from the preset ``init``, each state
+    flip-flop watched."""
     rounds = keccak.num_rounds(truth.lane_width)
-    init = permute_init(netlist, truth, states)
     stim = [{p: 0 for p in netlist.input_ports()}] * (rounds + 1)
     cells = netlist.cells_by_name()
-    watch = [cells[f].pins["q"] for inst in truth.instances
-             for f in inst.state_ffs]
+    watch = [cells[f].pins["q"] for f in truth.all_state_ffs()]
     return simulate(netlist, stim, rounds + 1, watch=watch, init=init,
-                    batch=len(states))
+                    batch=batch)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        GenConfig(w=63)
-    with pytest.raises(ValueError):
-        GenConfig(shares=3)
-    with pytest.raises(ValueError):
-        GenConfig(decoy_ffs=-1)
-    with pytest.raises(ValueError):
-        GenConfig(loader="dma")
+    for bad in ({"w": 63}, {"shares": 3}, {"decoy_ffs": -1}, {"loader": "dma"}):
+        with pytest.raises(ValueError):
+            GenConfig(**bad)
 
 
 def test_builder_rejects_a_duplicate_flip_flop():
@@ -289,7 +274,8 @@ def test_round_logic_matches_reference_w8():
     rng = random.Random(11)
     states = [keccak.KeccakState(8, [rng.getrandbits(8) for _ in range(25)])
               for _ in range(10)]
-    trace = run_rounds(netlist, truth, states)
+    trace = run_rounds(netlist, truth, permute_init(netlist, truth, states),
+                       len(states))
     rounds = keccak.num_rounds(8)
     finals = []
     for lane, s in enumerate(states):
@@ -312,15 +298,10 @@ def test_masked_shares_xor_to_reference():
         plains.append(plain)
         s0s.append(keccak.KeccakState(w, [a ^ b for a, b in zip(plain.lanes, m)]))
         s1s.append(keccak.KeccakState(w, m))
-    init = permute_init(netlist, truth, s0s, share=0)
-    for k, v in permute_init(netlist, truth, s1s, share=1).items():
-        init.setdefault(k, v)
+    init = {**permute_init(netlist, truth, s1s, share=1),
+            **permute_init(netlist, truth, s0s, share=0)}
     rounds = keccak.num_rounds(w)
-    stim = [{p: 0 for p in netlist.input_ports()}] * (rounds + 1)
-    cells = netlist.cells_by_name()
-    watch = [cells[f].pins["q"] for f in truth.instances[0].state_ffs]
-    trace = simulate(netlist, stim, rounds + 1, watch=watch, init=init,
-                     batch=len(plains))
+    trace = run_rounds(netlist, truth, init, len(plains))
     for lane, plain in enumerate(plains):
         want = keccak.keccak_f(plain)
         got0 = read_state(netlist, truth, trace, rounds, lane, share=0)
@@ -355,9 +336,41 @@ def test_core_netlist(oracle_w8):
     assert validate(core) == []
     assert len(truth.all_state_ffs()) == 200
     g = Named(extract_dependencies(core))
-    fif, _ = (min(len(s) for s in keccak.round_dependency_sets(8)[0].values()),
-              None)
+    fif = min(len(s) for s in keccak.round_sources(8))
     assert min(g.fanin(f) for f in truth.all_state_ffs()) == fif
+
+
+def state_sources(graph, state_ffs):
+    """Each flip-flop of ``state_ffs``, in that order: its sources in
+    ``graph`` that are in ``state_ffs``, as ascending positions there."""
+    pos = {f: k for k, f in enumerate(state_ffs)}
+    rdeps = Named(graph).rdeps
+    return [sorted(pos[s] for s in rdeps[f] if s in pos) for f in state_ffs]
+
+
+@pytest.mark.parametrize("w", keccak.LANE_WIDTHS)
+def test_core_round_logic_equals_reference(w):
+    # the bare core holds the state register alone
+    core, truth = generate_core(w)
+    graph = extract_dependencies(core)
+    assert sorted(graph.ffs) == sorted(truth.all_state_ffs())
+    assert state_sources(graph, truth.all_state_ffs()) == keccak.round_sources(w)
+
+
+@pytest.mark.parametrize("design", [
+    "oracle_w8", "oracle_w64", GenConfig(w=8, instances=2, seed=4),
+    GenConfig(w=16, loader="split", seed=5)],
+    ids=["oracle_w8", "oracle_w64", "two_instances_w8", "split_w16"])
+def test_accelerator_round_logic_equals_reference(request, design):
+    # per instance, the state reads the reference sources, and its hold
+    # mux adds each bit's own self loop
+    netlist, truth = (request.getfixturevalue(design) if isinstance(design, str)
+                      else generate_accelerator(design))
+    graph = extract_dependencies(netlist)
+    want = [sorted({*s, k})
+            for k, s in enumerate(keccak.round_sources(truth.lane_width))]
+    for inst in truth.instances:
+        assert state_sources(graph, inst.state_ffs) == want
 
 
 def test_decoys_stay_out_of_the_window(oracle_w64, oracle_w64_graph):

@@ -13,10 +13,10 @@ import pytest
 
 from kecscope.cli import main
 from kecscope.generator import GenConfig, generate_accelerator, generate_core
-from kecscope.locate import RepqcResult
 from kecscope.netlist import anonymize, parse_netlist, write_netlist
 from kecscope.sim import write_stimulus
 from kecscope.trojan import HthSpec, insert_hth
+from kecscope.truth import RepqcResult
 
 
 def _digest(netlist, record):

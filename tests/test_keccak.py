@@ -4,7 +4,7 @@ import pytest
 
 from kecscope.keccak import (KeccakState, LANE_WIDTHS, keccak_f, num_rounds,
                              permute_bitwise, rho_offsets, round_constants,
-                             round_dependency_sets)
+                             round_fn, round_sources)
 
 # keccak-f[1600] applied to the all-zero state, first lanes of the canonical
 # test vector; cross-checked here against two independent implementations
@@ -55,10 +55,7 @@ def test_two_implementations_agree(w):
     rng = random.Random(w)
     for _ in range(5):
         s = KeccakState(w, [rng.getrandbits(w) for _ in range(25)])
-        ref = keccak_f(s)
-        alt = permute_bitwise(s.to_bits(), w)
-        assert all(ref.bit(x, y, z) == alt[(x, y, z)]
-                   for x in range(5) for y in range(5) for z in range(w))
+        assert permute_bitwise(s) == keccak_f(s)
 
 
 def test_permutation_is_injective_spot_check():
@@ -71,39 +68,74 @@ def test_permutation_is_injective_spot_check():
 
 
 def test_state_validation():
-    with pytest.raises(ValueError):
-        KeccakState(3, [0] * 25)
-    with pytest.raises(ValueError):
-        KeccakState(8, [0] * 24)
-    with pytest.raises(ValueError):
-        KeccakState(8, [1 << 8] + [0] * 24)
+    for w, lanes in ((3, [0] * 25), (8, [0] * 24), (8, [1 << 8] + [0] * 24)):
+        with pytest.raises(ValueError):
+            KeccakState(w, lanes)
+
+
+def round_sinks(sources):
+    """The transpose of ``round_sources``: per id, the ascending ids of the
+    bits whose new value reads it."""
+    sinks = [[] for _ in sources]
+    for i, srcs in enumerate(sources):
+        for j in srcs:
+            sinks[j].append(i)
+    return sinks
 
 
 def test_dependency_sets_w64():
-    sources, sinks = round_dependency_sets(64)
-    assert len(sources[(0, 0, 0)]) == 33
-    assert (0, 0, 0) in sources[(0, 0, 0)]  # depends on 32 others and itself
-    assert {len(s) for s in sources.values()} == {33}
-    assert sum(len(s) for s in sources.values()) == sum(
-        len(s) for s in sinks.values())
+    sources = round_sources(64)
+    assert len(sources[0]) == 33
+    assert 0 in sources[0]  # depends on 32 others and itself
+    assert {len(s) for s in sources} == {33}
+    assert {len(s) for s in round_sinks(sources)} == {33}
 
 
 def test_dependency_sets_transpose_consistent():
+    # each list holds distinct ascending ids of the state, and their
+    # transpose gives every bit a reader
     for w in (2, 8):
-        sources, sinks = round_dependency_sets(w)
-        for bit, srcs in sources.items():
-            for s in srcs:
-                assert bit in sinks[s]
+        sources = round_sources(w)
+        assert all(s == sorted(set(s)) and 0 <= s[0] and s[-1] < 25 * w
+                   for s in sources)
+        assert all(round_sinks(sources))
 
 
 def test_small_widths_can_collide():
-    sources, _ = round_dependency_sets(2)
-    assert min(len(s) for s in sources.values()) < 33
+    assert min(len(s) for s in round_sources(2)) < 33
 
 
 @pytest.mark.parametrize("w", LANE_WIDTHS)
 def test_dependency_set_sizes_bounded(w):
-    sources, sinks = round_dependency_sets(w)
-    assert all(len(s) <= 33 for s in sources.values())
-    assert all(len(s) <= 33 for s in sinks.values())
+    sources = round_sources(w)
+    assert all(len(s) <= 33 for s in sources)
+    assert all(len(s) <= 33 for s in round_sinks(sources))
     assert len(sources) == 25 * w
+
+
+def test_round_sources_rejects_bad_width():
+    with pytest.raises(ValueError):
+        round_sources(3)
+
+
+@pytest.mark.parametrize("w", [1, 2, 4, 8])
+def test_round_sources_match_flipped_round(w):
+    # the differential gate of the reference: flip each input bit of a
+    # seeded random state through round_fn; output bit i changes only
+    # when j is one of its sources, and every source shows a change
+    def flat(state):
+        return sum(lane << k * w for k, lane in enumerate(state.lanes))
+    rng = random.Random(w)
+    seen = [set() for _ in range(25 * w)]
+    for _ in range(32):
+        s = KeccakState(w, [rng.getrandbits(w) for _ in range(25)])
+        rc = rng.getrandbits(w)
+        base = flat(round_fn(s, rc))
+        for j in range(25 * w):
+            lanes = list(s.lanes)
+            lanes[j // w] ^= 1 << j % w
+            diff = base ^ flat(round_fn(KeccakState(w, lanes), rc))
+            for i in range(25 * w):
+                if diff >> i & 1:
+                    seen[i].add(j)
+    assert [sorted(s) for s in seen] == round_sources(w)

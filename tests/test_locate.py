@@ -11,17 +11,18 @@ from hypothesis import strategies as st
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import GenConfig, generate_accelerator
 from kecscope.grouping import compute_levels, group_by_levels
-from kecscope.keccak import LANE_WIDTHS, round_dependency_sets
-from kecscope.locate import (KeccakNotPresentError, PipelineConfig, RepqcResult,
-                             SearchBounds, _hit_counts, clever_search,
-                             derive_bounds, expected_state_count,
+from kecscope.keccak import LANE_WIDTHS, round_sources
+from kecscope.locate import (PipelineConfig, SearchBounds, _hit_counts,
+                             clever_search, derive_bounds, expected_state_count,
                              filter_state_candidates, locate_inputs_grouped,
                              locate_inputs_individual, naive_bounds,
-                             remap_result, results_equivalent, run_pipeline)
+                             results_equivalent, run_pipeline)
 from kecscope.netlist import anonymize
 from kecscope.scoring import compute_zscores
+from kecscope.truth import KeccakNotPresentError, RepqcResult
 
-from named import Named, graph
+from named import Named, graph, remap_result
+from test_keccak import round_sinks
 
 
 def random_graph(rng, n=50):
@@ -64,11 +65,11 @@ def test_derive_bounds_consistent_with_expansion():
     # the differential gate of derive_bounds' table: every entry is
     # recomputed from the one-round expansion it was read off
     for w in LANE_WIDTHS:
-        sources, sinks = round_dependency_sets(w)
+        sources = round_sources(w)
         fif, fof = derive_bounds(w)
-        assert fif == min(len(s) for s in sources.values())
+        assert fif == min(len(s) for s in sources)
         # one extra sink floor: the state must remain readable
-        assert fof == min(len(s) for s in sinks.values()) + 1
+        assert fof == min(len(s) for s in round_sinks(sources)) + 1
 
 
 def test_naive_bounds_w64():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from kecscope.depgraph import extract_dependencies
 from kecscope import netlist as netlist_module
 from kecscope.generator import Builder, GenConfig, generate_accelerator
-from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
+from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ID_RE, NO_TAGS,
                               ArityMismatchError, Cell,
                               CombinationalCycleError, DeclarationError,
@@ -19,6 +19,7 @@ from kecscope.netlist import (ANALOG_ISLAND_TAG, CELL_KINDS, ID_RE, NO_TAGS,
                               parse_netlist, validate, write_netlist)
 from kecscope.sim import simulate
 from kecscope.trojan import HthSpec, insert_hth
+from kecscope.truth import RepqcResult
 
 INV_DFF = """\
 module tiny

@@ -394,6 +394,9 @@ def test_stimulus_file_round_trip():
     vectors = [{"a": 1, "b": 0}, {"a": 0, "b": 1}]
     assert parse_stimulus(write_stimulus(vectors)) == vectors
     assert parse_stimulus("# comment\na=1 b=0\n\na=0 b=1\n") == vectors
+    # a blank line is no cycle: read back, every later cycle would move up
+    with pytest.raises(ValueError, match="cycle 1 sets no port"):
+        write_stimulus([{"a": 1}, {}, {"a": 0}])
 
 
 def test_stimulus_parse_errors():
@@ -401,6 +404,8 @@ def test_stimulus_parse_errors():
         parse_stimulus("a=2\n")
     with pytest.raises(StimulusError):
         parse_stimulus("nonsense\n")
+    with pytest.raises(StimulusError, match="^line 2: port 'a' given twice$"):
+        parse_stimulus("a=0\na=1 b=0 a=0\n")
 
 
 def test_trace_dump():

@@ -4,12 +4,14 @@ import pytest
 
 from kecscope.depgraph import extract_dependencies
 from kecscope.generator import Builder, GenConfig, generate_accelerator
-from kecscope.locate import PipelineConfig, RepqcResult, run_pipeline
+from kecscope.locate import PipelineConfig, run_pipeline
 from kecscope.netlist import (ANALOG_ISLAND_TAG, parse_netlist, validate,
                               write_netlist)
-from kecscope.sim import equivalence_check, extends, simulate
+from kecscope.sim import (equivalence_check, extends, reconstruct_secret,
+                          simulate)
 from kecscope.trojan import (PREFIX, HthSpec, InsertionError, insert_hth,
-                             overhead_report, reconstruct_secret)
+                             overhead_report)
+from kecscope.truth import RepqcResult
 
 from named import Named
 
@@ -77,9 +79,8 @@ def victim16():
 
 
 def _word(netlist, value, w=16):
-    vec = {p: 0 for p in netlist.input_ports()}
-    vec.update({f"data_in0[{z}]": (value >> z) & 1 for z in range(w)})
-    return vec
+    return {**_quiet(netlist),
+            **{f"data_in0[{z}]": (value >> z) & 1 for z in range(w)}}
 
 
 def _quiet(netlist):
@@ -88,12 +89,9 @@ def _quiet(netlist):
 
 def trigger_stimulus(netlist, m, k, capture_delay, tail=30, w=16):
     # register follows data_in with one cycle lag while the victim idles
-    stim = [_quiet(netlist)] * 3
-    stim.append(_word(netlist, m, w))
-    stim += [_quiet(netlist)] * capture_delay
-    stim.append(_word(netlist, k, w))
-    stim += [_quiet(netlist)] * tail
-    return stim
+    quiet = [_quiet(netlist)]
+    return (quiet * 3 + [_word(netlist, m, w)] + quiet * capture_delay
+            + [_word(netlist, k, w)] + quiet * tail)
 
 
 
@@ -155,10 +153,8 @@ def test_dormant_stealth(victim16):
     netlist, _, result = victim16
     spec = HthSpec(t=16, l=16, trigger=0xBEEF, capture_delay=1)
     trojaned, _ = insert_hth(netlist, result, spec)
-    stim = [_quiet(netlist)]
-    for v in (0x1111, 0x2222, 0xFFFF, 0x0000, 0xBEEE):
-        stim.append(_word(netlist, v))
-    stim += [_quiet(netlist)] * 10
+    stim = [_quiet(netlist)] + [_word(netlist, v) for v in (
+        0x1111, 0x2222, 0xFFFF, 0x0000, 0xBEEE)] + [_quiet(netlist)] * 10
     assert equivalence_check(netlist, trojaned, stim, len(stim))
     trace = simulate(trojaned, stim, len(stim))
     assert trace.leak_symbols() == []
