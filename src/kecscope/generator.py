@@ -34,6 +34,8 @@ from .netlist import Cell, Netlist, Port
 from .truth import GroundTruth, InstanceTruth
 
 DECOY_KIND_WEIGHTS = (("pipeline", 40), ("counter", 30), ("lfsr", 20), ("fsm", 10))
+# one entry per unit of weight, so one rng.choice draws a kind
+_DECOY_KINDS = tuple(kind for kind, wgt in DECOY_KIND_WEIGHTS for _ in range(wgt))
 
 
 @dataclass(frozen=True)
@@ -46,8 +48,7 @@ class GenConfig:
     loader: str = "absorb"   # "absorb" | "split" (two loader paths)
 
     def __post_init__(self):
-        if self.w not in keccak.LANE_WIDTHS:
-            raise ValueError(f"unsupported lane width {self.w}")
+        keccak.lane_log(self.w)
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
         if self.shares not in (1, 2):
@@ -189,6 +190,25 @@ class Builder:
                      else {"d": d, "clk": clk, "rst": rst, "q": q})
         return q
 
+    def count_to(self, name, enable, last, prefix="", **ff):
+        """An up counter of flip-flops ``name0``, ``name1``, ... on nets
+        ``name0_q``, ..., LSB first, ``max(1, last.bit_length())`` of them:
+        it counts while ``enable`` is 1 and clears while it is 0. Returns
+        the q nets and the net that is 1 at the count ``last``; ``ff``
+        (``clk``, ``rst``) goes to each :meth:`dff`."""
+        qs = [self.net(f"{name}{i}_q") for i in range(max(1, last.bit_length()))]
+        for i, nxt in enumerate(_incrementer(self, qs, prefix)):
+            self.dff(f"{name}{i}", self.and2(enable, nxt, prefix), q=qs[i], **ff)
+        return qs, self.and_tree([q if (last >> i) & 1 else self.inv(q, prefix)
+                                  for i, q in enumerate(qs)], prefix)
+
+    def phase(self, name, q, start, done, prefix="", **ff):
+        """The flip-flop ``name`` on the declared net ``q`` of a one-hot
+        phase: it rises the cycle after ``start`` and holds until ``done``.
+        ``ff`` (``clk``, ``rst``) goes to :meth:`dff`."""
+        held = self.and2(q, self.inv(done, prefix), prefix)
+        return self.dff(name, self.or2(start, held, prefix), q=q, **ff)
+
     def mux_n(self, inputs, sel, prefix=""):
         """Binary mux tree over the ``inputs`` nets indexed by the sel nets
         (LSB first). A slot past the inputs reads TIE0, and a subtree whose
@@ -218,13 +238,6 @@ def _incrementer(b, bits, prefix):
         if len(out) < len(bits):
             carry = b.and2(carry, q, prefix)
     return out
-
-
-def _equals_const(b, bits, value, prefix):
-    terms = []
-    for i, q in enumerate(bits):
-        terms.append(q if (value >> i) & 1 else b.inv(q, prefix))
-    return b.and_tree(terms, prefix)
 
 
 def _linear_layer(b, p, sin, w):
@@ -309,9 +322,6 @@ def _build_instance(b, idx, cfg, rst):
     """One accelerator instance; returns (InstanceTruth, control ff ids)."""
     w = cfg.w
     pre = f"k{idx}_"
-    rounds = keccak.num_rounds(w)
-    cbits = max(1, (rounds - 1).bit_length())
-
     pw = len(str(w - 1))
 
     start = b.port_in(f"start{idx}")
@@ -327,17 +337,11 @@ def _build_instance(b, idx, cfg, rst):
     b.cell("OR2", f"{pre}busy_or", a=absorb_q, b=permute_q, y=busy)
     update = busy
 
-    counter_q = [b.net(f"{pre}rc{i}_q") for i in range(cbits)]
-    inc = _incrementer(b, counter_q, pre)
-    for i in range(cbits):
-        b.dff(f"{pre}rc{i}", b.and2(update, inc[i], pre), q=counter_q[i], rst=rst)
-    done = _equals_const(b, counter_q, rounds - 1, pre)
-
+    counter_q, done = b.count_to(f"{pre}rc", update, keccak.num_rounds(w) - 1,
+                                 pre, rst=rst)
     b.dff(f"{pre}ctl_absorb", b.and2(idle, start, pre), q=absorb_q, rst=rst)
-    b.dff(f"{pre}ctl_permute",
-          b.or2(absorb_q, b.and2(permute_q, b.inv(done, pre), pre), pre),
-          q=permute_q, rst=rst)
-    control = [f"{pre}rc{i}" for i in range(cbits)]
+    b.phase(f"{pre}ctl_permute", permute_q, absorb_q, done, pre, rst=rst)
+    control = [f"{pre}rc{i}" for i in range(len(counter_q))]
     control += [f"{pre}ctl_absorb", f"{pre}ctl_permute"]
 
     # input register: follows data_in while idle, holds otherwise
@@ -400,7 +404,7 @@ def _build_decoys(b, cfg):
     remaining = cfg.decoy_ffs
     sid = 0
     while remaining > 0:
-        kind = _pick_kind(rng)
+        kind = rng.choice(_DECOY_KINDS)
         pre = f"dec{sid}_"
         sid += 1
         if kind == "pipeline":
@@ -455,17 +459,6 @@ def _build_decoys(b, cfg):
         po = b.port_out(f"dec_out{i}")
         b.cell("BUF", f"decpo{i}", a=b.xor_tree(bucket, "decpo_"), y=po)
     return [c.name for c in b.cells[first:] if c.kind == "DFF"]
-
-
-def _pick_kind(rng):
-    total = sum(wgt for _, wgt in DECOY_KIND_WEIGHTS)
-    roll = rng.randrange(total)
-    acc = 0
-    for kind, wgt in DECOY_KIND_WEIGHTS:
-        acc += wgt
-        if roll < acc:
-            return kind
-    return "pipeline"
 
 
 def generate_accelerator(cfg: GenConfig) -> tuple[Netlist, GroundTruth]:

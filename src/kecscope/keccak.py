@@ -19,8 +19,8 @@ from dataclasses import dataclass
 LANE_WIDTHS = (1, 2, 4, 8, 16, 32, 64)
 
 
-def _lane_log(w: int) -> int:
-    """l for lane width w = 2**l."""
+def lane_log(w: int) -> int:
+    """l for lane width w = 2**l; any other w raises ValueError."""
     if w not in LANE_WIDTHS:
         raise ValueError(f"unsupported lane width {w}")
     return LANE_WIDTHS.index(w)
@@ -28,7 +28,7 @@ def _lane_log(w: int) -> int:
 
 def num_rounds(w: int) -> int:
     """12 + 2*l rounds for lane width w = 2**l."""
-    return 12 + 2 * _lane_log(w)
+    return 12 + 2 * lane_log(w)
 
 
 def rho_offsets() -> dict[tuple[int, int], int]:
@@ -58,7 +58,7 @@ def _rc_bit(t: int) -> int:
 
 def round_constants(w: int) -> list[int]:
     """Iota lane constants for rounds 0..12+2l-1, as w-bit integers."""
-    l = _lane_log(w)
+    l = lane_log(w)
     rcs = []
     for ir in range(num_rounds(w)):
         rc = 0
@@ -77,17 +77,12 @@ class KeccakState:
     lanes: list[int]
 
     def __post_init__(self):
-        if self.w not in LANE_WIDTHS:
-            raise ValueError(f"unsupported lane width {self.w}")
+        lane_log(self.w)
         if len(self.lanes) != 25:
             raise ValueError("state needs exactly 25 lanes")
         mask = (1 << self.w) - 1
         if any(v & ~mask for v in self.lanes):
             raise ValueError("lane value wider than w")
-
-    @classmethod
-    def zero(cls, w):
-        return cls(w, [0] * 25)
 
     def bit(self, x, y, z):
         return (self.lanes[x + 5 * y] >> z) & 1
@@ -158,8 +153,7 @@ def round_sources(w: int) -> list[list[int]]:
     value structurally depends on. Iota adds constants only and contributes
     nothing.
     """
-    if w not in LANE_WIDTHS:
-        raise ValueError(f"unsupported lane width {w}")
+    lane_log(w)
     sources = []
     for y in range(5):
         for x in range(5):

@@ -140,12 +140,14 @@ def _hit_counts(graph: DependencyGraph, ckff: set[int], w: int) -> Counter:
     return Counter({m: n for m, n in hits.items() if n >= floor})
 
 
-def _result(graph, ckff, members, gid, variant):
-    """The result named: candidate ids become names here, and the located
-    ids ranked by (z, name) before they do."""
+def _result(graph, ckff, z, w, members, gid, variant):
+    """The result named: ``members`` ranked by (z, name) and cut to w,
+    which is the register's bit order; then the candidate and located ids
+    become names. No members is the empty result."""
     ffs = graph.ffs
+    ranked = sorted(members, key=lambda m: (z[m], ffs[m]))[:w]
     return RepqcResult(frozenset([ffs[f] for f in ckff]),
-                       [ffs[m] for m in members], gid, variant)
+                       [ffs[m] for m in ranked], gid, variant)
 
 
 def locate_inputs_grouped(z: list[float], groups: GroupTable,
@@ -154,8 +156,8 @@ def locate_inputs_grouped(z: list[float], groups: GroupTable,
     """Grouped localization: keep the register groups whose members take
     at least w candidate hits in total, prune members below the hit floor
     (``_hit_counts``), rank the survivors by ascending mean score of their
-    hit members (ties by level key) and return the w lowest-scoring
-    members of the best group (ties by name).
+    hit members (ties by level key) and pass the hit members of the best
+    group to ``_result``, which ranks them and keeps w.
 
     Returns an empty result when no group survives or when the best group
     cannot supply w members (the imprecise-grouping failure mode).
@@ -170,24 +172,19 @@ def locate_inputs_grouped(z: list[float], groups: GroupTable,
     if survivors:
         _, best, members = min(survivors, key=lambda s: s[0])
         if len(members) >= w:
-            ffs = graph.ffs
-            members = sorted(members, key=lambda m: (z[m], ffs[m]))[:w]
-            return _result(graph, ckff, members, best.gid, "grouped")
-    return _result(graph, ckff, [], None, "grouped")
+            return _result(graph, ckff, z, w, members, best.gid, "grouped")
+    return _result(graph, ckff, z, w, [], None, "grouped")
 
 
 def locate_inputs_individual(z: list[float], graph: DependencyGraph,
                              ckff: set[int], w: int) -> RepqcResult:
     """Groupless fallback: every flip-flop is its own group of one, the
-    group-size filter disappears, and the answer is simply the w
-    lowest-scoring flip-flops that reach the hit floor (ties broken by
-    name)."""
+    group-size filter disappears, and every flip-flop that reaches the hit
+    floor goes to ``_result``, which keeps the w lowest-ranked; fewer than
+    w is the empty result."""
     hits = _hit_counts(graph, ckff, w)
-    if len(hits) < w:
-        return _result(graph, ckff, [], None, "individual")
-    ffs = graph.ffs
-    members = sorted(hits, key=lambda m: (z[m], ffs[m]))[:w]
-    return _result(graph, ckff, members, None, "individual")
+    members = hits if len(hits) >= w else []
+    return _result(graph, ckff, z, w, members, None, "individual")
 
 
 @dataclass

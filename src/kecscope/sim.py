@@ -148,13 +148,19 @@ def parse_stimulus(text: str) -> list[dict[str, int]]:
 
 
 def write_stimulus(vectors) -> str:
-    """The text :func:`parse_stimulus` reads back; a cycle that sets no
-    port has no line, so it raises ValueError."""
+    """The text :func:`parse_stimulus` reads back, each value written as
+    0 or 1. A cycle that sets no port has no line, and a value that equals
+    neither 0 nor 1 (a multi-lane mask, ``"1"``) has no bit, so each raises
+    ValueError."""
     lines = []
     for cycle, vec in enumerate(vectors):
         if not vec:
             raise ValueError(f"cycle {cycle} sets no port")
-        lines.append(" ".join(f"{p}={v}" for p, v in sorted(vec.items())))
+        for port, v in vec.items():
+            if v not in (0, 1):
+                raise ValueError(f"cycle {cycle}: port {port!r} must be 0 "
+                                 f"or 1, got {v!r}")
+        lines.append(" ".join(f"{p}={int(v)}" for p, v in sorted(vec.items())))
     return "\n".join(lines) + "\n"
 
 

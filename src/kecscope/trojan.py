@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-from .generator import Builder, _equals_const, _incrementer
+from .generator import Builder
 from .netlist import ANALOG_ISLAND_TAG, Netlist
 from .sim import ALLOWED_L
 from .truth import RepqcResult
@@ -75,9 +75,10 @@ class EcoEdit:
 def _emit_hth(b, spec, tap_m, tap_k, clk, rst):
     """Add the trojan to ``b``; every name it adds starts with PREFIX."""
     p = PREFIX
+    ff = {"clk": clk, "rst": rst}
 
     def dff(name, d, q=None):
-        return b.dff(f"{p}{name}", d, q=q, clk=clk, rst=rst)
+        return b.dff(f"{p}{name}", d, q=q, **ff)
 
     # comparator: T XNOR bits against the constant trigger, AND-reduced
     bits = [b.xnor2(tap_m[i], b.tie((spec.trigger >> i) & 1, p), p)
@@ -95,48 +96,30 @@ def _emit_hth(b, spec, tap_m, tap_k, clk, rst):
     launch = b.and2(idle, rst_local, p)
 
     if spec.capture_delay > 0:
-        cw = max(1, (spec.capture_delay - 1).bit_length())
-        cd_q = [b.net(f"{p}cd{i}_q") for i in range(cw)]
-        cd_inc = _incrementer(b, cd_q, p)
-        for i in range(cw):
-            dff(f"cd{i}", b.and2(armed_q, cd_inc[i], p), q=cd_q[i])
-        cd_done = _equals_const(b, cd_q, spec.capture_delay - 1, p)
-        dff("fsm_armed",
-            b.or2(launch, b.and2(armed_q, b.inv(cd_done, p), p), p),
-            q=armed_q)
+        _, cd_done = b.count_to(f"{p}cd", armed_q, spec.capture_delay - 1, p, **ff)
+        b.phase(f"{p}fsm_armed", armed_q, launch, cd_done, p, **ff)
         dff("fsm_capture", b.and2(armed_q, cd_done, p), q=capture_q)
     else:
         dff("fsm_capture", launch, q=capture_q)
+    _, lk_done = b.count_to(f"{p}lk", leak_q, spec.leak_cycles() - 1, p, **ff)
+    b.phase(f"{p}fsm_leak", leak_q, capture_q, lk_done, p, **ff)
 
-    lw = max(1, (spec.leak_cycles() - 1).bit_length())
-    lk_q = [b.net(f"{p}lk{i}_q") for i in range(lw)]
-    lk_inc = _incrementer(b, lk_q, p)
-    for i in range(lw):
-        dff(f"lk{i}", b.and2(leak_q, lk_inc[i], p), q=lk_q[i])
-    lk_done = _equals_const(b, lk_q, spec.leak_cycles() - 1, p)
-    dff("fsm_leak",
-        b.or2(capture_q, b.and2(leak_q, b.inv(lk_done, p), p), p),
-        q=leak_q)
-
-    shift = leak_q
-    enable = leak_q
-    sr_load = capture_q
-
-    # L-bit shift register: parallel load from the taps, drain 2 bits/cycle
+    # L-bit shift register: parallel load from the taps while capturing,
+    # drain 2 bits/cycle while leaking
     sr_q = [b.net(f"{p}sr{i}_q") for i in range(spec.l)]
     zero = b.tie(0, p)
     for i in range(spec.l):
         # drain towards the top read port: bit i takes bit i-2, zeros enter
         shifted = sr_q[i - 2] if i >= 2 else zero
-        held = b.mux2(sr_q[i], shifted, shift, p)
-        dff(f"sr{i}", b.mux2(held, tap_k[i], sr_load, p), q=sr_q[i])
+        held = b.mux2(sr_q[i], shifted, leak_q, p)
+        dff(f"sr{i}", b.mux2(held, tap_k[i], capture_q, p), q=sr_q[i])
     leak1, leak0 = sr_q[spec.l - 1], sr_q[spec.l - 2]
 
     # ring oscillator island: NAND + 4 INV + 4 BUF + MUX4 closing the loop
     tag = (ANALOG_ISLAND_TAG,)
     fb = b.net(f"{p}ro_fb")
     n1 = b.net(f"{p}ro_n1")
-    b.cell("NAND2", f"{p}ro_nand", tags=tag, a=fb, b=enable, y=n1)
+    b.cell("NAND2", f"{p}ro_nand", tags=tag, a=fb, b=leak_q, y=n1)
     stage = n1
     for i in range(4):
         nxt = b.net(f"{p}ro_i{i}")

@@ -8,7 +8,7 @@ it; ``analyze --sidecar`` reads it to grade a localization, and so needs
 this module without the generator itself. ``RepqcResult`` and
 ``KeccakNotPresentError`` are ``locate``'s result and failure, kept here
 so that ``inject --result``, which reads a result back from its report,
-loads no analysis module; ``locate`` re-exports both.
+loads no analysis module.
 """
 
 from __future__ import annotations

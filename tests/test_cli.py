@@ -805,6 +805,24 @@ def test_main_runs_without_the_cyclic_collector_and_restores_it(
     assert seen == [False]
 
 
+@pytest.mark.parametrize("collecting", [True, False])
+def test_an_exception_no_failure_matches_propagates_and_restores_the_collector(
+        tmp_path, monkeypatch, collecting):
+    # a defect is no exit code: it keeps its traceback
+    def broken(cfg):
+        raise RuntimeError("a defect")
+
+    monkeypatch.setattr(cli, "generate_accelerator", broken)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="^a defect$"):
+            main(["gen", "--seed", "1", "--out-dir", str(tmp_path)])
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+
+
 SMALL = GenConfig(w=16, decoy_ffs=500, seed=3)
 
 

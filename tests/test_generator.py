@@ -39,7 +39,7 @@ def read_state(netlist, truth, trace, cycle, lane, share=0, instance=0):
     w = truth.lane_width
     ffs = truth.instances[instance].state_ffs[share * 25 * w:]
     cells = netlist.cells_by_name()
-    s = keccak.KeccakState.zero(w)
+    s = keccak.KeccakState(w, [0] * 25)
     for i in range(25 * w):
         if trace.watches[cycle][cells[ffs[i]].pins["q"]] >> lane & 1:
             s.lanes[i // w] |= 1 << i % w
@@ -58,7 +58,8 @@ def run_rounds(netlist, truth, init, batch):
 
 
 def test_config_validation():
-    for bad in ({"w": 63}, {"shares": 3}, {"decoy_ffs": -1}, {"loader": "dma"}):
+    for bad in ({"w": 63}, {"instances": 0}, {"shares": 3}, {"decoy_ffs": -1},
+                {"loader": "dma"}):
         with pytest.raises(ValueError):
             GenConfig(**bad)
 
@@ -321,7 +322,7 @@ def test_absorb_protocol_end_to_end():
     cells = netlist.cells_by_name()
     watch = [cells[f].pins["q"] for f in truth.instances[0].state_ffs]
     trace = simulate(netlist, stim, len(stim), watch=watch)
-    exp = keccak.KeccakState.zero(w)
+    exp = keccak.KeccakState(w, [0] * 25)
     exp.lanes[0] = word
     want = keccak.keccak_f(exp)
     got = read_state(netlist, truth, trace, len(stim) - 1, 0)

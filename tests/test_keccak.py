@@ -46,7 +46,7 @@ def test_rho_offsets_canonical_spot_checks():
 
 
 def test_zero_state_vector_w64():
-    out = keccak_f(KeccakState.zero(64))
+    out = keccak_f(KeccakState(64, [0] * 25))
     assert out.lanes[:5] == ZERO_STATE_LANES
 
 
@@ -114,8 +114,10 @@ def test_dependency_set_sizes_bounded(w):
 
 
 def test_round_sources_rejects_bad_width():
-    with pytest.raises(ValueError):
-        round_sources(3)
+    # one check, lane_log, so each caller refuses w in the same words
+    for reject in (round_sources, num_rounds, lambda w: KeccakState(w, [0] * 25)):
+        with pytest.raises(ValueError, match="^unsupported lane width 3$"):
+            reject(3)
 
 
 @pytest.mark.parametrize("w", [1, 2, 4, 8])

@@ -86,9 +86,17 @@ def test_multiply_driven_net():
 
 
 def test_syntax_error_has_line():
-    with pytest.raises(NetlistSyntaxError) as e:
-        parse_netlist("module m\nbogus keyword here\nendmodule\n")
-    assert e.value.line == 2
+    for text, message in (
+            ("module m\nbogus keyword here\nendmodule\n", "unknown keyword 'bogus'"),
+            ("module m\nmodule n\nendmodule\n", "duplicate module line")):
+        with pytest.raises(NetlistSyntaxError) as e:
+            parse_netlist(text)
+        assert (e.value.line, str(e.value)) == (2, f"line 2: {message}")
+    # a text with no module line has no line to name
+    for text in ("", "# only a comment\n"):
+        with pytest.raises(NetlistSyntaxError) as e:
+            parse_netlist(text)
+        assert (e.value.line, str(e.value)) == (None, "no module found")
 
 
 # a cell line appended to INV_DFF (as line 9) -> the message it fails with;

@@ -397,6 +397,14 @@ def test_stimulus_file_round_trip():
     # a blank line is no cycle: read back, every later cycle would move up
     with pytest.raises(ValueError, match="cycle 1 sets no port"):
         write_stimulus([{"a": 1}, {}, {"a": 0}])
+    # each value is written as the bit it equals; one that equals no bit
+    # (a multi-lane mask, a string) would not read back
+    assert parse_stimulus(write_stimulus([{"a": True, "b": False}])) == [
+        {"a": 1, "b": 0}]
+    for value in (5, 2, "1"):
+        with pytest.raises(ValueError,
+                           match=f"^cycle 1: port 'b' must be 0 or 1, got {value!r}$"):
+            write_stimulus([{"a": 1}, {"a": 0, "b": value}])
 
 
 def test_stimulus_parse_errors():

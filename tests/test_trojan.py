@@ -25,6 +25,8 @@ def test_spec_validation():
         HthSpec(t=16, trigger=1 << 16)
     with pytest.raises(ValueError):
         HthSpec(capture_delay=-1)
+    with pytest.raises(ValueError):
+        HthSpec(k_offset=-1)
     HthSpec(t=16, l=16, trigger=0xFFFF)
 
 
