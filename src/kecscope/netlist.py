@@ -30,7 +30,10 @@ A cell holds its nets as one tuple in its kind's ``CELL_KINDS`` pin order,
 which every stage reads by position and the writer emits. The parser
 has two paths: a text exactly as the writer writes it takes one scan per
 line kind over the whole text and one match per cell line, and any other
-text is read line by line, each cell line pin by pin.
+text is read line by line, each cell line pin by pin. Every netlist that
+either path, :func:`anonymize` or ``generator.Builder`` makes holds one
+string object per net name, which its declaration and every pin on the
+net share.
 """
 
 from __future__ import annotations
@@ -181,6 +184,11 @@ class Netlist:
     declared twice (ports and nets together), no cell name is used twice,
     every net of a cell is declared, and every net is driven exactly
     once: by an input port or by one cell's output, ``nets[-1]``.
+    Whole-set operations decide that none of these is broken: a set of
+    the declared nets, one of the cell names, one check that each cell's
+    nets are in the first, and a driver count. Only when that fails does
+    :meth:`_fault` walk the netlist to name the first fault, so the error
+    of a netlist with several is the one a single pass meets first.
     ``index`` is its :class:`NetlistIndex`, built on first use, which
     raises CombinationalCycleError for a cyclic netlist."""
 
@@ -196,32 +204,46 @@ class Netlist:
         object.__setattr__(self, "attributes",
                            MappingProxyType(dict(self.attributes)))
         # transient: a parsed 51k-cell netlist would carry them for good
+        all_nets = self.all_nets()
+        declared = set(all_nets)
+        cells = self.cells
+        nets = [c.nets for c in cells]
+        driven = {n[-1] for n in nets}
+        inputs = self.input_ports()
+        # once every name is declared once and every pin's net declared,
+        # each net has one driver iff no two cells drive one net, no cell
+        # drives an input port, and the input ports and the cells are as
+        # many as the declared nets
+        if not (len(declared) == len(all_nets)
+                and len({c.name for c in cells}) == len(cells)
+                and all(map(declared.issuperset, nets))
+                and len(driven) == len(cells)
+                and len(driven) + len(inputs) == len(declared)
+                and driven.isdisjoint(inputs)):
+            raise self._fault()
+
+    def _fault(self):
+        """The DeclarationError of the first fault, in the order of one
+        pass: a net declared twice, in declaration order; then cell by
+        cell, a name used twice and then a pin on an undeclared net; then
+        the first net not driven exactly once (:meth:`_driver_fault`)."""
         declared: set[str] = set()
         for net in self.all_nets():
             if net in declared:
-                raise DeclarationError(f"net {net!r} declared twice", net=net)
+                return DeclarationError(f"net {net!r} declared twice", net=net)
             declared.add(net)
         names: set[str] = set()
-        driven: set[str] = set()
         for c in self.cells:
             if c.name in names:
-                raise DeclarationError(f"cell {c.name!r} declared twice",
-                                       cell=c.name)
+                return DeclarationError(f"cell {c.name!r} declared twice",
+                                        cell=c.name)
             names.add(c.name)
             if not declared.issuperset(c.nets):
                 net = next(n for n in c.nets if n not in declared)
-                raise DeclarationError(
+                return DeclarationError(
                     f"cell {c.name!r} uses undeclared net {net!r}",
                     net=net, cell=c.name)
-            driven.add(c.nets[-1])
-        # every driven net is declared, so each net has one driver iff no
-        # two cells drive one net, no cell drives an input port, and the
-        # input ports and the cells are as many as the declared nets
-        inputs = self.input_ports()
-        if not (len(driven) == len(self.cells)
-                and len(driven) + len(inputs) == len(declared)
-                and driven.isdisjoint(inputs)):
-            raise self._driver_fault()
+        return self._driver_fault()
 
     def _driver_fault(self):
         """The DeclarationError of the first declared net not driven
@@ -276,8 +298,12 @@ class Netlist:
 # of exactly those lines, with identifiers for the name and the nets and
 # any tags after the pins, as the writer writes them; only the whole-text
 # path of parse_netlist reads it, and its cells all share the kind strings.
-# A net that is no identifier is never declared, so a text with one is in
-# error, and the line loop reports it at its line.
+# That path keys a line by its kind and the kind's pin count with no
+# optional pin bound, _PIN_COUNT, plus one for a DFF line that holds
+# " rst=", DFF being the one kind with an optional pin; a line of any
+# other form misses its key or its fullmatch and sends the text to the
+# line loop. A net that is no identifier is never declared, so a text
+# with one is in error, and the line loop reports it at its line.
 _ORDERS = [(kind, (*spec.inputs, *spec.optional[:bound], spec.output))
            for kind, spec in CELL_KINDS.items()
            for bound in range(len(spec.optional) + 1)]
@@ -285,6 +311,7 @@ _LAYOUTS = {key: order for kind, order in _ORDERS
             for key in [(kind, *order), (kind, len(order))]}
 _LINES = {(k, len(order)): " ".join([f"cell {k} %s", *map("{}=%s".format, order)])
           for k, order in _ORDERS}
+_PIN_COUNT = {kind: len(spec.inputs) + 1 for kind, spec in CELL_KINDS.items()}
 _LINE_MATCH = {key: (key[0], re.compile(line.replace("%s", f"({IDENTIFIER})")
                                         + r"((?: tag=[^\s=]+)*)").fullmatch)
                for key, line in _LINES.items()}
@@ -391,6 +418,8 @@ def parse_netlist(text: str) -> Netlist:
     line; any other (comments, blank lines, CRLF, other spacing or pin
     order, or a line in error) is read line by line, each cell line split
     pin by pin and made by :class:`Cell`, with the same result or error.
+    Either way each pin takes the string of its net's declaration, so the
+    netlist holds one string per net name.
     """
     parts = _written_parts(text) or _line_parts(text)
     try:
@@ -416,16 +445,22 @@ def _written_parts(text):
     if (len(ports) + len(nets) + len(attributes) + len(lines) + 2
             != text.count("\n")):
         return None
+    # each name -> its declaration's string, which every pin on it shares;
+    # a pin on an undeclared net keeps its own, for Netlist to refuse
+    declared = {net: net for _, net in ports}
+    declared.update(zip(nets, nets))
+    get = declared.get
     cells = []
     for line in lines:
-        # each tag is one "=" more, and no pin
-        entry = _LINE_MATCH.get((line[5:line.find(" ", 5)],
-                                 line.count("=") - line.count(" tag=")))
+        kind = line[5:line.find(" ", 5)]
+        count = _PIN_COUNT.get(kind)
+        if kind == "DFF" and " rst=" in line:
+            count += 1
+        entry = _LINE_MATCH.get((kind, count))
         if entry is None or (m := entry[1](line)) is None:
             return None
-        found = m.groups()
-        tags = found[-1]
-        cells.append(_cell(entry[0], found[0], found[1:-1],
+        name, *pins, tags = m.groups()
+        cells.append(_cell(entry[0], name, tuple(map(get, pins, pins)),
                            frozenset(tags[5:].split(" tag=")) if tags
                            else NO_TAGS))
     return (module[1],
@@ -442,6 +477,9 @@ def _line_parts(text):
     nets: list[str] = []
     cells: list[Cell] = []
     attributes: dict[str, str] = {}
+    # each net name -> its first string, which every later token of it
+    # shares; a net may be declared after a cell reads it
+    canon = {}.setdefault
 
     def identifier(token, lineno):
         if not ID_RE.match(token):
@@ -469,6 +507,7 @@ def _line_parts(text):
             if len(tok) != 2:
                 raise NetlistSyntaxError(f"expected: {kw} NET", lineno)
             net = identifier(tok[1], lineno)
+            net = canon(net, net)
             if kw == "net":
                 nets.append(net)
             else:
@@ -492,7 +531,7 @@ def _line_parts(text):
                 elif pin in pins:
                     raise NetlistSyntaxError(f"pin {pin!r} bound twice", lineno)
                 else:
-                    pins[pin] = net
+                    pins[pin] = canon(net, net)
             cells.append(Cell(tok[1], cell, pins,
                               frozenset(tags) if tags else NO_TAGS))
         elif kw == "endmodule":

@@ -10,7 +10,9 @@ clipped population standard score of feature-count rarity:
 
 so z is in [0, inf) and flip-flops with identical fanout get identical z.
 The scores are a list indexed by flip-flop id, and the sums run in id
-order; only ``dump_scores`` reads names.
+order; only ``dump_scores`` reads names. z is computed once per distinct
+count, every flip-flop with that count shares the one float, and
+``dump_scores`` formats each distinct z once.
 """
 
 from __future__ import annotations
@@ -32,12 +34,14 @@ def compute_zscores(graph: DependencyGraph) -> list[float]:
     sigma = statistics.pstdev(c)
     if sigma == 0.0:
         return [0.0] * len(c)
-    return [max(0.0, (mu - n) / sigma) for n in c]
+    z = {n: max(0.0, (mu - n) / sigma) for n in counts.values()}
+    return list(map(z.__getitem__, c))
 
 
 def dump_scores(z: list[float], graph: DependencyGraph) -> str:
-    """CSV ``ff,z`` ordered by flip-flop name."""
+    """CSV ``ff,z`` ordered by flip-flop name, each z to six places."""
     ffs = graph.ffs
+    text = {v: f"{v:.6f}" for v in set(z)}
     lines = ["ff,z"]
-    lines += [f"{ffs[i]},{z[i]:.6f}" for i in graph.by_name]
+    lines += [f"{ffs[i]},{text[z[i]]}" for i in graph.by_name]
     return "\n".join(lines) + "\n"

@@ -777,6 +777,140 @@ def test_construction_finds_the_driver_faults_a_per_net_loop_finds(seed):
     assert f"net {net!r} driven" in str(e.value)
 
 
+def _sequential_fault(ports, nets, cells):
+    """Reference: the DeclarationError of a netlist's first fault, found
+    by one pass over the names in the order they are given, then net by
+    net over the drivers; None if there is none."""
+    all_nets = [p.name for p in ports] + list(nets)
+    declared = set()
+    for net in all_nets:
+        if net in declared:
+            return DeclarationError(f"net {net!r} declared twice", net=net)
+        declared.add(net)
+    names = set()
+    for c in cells:
+        if c.name in names:
+            return DeclarationError(f"cell {c.name!r} declared twice",
+                                    cell=c.name)
+        names.add(c.name)
+        for net in c.nets:
+            if net not in declared:
+                return DeclarationError(
+                    f"cell {c.name!r} uses undeclared net {net!r}",
+                    net=net, cell=c.name)
+    fault = _first_driver_fault(ports, nets, cells)
+    if fault is None:
+        return None
+    net, second = fault
+    if second is None:
+        return DeclarationError(f"net {net!r} driven by nothing", net=net)
+    inputs = [p.name for p in ports if p.direction == "in"]
+    first = ("its input port" if net in inputs else
+             f"cell {next(c.name for c in cells if c.nets[-1] == net)!r}")
+    return DeclarationError(f"net {net!r} driven twice, by {first} and cell "
+                            f"{second!r}", net=net, cell=second)
+
+
+def _plant(fault, rng, ports, nets, cells, k):
+    """``fault`` planted once into the lists of a netlist, at random."""
+    def at(seq):
+        return rng.randint(0, len(seq))
+
+    all_nets = [p.name for p in ports] + nets
+    if fault == "net_declared_twice":
+        net = rng.choice(all_nets)
+        if rng.random() < 0.5:
+            nets.insert(at(nets), net)
+        else:
+            ports.insert(at(ports), Port(net, rng.choice(["in", "out"])))
+    elif fault == "cell_name_twice" and cells:
+        # the copy may read an undeclared net too: one cell with both
+        # faults, which tells the order of the two per-cell checks
+        nets.append(f"e{k}")
+        cells.insert(at(cells), Cell("BUF", rng.choice(cells).name,
+                                     {"a": rng.choice(["pi", f"ghost{k}"]),
+                                      "y": f"e{k}"}))
+    elif fault == "undeclared_pin" and cells:
+        i = rng.randrange(len(cells))
+        c = cells[i]
+        pins = dict(c.pins)
+        pins[rng.choice(list(pins))] = f"ghost{k}"
+        cells[i] = Cell(c.kind, c.name, pins, c.tags)
+    elif fault == "driven_twice":
+        cells.insert(at(cells), Cell("TIE0", f"x{k}",
+                                     {"y": rng.choice(all_nets)}))
+    elif fault == "drives_an_input":
+        cells.insert(at(cells), Cell("BUF", f"x{k}",
+                                     {"a": "pi", "y": rng.choice(["pi", "clk"])}))
+    elif fault == "driven_by_nothing":
+        if cells and rng.random() < 0.5:
+            cells.pop(rng.randrange(len(cells)))
+        else:
+            nets.insert(at(nets), f"u{k}")
+
+
+DECLARATION_FAULTS = ["net_declared_twice", "cell_name_twice", "undeclared_pin",
+                      "driven_twice", "drives_an_input", "driven_by_nothing"]
+
+
+@given(seed=st.integers(min_value=0, max_value=10_000),
+       faults=st.lists(st.sampled_from(DECLARATION_FAULTS), max_size=2))
+@settings(max_examples=300, deadline=None)
+def test_the_bulk_declaration_check_finds_the_first_fault_of_one_pass(seed,
+                                                                     faults):
+    # whole-set checks decide whether a netlist has a fault, and only then
+    # does Netlist look for the first; its error must be the one a single
+    # sequential pass raises, class, message, net and cell alike
+    rng = random.Random(seed)
+    n = _random_netlist(rng)
+    ports, nets, cells = list(n.ports), list(n.nets), list(n.cells)
+    for k, fault in enumerate(faults):
+        _plant(fault, rng, ports, nets, cells, k)
+    expected = _sequential_fault(ports, nets, cells)
+    assert faults or expected is None
+    if expected is None:
+        Netlist("rnd", ports=ports, nets=nets, cells=cells)
+        return
+    with pytest.raises(DeclarationError) as e:
+        Netlist("rnd", ports=ports, nets=nets, cells=cells)
+    assert ((type(e.value), str(e.value), e.value.net, e.value.cell)
+            == (type(expected), str(expected), expected.net, expected.cell))
+
+
+def _crlf_with_comments(text):
+    lines = text.splitlines()
+    return "\r\n".join(["# a comment line",
+                         *(f"{line}  # line {i}" if i % 2 else line
+                           for i, line in enumerate(lines, start=1))]) + "\r\n"
+
+
+def _trojaned(netlist, truth):
+    result = RepqcResult(frozenset(truth.all_state_ffs()),
+                         truth.all_input_ffs(), None, "grouped")
+    return insert_hth(netlist, result, HthSpec(t=16, l=16))[0]
+
+
+# each way this package makes a netlist, from the w = 64 oracle; the CRLF
+# copy with comments is read line by line
+NETLIST_PATHS = {
+    "generate_accelerator": lambda n, truth: n,
+    "writer_form_parse": lambda n, truth: parse_netlist(write_netlist(n)),
+    "line_parse": lambda n, truth: parse_netlist(
+        _crlf_with_comments(write_netlist(n))),
+    "anonymize": lambda n, truth: anonymize(n, 5)[0],
+    "insert_hth": _trojaned,
+}
+
+
+@pytest.mark.parametrize("path", sorted(NETLIST_PATHS))
+def test_a_netlist_holds_one_string_per_net_name(path, oracle_w64):
+    # every pin and every declaration of a net share one string object
+    n = NETLIST_PATHS[path](*oracle_w64)
+    names = n.all_nets()
+    assert len({id(net) for c in n.cells for net in c.nets}
+               | {id(net) for net in names}) == len(names)
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=60, deadline=None)
 def test_index_orders_every_comb_cell_after_its_drivers(seed):

@@ -1,4 +1,6 @@
 import math
+import statistics
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -45,7 +47,6 @@ def test_empty_graph_rejected():
 @settings(max_examples=80, deadline=None)
 def test_monotone_in_rarity_and_nonnegative(fanouts):
     t = zscores(graph_with_fanouts(fanouts))
-    from collections import Counter
     counts = Counter(fanouts)
     c = {f"f{i}": counts[v] for i, v in enumerate(fanouts)}
     for a in c:
@@ -55,6 +56,26 @@ def test_monotone_in_rarity_and_nonnegative(fanouts):
                 assert t[a] >= t[b]
             if c[a] == c[b]:
                 assert t[a] == t[b]
+
+
+@given(st.lists(st.integers(min_value=0, max_value=12), min_size=1, max_size=40))
+@settings(max_examples=80, deadline=None)
+def test_one_float_per_distinct_count_equal_to_the_per_flip_flop_formula(fanouts):
+    # the formula is evaluated once per distinct count and each value is
+    # shared by its flip-flops; the floats and the CSV are those of the
+    # formula and the format applied flip-flop by flip-flop
+    g = graph_with_fanouts(fanouts)
+    z = compute_zscores(g)
+    counts = Counter(fanouts)
+    c = [counts[v] for v in fanouts]
+    mu, sigma = statistics.fmean(c), statistics.pstdev(c)
+    assert z == [max(0.0, (mu - n) / sigma) if sigma else 0.0 for n in c]
+    objects = {}
+    for n, v in zip(c, z):
+        objects.setdefault(n, set()).add(id(v))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert dump_scores(z, g) == "ff,z\n" + "".join(
+        f"{g.ffs[i]},{z[i]:.6f}\n" for i in g.by_name)
 
 
 def test_state_shares_one_score(oracle_w64, oracle_w64_graph):
